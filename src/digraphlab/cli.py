@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .containers import ContainerFamily, build_containers, container_pipeline, verify_family
-from .density import density_report, m_density
+from .density import density_report, m_density, require_usable_m
 from .digraphs import Digraph, PatternDigraph
 from .errors import (
     BudgetError,
@@ -293,7 +293,7 @@ def cmd_hypergraph(args) -> int:
 def cmd_codegree(args) -> int:
     pattern, src = load_pattern(args.pattern)
     hg = build_hypergraph(args.N, pattern)
-    tau = float(args.tau) if args.tau != "auto" else tau_for(args.N, _usable_m(pattern))
+    tau = float(args.tau) if args.tau != "auto" else tau_for(args.N, require_usable_m(pattern))
     prof = codegree_profile(hg, tau)
     doc = {
         "manifest": _manifest("codegree", args, {
@@ -317,12 +317,6 @@ def cmd_codegree(args) -> int:
     }
     _emit(args, doc)
     return 0
-
-
-def _usable_m(pattern: PatternDigraph) -> Fraction:
-    from .density import require_usable_m
-
-    return require_usable_m(pattern)
 
 
 def cmd_verify_lemma(args) -> int:
@@ -362,7 +356,7 @@ def cmd_verify_lemma(args) -> int:
 def _family_params(args, pattern: PatternDigraph) -> tuple[Fraction, float]:
     eps = _parse_fraction(args.eps, "eps")
     if args.tau == "auto":
-        tau = tau_for(args.N, _usable_m(pattern))
+        tau = tau_for(args.N, require_usable_m(pattern))
     else:
         try:
             tau = float(Fraction(args.tau)) if "/" in args.tau else float(args.tau)
@@ -527,7 +521,7 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="write the document here instead of stdout")
     common.add_argument("--seed", type=int, default=0, help="RNG seed recorded in the manifest")
-    common.add_argument("--workers", type=int, default=1, help="parallelism budget (default serial)")
+    common.add_argument("--workers", type=int, default=1, help="accepted for compatibility; scans are serial")
 
     def pat(p):
         p.add_argument("--pattern", required=True, help="pattern file or builtin name")
@@ -621,6 +615,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not hasattr(args, "func"):
             raise UsageError("missing subcommand")
+        if args.workers < 1:
+            raise PreconditionError(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
     except UsageError as exc:
         print(f"digraphlab: error: {exc}", file=sys.stderr)
@@ -641,3 +637,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

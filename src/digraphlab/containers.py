@@ -143,6 +143,7 @@ class ContainerFamily:
 
     def _rebuild_tree(self, pair_lines: list[str], offset: int) -> None:
         """Reconstruct the routing tree from exported (fingerprint, index) pairs."""
+        count = len(self.containers)
         entries = []
         for k, ln in enumerate(pair_lines):
             parts = ln.split()
@@ -152,9 +153,11 @@ class ContainerFamily:
             tokens: list[tuple[int, bool]] = []
             if path_s != ".":
                 for tok in path_s.split(","):
-                    if not tok or tok[-1] not in "+-":
+                    if not tok or tok[-1] not in "+-" or not tok[:-1].isdecimal():
                         raise ParseError(f"bad fingerprint token {tok!r}", offset + k)
                     tokens.append((int(tok[:-1]), tok[-1] == "+"))
+            if not (idx_s.isdecimal() and int(idx_s) < count):
+                raise ParseError(f"container index {idx_s!r} not in 0..{count - 1}", offset + k)
             entries.append((tokens, int(idx_s)))
 
         self.pivots, self.out_child, self.in_child = [], [], []

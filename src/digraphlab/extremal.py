@@ -1,20 +1,22 @@
 """Exact extremal numbers, pattern-free counts and supersaturation scans.
 
-The labelled state space is a mixed-radix counter: each of the n(n-1)/2
-unordered pairs takes one of four states (none / forward / backward / double).
-The full-mode scan walks this counter with incremental maintenance of f1, f2
-and the number of realised pattern copies, so n=5 (4^10 states) runs in
-seconds.  Canonical mode grows graphs one vertex at a time with isomorph
-rejection and reaches n=7 for small patterns.
+Each of the p = n(n-1)/2 pair slots of a labelled digraph on [n] takes one of
+four states (none / forward / backward / double); state index idx keeps slot
+q in bits 2q, 2q+1.  One block walker serves the full scan and the free-mask
+iterator: the low min(p, 5) slots form a block whose states are the bits of
+one Python integer, and per high state the copies of the pattern are added
+into bit-sliced counters, so n=5 (4^10 states) takes a fraction of a second.
+Canonical mode grows graphs one vertex at a time with isomorph rejection and
+reaches n=7 for small patterns.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from functools import cmp_to_key
+from itertools import combinations, groupby, permutations
 
 from .digraphs import (
     Digraph,
@@ -31,8 +33,7 @@ FULL_MODE_MAX_N = 5
 CANONICAL_MODE_MAX_N = 7
 COUNT_CLASSES_MAX_N = 6
 
-_D_F1 = (1, 0, -1, 0)  # f1 delta for pair transition t -> t+1 (mod 4)
-_D_F2 = (0, 0, 1, -1)
+_LOW_SLOTS = 5  # one block holds the 4^5 = 1024 states of the low slots
 
 
 def pair_slots(n: int) -> list[tuple[int, int]]:
@@ -65,16 +66,6 @@ def compile_copies(n: int, pattern: PatternDigraph):
     return copies
 
 
-def _touch_lists(p: int, copies):
-    touch_ids: list[list[int]] = [[] for _ in range(p)]
-    touch_reqs: list[list[int]] = [[] for _ in range(p)]
-    for cid, constraints in enumerate(copies):
-        for q, req in constraints:
-            touch_ids[q].append(cid)
-            touch_reqs[q].append(req)
-    return touch_ids, touch_reqs
-
-
 def digraph_from_digits(n: int, digits) -> Digraph:
     edges = []
     for q, (i, j) in enumerate(pair_slots(n)):
@@ -86,101 +77,83 @@ def digraph_from_digits(n: int, digits) -> Digraph:
     return Digraph(n, frozenset(edges))
 
 
-def _scan_worker(args) -> dict:
-    """Scan a contiguous state range [start, stop); exact aggregates only.
+# ---------------------------------------------------------------------------
+# The block walker
+# ---------------------------------------------------------------------------
 
-    Tracks, per exact copy count 0..k_max, the best weighted size as the pair
-    (f2, f1); for rational weights the comparison key is the exact integer
-    num*f2 + den*f1.  Optionally collects digit snapshots attaining the
-    copy-free maximum (for extremal witnesses).
+def _bitset(flags) -> int:
+    """The integer whose bit s is set iff flags[s] is true."""
+    return int("".join("1" if f else "0" for f in reversed(flags)), 2)
+
+
+def _bits(x: int):
+    """Positions of the set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _per_state(slot_values) -> list[int]:
+    """table[s] = sum over slots q of slot_values[q][state of slot q in s]."""
+    table = [0]
+    for values in slot_values:
+        table = [t + v for v in values for t in table]
+    return table
+
+
+def _blocks(p: int, copies, c_max: int):
+    """Yield (hi, exact) for every high state hi, in index order.
+
+    exact[c] is the bitset of the low states lo for which the state
+    hi * 4^L + lo holds exactly c copies, for c = 0..min(c_max, len(copies)).
+    A copy is present in state idx iff idx has every bit of its requirement,
+    the sum of need << 2q over its (q, need) constraints.
     """
-    (n, copies, wspec, k_max, start, stop, collect, raw_cap) = args
-    p = n * (n - 1) // 2
-    touch_ids, touch_reqs = _touch_lists(p, copies)
-    digits = [(start >> (2 * q)) & 3 for q in range(p)]
-
-    deficit = []
-    present = 0
+    low = min(p, _LOW_SLOTS)
+    states = range(4 ** low)
+    lo_full = (1 << len(states)) - 1
+    has_bit = [_bitset([s >> b & 1 for s in states]) for b in range(2 * low)]
+    table = []  # per copy: (high part of the requirement, bitset of its low states)
     for constraints in copies:
-        d = sum(1 for q, req in constraints if (digits[q] & req) != req)
-        deficit.append(d)
-        if d == 0:
-            present += 1
+        req = sum(need << 2 * q for q, need in constraints)
+        lo_bits = lo_full
+        for b in _bits(req & ((1 << 2 * low) - 1)):
+            lo_bits &= has_bit[b]
+        table.append((req >> 2 * low, lo_bits))
+    c_top = min(c_max, len(copies))
+    planes = max(1, c_top.bit_length())
+    for hi in range(4 ** (p - low)):
+        # saturating counters: `counters` holds the count mod 2^planes, `over`
+        # the states whose count reached 2^planes > c_top
+        counters = [0] * planes
+        over = 0
+        for hi_req, carry in table:
+            if hi & hi_req != hi_req:
+                continue
+            for j in range(planes):
+                counters[j], carry = counters[j] ^ carry, counters[j] & carry
+                if not carry:
+                    break
+            over |= carry
+        exact = []
+        for c in range(c_top + 1):
+            mask = lo_full ^ over
+            for j, plane in enumerate(counters):
+                mask &= plane if c >> j & 1 else ~plane
+            exact.append(mask)
+        yield hi, exact
 
-    f2 = sum(1 for t in digits if t == 3)
-    f1 = sum(1 for t in digits if t in (1, 2))
 
-    rational = wspec is not None and wspec[0] == "rat"
-    weight = None
-    w = 0
-    d_w = (0, 0, 0, 0)
-    if rational:
-        num, den = wspec[1], wspec[2]
-        d_w = (den, 0, num - den, -num)
-        w = num * f2 + den * f1
-    elif wspec is not None:
-        weight = WeightParam.log2(wspec[1])
-
-    # best[c] = (key, f2, f1); key is the weighted integer for rational
-    # weights and None otherwise (pairs compared via the weight object)
-    best: list[tuple | None] = [None] * (k_max + 1)
-    free = 0
-    wits: list[tuple[int, ...]] = []
-    overflow = False
-
-    idx = start
-    while True:
-        if present <= k_max:
-            if present == 0:
-                free += 1
-            if wspec is not None:
-                c = present
-                b = best[c]
-                if rational:
-                    cmp = 1 if b is None else (w > b[0]) - (w < b[0])
-                else:
-                    cmp = 1 if b is None else weight.cmp_pairs((f2, f1), (b[1], b[2]))
-                if cmp > 0:
-                    best[c] = (w if rational else None, f2, f1)
-                    if collect and c == 0:
-                        wits = [tuple(digits)]
-                        overflow = False
-                elif cmp == 0 and collect and c == 0:
-                    if len(wits) < raw_cap:
-                        wits.append(tuple(digits))
-                    else:
-                        overflow = True
-        idx += 1
-        if idx == stop:
-            break
-        q = 0
-        while True:
-            t = digits[q]
-            nt = (t + 1) & 3
-            digits[q] = nt
-            f1 += _D_F1[t]
-            f2 += _D_F2[t]
-            if rational:
-                w += d_w[t]
-            tids = touch_ids[q]
-            treqs = touch_reqs[q]
-            for i in range(len(tids)):
-                req = treqs[i]
-                if ((t & req) == req) != ((nt & req) == req):
-                    cid = tids[i]
-                    if (nt & req) == req:
-                        deficit[cid] -= 1
-                        if deficit[cid] == 0:
-                            present += 1
-                    else:
-                        if deficit[cid] == 0:
-                            present -= 1
-                        deficit[cid] += 1
-            if nt != 0:
-                break
-            q += 1
-
-    return {"free": free, "best": best, "wits": wits, "overflow": overflow}
+def _tie_groups(weight: WeightParam, f2: list[int], f1: list[int]) -> list[int]:
+    """Bitsets of the low states grouped by equal weighted size, heaviest first."""
+    key = cmp_to_key(weight.cmp_pairs)  # equal keys are exact ties
+    pairs = list(zip(f2, f1))
+    groups = []
+    for _, tied in groupby(sorted(set(pairs), key=key, reverse=True), key=key):
+        tied = set(tied)
+        groups.append(_bitset([pair in tied for pair in pairs]))
+    return groups
 
 
 @dataclass
@@ -202,71 +175,71 @@ def full_scan(
     raw_cap: int = 50_000,
     workers: int = 1,
 ) -> ScanResult:
-    """Exhaustive scan of all 4^(n(n-1)/2) digraphs on [n], exact reduce."""
+    """Exhaustive scan of all 4^(n(n-1)/2) digraphs on [n], exact reduce.
+
+    best_pairs[c] is the pair of the first state in index order attaining
+    the maximum among states with exactly c copies; witnesses are the free
+    states attaining best_pairs[0], in index order, at most raw_cap.  The
+    scan is serial: `workers` is accepted for compatibility and ignored.
+    """
     if n > FULL_MODE_MAX_N:
         raise BudgetError(
             f"full enumeration needs 4^{n * (n - 1) // 2} states; capped at n={FULL_MODE_MAX_N}"
         )
     if n < 1:
         raise PreconditionError("n must be >= 1")
+    if k_max < 0 or raw_cap < 1:
+        raise PreconditionError("k_max must be >= 0 and raw_cap >= 1")
     p = n * (n - 1) // 2
-    total = 4 ** p
-    copies = compile_copies(n, pattern)
-    if weight is None:
-        wspec = None
-    elif weight.is_rational:
-        wspec = ("rat", weight.rational.numerator, weight.rational.denominator)
-    else:
-        wspec = ("log", weight.log_arg)
-
-    if workers <= 1 or total < 1 << 14:
-        chunks = [(0, total)]
-    else:
-        parts = min(total, workers * 4)
-        step = total // parts
-        bounds = [i * step for i in range(parts)] + [total]
-        chunks = [(bounds[i], bounds[i + 1]) for i in range(parts) if bounds[i] < bounds[i + 1]]
-
-    args = [
-        (n, copies, wspec, k_max, start, stop, collect_witnesses, raw_cap)
-        for start, stop in chunks
-    ]
-    if len(args) == 1:
-        results = [_scan_worker(a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_worker, args))
-
-    free = sum(r["free"] for r in results)
+    low = min(p, _LOW_SLOTS)
+    lo_f2, hi_f2 = (_per_state([(0, 0, 0, 1)] * w) for w in (low, p - low))
+    lo_f1, hi_f1 = (_per_state([(0, 1, 1, 0)] * w) for w in (low, p - low))
+    groups = [] if weight is None else _tie_groups(weight, lo_f2, lo_f1)
+    free = 0
     best: list[tuple[int, int] | None] = [None] * (k_max + 1)
-    wits: list[tuple[int, ...]] = []
+    wits: list[int] = []
     overflow = False
-    if weight is not None:
-        merged: list[tuple | None] = [None] * (k_max + 1)
-        for r in results:
-            for c in range(k_max + 1):
-                v = r["best"][c]
-                if v is None:
-                    continue
-                b = merged[c]
-                if weight.is_rational:
-                    cmp = 1 if b is None else (v[0] > b[0]) - (v[0] < b[0])
-                else:
-                    cmp = 1 if b is None else weight.cmp_pairs((v[1], v[2]), (b[1], b[2]))
+    for hi, exact in _blocks(p, compile_copies(n, pattern), 0 if weight is None else k_max):
+        free += exact[0].bit_count()
+        for c, mask in enumerate(exact):
+            # the heaviest tie group meeting the mask; its lowest bit comes
+            # first in index order
+            top = next((x for x in (mask & g for g in groups) if x), 0)
+            if not top:
+                continue
+            lo = (top & -top).bit_length() - 1
+            pair = (lo_f2[lo] + hi_f2[hi], lo_f1[lo] + hi_f1[hi])
+            cmp = 1 if best[c] is None else weight.cmp_pairs(pair, best[c])
+            if cmp > 0:
+                best[c] = pair
+            if c == 0 and collect_witnesses and cmp >= 0:
+                # a strictly better pair replaces the witnesses, a tie appends
+                # them; past raw_cap they only set overflow
                 if cmp > 0:
-                    merged[c] = v
-                    if c == 0 and collect_witnesses:
-                        wits = list(r["wits"])
-                        overflow = r["overflow"]
-                elif cmp == 0 and c == 0 and collect_witnesses:
-                    room = raw_cap - len(wits)
-                    extra = r["wits"]
-                    wits.extend(extra[:room])
-                    if r["overflow"] or len(extra) > room:
+                    wits, overflow = [], False
+                for s in _bits(top):
+                    if len(wits) == raw_cap:
                         overflow = True
-        best = [None if m is None else (m[1], m[2]) for m in merged]
+                        break
+                    wits.append((hi << 2 * low) | s)
+    digits = [tuple((idx >> 2 * q) & 3 for q in range(p)) for idx in wits]
+    return ScanResult(n, 4 ** p, free, best, digits, overflow)
 
-    return ScanResult(n, total, free, best, wits, overflow)
+
+def iter_free_edge_masks(n: int, pattern: PatternDigraph, edge_bit):
+    """Yield one bitmask per pattern-free digraph on [n] (all of them), in
+    state-index order.
+
+    edge_bit(u, v) gives the bit position of the directed edge u->v, so the
+    caller controls the indexing (e.g. the pair-universe codec).
+    """
+    slots = [(1 << edge_bit(i, j), 1 << edge_bit(j, i)) for i, j in pair_slots(n)]
+    lo_masks, hi_masks = (_per_state([(0, fw, bw, fw | bw) for fw, bw in part])
+                          for part in (slots[:_LOW_SLOTS], slots[_LOW_SLOTS:]))
+    for hi, exact in _blocks(len(slots), compile_copies(n, pattern), 0):
+        base = hi_masks[hi]
+        for lo in _bits(exact[0]):
+            yield base | lo_masks[lo]
 
 
 # ---------------------------------------------------------------------------
@@ -583,55 +556,3 @@ def supersat_scan(
             )
         )
     return points
-
-
-def iter_free_edge_masks(n: int, pattern: PatternDigraph, edge_bit):
-    """Yield one bitmask per pattern-free digraph on [n] (all of them).
-
-    edge_bit(u, v) gives the bit position of the directed edge u->v, so the
-    caller controls the indexing (e.g. the pair-universe codec).
-    """
-    p = n * (n - 1) // 2
-    copies = compile_copies(n, pattern)
-    touch_ids, touch_reqs = _touch_lists(p, copies)
-    slots = pair_slots(n)
-    xor_tab = []
-    for i, j in slots:
-        fw = 1 << edge_bit(i, j)
-        bw = 1 << edge_bit(j, i)
-        xor_tab.append((fw, fw | bw, fw, fw | bw))
-    digits = [0] * p
-    deficit = [len(c) for c in copies]
-    present = sum(1 for d in deficit if d == 0)
-    mask = 0
-    total = 4 ** p
-    idx = 0
-    while True:
-        if present == 0:
-            yield mask
-        idx += 1
-        if idx == total:
-            return
-        q = 0
-        while True:
-            t = digits[q]
-            nt = (t + 1) & 3
-            digits[q] = nt
-            mask ^= xor_tab[q][t]
-            tids = touch_ids[q]
-            treqs = touch_reqs[q]
-            for i in range(len(tids)):
-                req = treqs[i]
-                if ((t & req) == req) != ((nt & req) == req):
-                    cid = tids[i]
-                    if (nt & req) == req:
-                        deficit[cid] -= 1
-                        if deficit[cid] == 0:
-                            present += 1
-                    else:
-                        if deficit[cid] == 0:
-                            present -= 1
-                        deficit[cid] += 1
-            if nt != 0:
-                break
-            q += 1

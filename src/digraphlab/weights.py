@@ -71,10 +71,7 @@ class WeightParam:
         text = text.strip()
         m = _LOG2_RE.match(text)
         if m:
-            try:
-                return cls.log2(int(m.group(1)))
-            except PreconditionError:
-                raise
+            return cls.log2(int(m.group(1)))
         try:
             value = Fraction(text)
         except (ValueError, ZeroDivisionError):

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import digraphlab
 from digraphlab.cli import main
 
 
@@ -160,6 +165,52 @@ def test_verify_family_fault_exit_3(capsys, tmp_path):
     assert doc["results"]["coverage_ok"] is False
     assert doc["results"]["miss_witness"].startswith("n=4")
     assert "witness" in err
+
+
+@pytest.mark.parametrize("path, index", [
+    (None, "999"), (None, "x"), (None, "-5"), ("x+", None),
+])
+def test_verify_family_bad_fingerprint_line_exit_1(capsys, tmp_path, path, index):
+    # a leaf index must name one of the exported containers, and a
+    # fingerprint token must be a pair index followed by + or -
+    fam_file = tmp_path / "fam.txt"
+    rc, _, _ = run_doc(capsys, [
+        "containers", "--pattern", "c3", "--N", "4", "--eps", "1/10",
+        "--export", str(fam_file),
+    ])
+    assert rc == 0
+    lines = fam_file.read_text().splitlines()
+    old_path, old_index = lines[-1].split()
+    lines[-1] = f"{path or old_path} {index or old_index}"
+    fam_file.write_text("\n".join(lines) + "\n")
+    rc, out, err = run(capsys, [
+        "verify-family", "--pattern", "c3", "--N", "4", "--family", str(fam_file),
+    ])
+    count = int(lines[0].split()[4])
+    why = (f"bad fingerprint token {path!r}" if path
+           else f"container index {index!r} not in 0..{count - 1}")
+    assert rc == 1 and out == ""
+    assert err == f"digraphlab: parse error: line {len(lines)}: {why}\n"
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit_2(capsys, workers):
+    rc, out, err = run(capsys, ["count-free", "--pattern", "c3", "--n", "5", "--workers", workers])
+    assert rc == 2 and out == ""
+    assert err == f"digraphlab: refused: --workers must be >= 1, got {workers}\n"
+
+
+@pytest.mark.parametrize("module", ["digraphlab", "digraphlab.cli"])
+def test_module_entry_point(capsys, module):
+    src = str(Path(digraphlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "density", "--pattern", "c3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, out, _ = run(capsys, ["density", "--pattern", "c3"])
+    assert rc == 0 and proc.stdout == out
 
 
 def test_pipeline_refusal_exit_2(capsys):

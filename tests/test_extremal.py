@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
@@ -18,10 +20,11 @@ from digraphlab import (
     free_classes,
     supersat_scan,
 )
-from digraphlab.errors import BudgetError
+from digraphlab.cli import BUILTIN_PATTERNS, load_pattern
+from digraphlab.errors import BudgetError, PreconditionError
 from digraphlab.extremal import full_scan, iter_free_edge_masks
 
-from oracles import naive_extremal, naive_supersat
+from oracles import all_digraph_edge_sets, f_counts, naive_count_copies, naive_extremal, naive_supersat
 
 # frozen by the naive all-digraphs oracle (n <= 4) and by dual full/canonical
 # runs (n = 5); see test_matches_naive_oracle below for the live recomputation
@@ -182,13 +185,19 @@ def test_supersat_k0_is_definition(c3, a2):
     assert pts[0].value_fraction == extremal_number(4, c3, a2, mode="full").value_fraction
 
 
-def test_scan_workers_partition_agrees(c3, a2):
-    # chunked execution must merge to the same exact aggregates
-    serial = full_scan(4, c3, a2, k_max=2, collect_witnesses=True, workers=1)
-    chunked = full_scan(4, c3, a2, k_max=2, collect_witnesses=True, workers=2)
-    assert serial.free_count == chunked.free_count
-    assert serial.best_pairs == chunked.best_pairs
-    assert sorted(serial.witness_digits) == sorted(chunked.witness_digits)
+def test_scan_workers_partition_agrees(c3, a2, alog):
+    # the worker count must not change the result, witness order and overflow included
+    for weight, raw_cap in ((a2, 50_000), (alog, 50_000), (a2, 7)):
+        serial = full_scan(5, c3, weight, k_max=2, collect_witnesses=True, raw_cap=raw_cap)
+        chunked = full_scan(5, c3, weight, k_max=2, collect_witnesses=True, raw_cap=raw_cap,
+                            workers=2)
+        assert chunked == serial
+
+
+def test_full_scan_refuses_bad_budgets(c3, a2):
+    for kwargs in ({"k_max": -1}, {"raw_cap": 0}):
+        with pytest.raises(PreconditionError):
+            full_scan(3, c3, a2, **kwargs)
 
 
 def test_irrational_weight_search(c3):
@@ -205,3 +214,79 @@ def test_iter_free_masks_count(c3):
     masks = list(iter_free_edge_masks(3, c3, lambda u, v: u * 2 + (v if v < u else v - 1)))
     assert len(masks) == FSTAR[("c3", 3)]
     assert len(set(masks)) == len(masks)
+
+
+def test_iter_free_masks_index_order(patterns):
+    # with edge bits 2q (forward) and 2q+1 (backward) on pair slot q, a
+    # digraph's mask is its state index, so the order is visible
+    for name, pat in patterns.items():
+        for n in (4, 5):
+            slot = {pq: q for q, pq in enumerate(combinations(range(n), 2))}
+
+            def edge_bit(u, v):
+                return 2 * slot[(u, v)] if u < v else 2 * slot[(v, u)] + 1
+
+            count, prev = 0, -1
+            for mask in iter_free_edge_masks(n, pat, edge_bit):
+                assert mask > prev
+                count, prev = count + 1, mask
+            assert count == FSTAR[(name, n)]
+            if n == 4:
+                masks = list(iter_free_edge_masks(n, pat, edge_bit))
+                assert masks == [idx for idx, _, c, _ in oracle_states(name, n) if c == 0]
+
+
+@lru_cache(maxsize=None)
+def oracle_states(name: str, n: int):
+    """(state index, digits, copies, (f2, f1)) of every digraph on [n], in
+    index order, by the brute-force oracles: slot q of a state is the pair
+    combinations(range(n), 2)[q], holding forward + 2 * backward."""
+    pat = load_pattern(name)[0]
+    slots = list(combinations(range(n), 2))
+    rows = []
+    for edges in all_digraph_edge_sets(n):
+        digits = tuple(((i, j) in edges) + 2 * ((j, i) in edges) for i, j in slots)
+        idx = sum(t << 2 * q for q, t in enumerate(digits))
+        copies = naive_count_copies(edges, n, pat.graph.edges, pat.h)
+        rows.append((idx, digits, copies, f_counts(edges)))
+    return sorted(rows)
+
+
+# exact ordering keys of a*f2 + f1, independent of WeightParam: the rational
+# value itself, and 2^(a*f2 + f1) = 3^f2 * 2^f1 for a = log2(3)
+WEIGHT_KEYS = {
+    "2": lambda f2, f1: 2 * f2 + f1,
+    "7/2": lambda f2, f1: Fraction(7, 2) * f2 + f1,
+    "log2(3)": lambda f2, f1: 3 ** f2 * 2 ** f1,
+}
+
+
+@pytest.mark.parametrize("k_max", [0, 3])
+@pytest.mark.parametrize("a", sorted(WEIGHT_KEYS))
+@pytest.mark.parametrize("name", BUILTIN_PATTERNS)
+def test_full_scan_against_oracles(name, a, k_max):
+    pat = load_pattern(name)[0]
+    weight = WeightParam.parse(a)
+    key = WEIGHT_KEYS[a]
+    for n in (1, 2, 3, 4):
+        rows = oracle_states(name, n)
+        expect_best = []
+        for c in range(k_max + 1):
+            top = max((key(*pair) for _, _, cc, pair in rows if cc == c), default=None)
+            first = next((pair for _, _, cc, pair in rows if cc == c and key(*pair) == top), None)
+            expect_best.append(first)
+        attaining = [d for _, d, cc, pair in rows if cc == 0 and key(*pair) == key(*expect_best[0])]
+        for raw_cap in (1, 7):
+            scan = full_scan(n, pat, weight, k_max=k_max, collect_witnesses=True, raw_cap=raw_cap)
+            assert scan.states == len(rows) == 4 ** (n * (n - 1) // 2)
+            assert scan.free_count == sum(1 for _, _, cc, _ in rows if cc == 0)
+            assert scan.best_pairs == expect_best
+            assert scan.witness_digits == attaining[:raw_cap]
+            assert scan.witness_overflow == (len(attaining) > raw_cap)
+        if weight.is_rational:
+            value, free, count = naive_extremal(n, pat.graph.edges, pat.h, weight.rational)
+            assert (free, count) == (scan.free_count, len(attaining))
+            assert weight.ea_fraction(*scan.best_pairs[0]) == value
+            points = supersat_scan(n, pat, weight, k_max)
+            expect = naive_supersat(n, pat.graph.edges, pat.h, weight.rational, k_max)
+            assert [p.value_fraction for p in points] == expect
