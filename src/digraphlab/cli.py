@@ -27,7 +27,14 @@ from .errors import (
     PreconditionError,
     VerificationError,
 )
-from .extremal import count_free, counting_ratio, extremal_number, supersat_scan
+from .extremal import (
+    FULL_MODE_MAX_N,
+    compile_copies,
+    count_free,
+    counting_ratio,
+    extremal_number,
+    supersat_scan,
+)
 from .pairhypergraph import build_hypergraph, codegree_profile, tau_for, verify_degree_lemma
 from .report import float_field, frac_str, int_str, render_document
 from .weights import WeightParam
@@ -242,6 +249,11 @@ def cmd_ratio(args) -> int:
 def cmd_supersat(args) -> int:
     pattern, src = load_pattern(args.pattern)
     weight = WeightParam.parse(args.a)
+    if 1 <= args.n <= FULL_MODE_MAX_N:  # larger n is refused by the scan itself
+        copies = len(compile_copies(args.n, pattern))
+        if args.k_max > copies:
+            raise PreconditionError(f"--k-max {args.k_max} exceeds {copies}, the number of "
+                                    f"copies of the pattern in the complete digraph on [{args.n}]")
     points = supersat_scan(args.n, pattern, weight, args.k_max, workers=args.workers)
     doc = {
         "manifest": _manifest("supersat", args, {
@@ -615,8 +627,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not hasattr(args, "func"):
             raise UsageError("missing subcommand")
-        if args.workers < 1:
-            raise PreconditionError(f"--workers must be >= 1, got {args.workers}")
+        for flag, least in (("workers", 1), ("witness_cap", 0), ("samples", 1)):
+            value = getattr(args, flag, least)
+            if value < least:
+                raise PreconditionError(f"--{flag.replace('_', '-')} must be >= {least}, got {value}")
         return args.func(args)
     except UsageError as exc:
         print(f"digraphlab: error: {exc}", file=sys.stderr)

@@ -200,6 +200,45 @@ def test_workers_below_one_exit_2(capsys, workers):
     assert err == f"digraphlab: refused: --workers must be >= 1, got {workers}\n"
 
 
+@pytest.mark.parametrize("argv, why", [
+    (["ex", "--pattern", "c3", "--n", "4", "--witness-cap", "-1"], "--witness-cap must be >= 0, got -1"),
+    (["verify-family", "--pattern", "c3", "--N", "5", "--mode", "sampled", "--samples", "0"],
+     "--samples must be >= 1, got 0"),
+    (["pipeline", "--pattern", "c3", "--N", "5", "--eps", "1/10", "--samples", "-4"],
+     "--samples must be >= 1, got -4"),
+    (["supersat", "--pattern", "dk3", "--n", "3", "--k-max", "2"],
+     "--k-max 2 exceeds 1, the number of copies of the pattern in the complete digraph on [3]"),
+    (["supersat", "--pattern", "dk3", "--n", "5", "--k-max", "100000000000"],
+     "--k-max 100000000000 exceeds 10, the number of copies of the pattern in the complete "
+     "digraph on [5]"),
+])
+def test_out_of_contract_budgets_exit_2(capsys, argv, why):
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert err == f"digraphlab: refused: {why}\n"
+
+
+def test_k_max_up_to_copy_count_accepted(capsys):
+    # dk3 has 1, 4 and 10 copies in the complete digraph on [3], [4] and [5]
+    for n, k_max in ((3, 1), (4, 4), (5, 10)):
+        rc, doc, _ = run_doc(capsys, ["supersat", "--pattern", "dk3", "--n", str(n), "--k-max", str(k_max)])
+        assert rc == 0 and len(doc["results"]["points"]) == k_max + 1
+
+
+def test_canonical_isolated_vertex_pattern(capsys, tmp_path):
+    # a pattern with an isolated vertex: the greedy seed meets a core copy on
+    # h - 1 vertices that no vertex can extend
+    f = tmp_path / "c3iso.dg"
+    f.write_text("n=4\n0 1\n1 2\n2 0\n")
+    docs = {}
+    for mode in ("full", "canonical"):
+        rc, doc, err = run_doc(capsys, ["ex", "--mode", mode, "--pattern", str(f), "--n", "4"])
+        assert rc == 0, err
+        docs[mode] = doc["results"]
+    assert docs["canonical"]["value"] == docs["full"]["value"]
+    assert docs["canonical"]["witness_keys"] == docs["full"]["witness_keys"]
+
+
 @pytest.mark.parametrize("module", ["digraphlab", "digraphlab.cli"])
 def test_module_entry_point(capsys, module):
     src = str(Path(digraphlab.__file__).resolve().parents[1])

@@ -10,6 +10,7 @@ from itertools import combinations
 import pytest
 
 from digraphlab import (
+    Digraph,
     PatternDigraph,
     WeightParam,
     automorphism_count,
@@ -18,11 +19,18 @@ from digraphlab import (
     counting_ratio,
     extremal_number,
     free_classes,
+    is_pattern_free,
     supersat_scan,
 )
 from digraphlab.cli import BUILTIN_PATTERNS, load_pattern
 from digraphlab.errors import BudgetError, PreconditionError
-from digraphlab.extremal import full_scan, iter_free_edge_masks
+from digraphlab.extremal import (
+    _attachment_table,
+    _free_extension_count,
+    _free_extensions,
+    full_scan,
+    iter_free_edge_masks,
+)
 
 from oracles import all_digraph_edge_sets, f_counts, naive_count_copies, naive_extremal, naive_supersat
 
@@ -125,18 +133,26 @@ def test_count_free_orbit_route_matches_scan(c3, t3):
             assert total == count_free(n, pat)
 
 
-def test_count_free_n6_extension_route(c3):
+def test_count_free_n6_extension_route():
     # the n=6 path sums exact extension counts over level-5 classes; check the
-    # same machinery against the direct scan one level down
-    from digraphlab.extremal import _free_extension_count
+    # same machinery against the direct scan at levels 3 and 4
+    for name in BUILTIN_PATTERNS:
+        pat = load_pattern(name)[0]
+        for k in (3, 4):
+            fact = math.factorial(k)
+            table = _attachment_table(k, pat)
+            total = sum(
+                (fact // automorphism_count(g)) * _free_extension_count(g, pat, table)
+                for g in free_classes(k, pat).values()
+            )
+            assert total == count_free(k + 1, pat), (name, k)
 
-    reps = free_classes(3, c3)
-    fact = math.factorial(3)
-    total = sum(
-        (fact // automorphism_count(g)) * _free_extension_count(g, c3)
-        for g in reps.values()
-    )
-    assert total == count_free(4, c3)
+
+def test_count_free_n6_pinned(c3, dk3):
+    # made anew by labelled one-vertex extensions of a numpy brute-force
+    # table of the free digraphs on [5], sharing no code with count_free
+    assert count_free(6, c3) == 36_686_047
+    assert count_free(6, dk3) == 823_931_109
 
 
 def test_counting_ratio(patterns):
@@ -290,3 +306,45 @@ def test_full_scan_against_oracles(name, a, k_max):
             points = supersat_scan(n, pat, weight, k_max)
             expect = naive_supersat(n, pat.graph.edges, pat.h, weight.rational, k_max)
             assert [p.value_fraction for p in points] == expect
+
+
+# patterns with isolated vertices: the new vertex can supply the missing room
+ISOLATED = {"c3iso": "n=4\n0 1\n1 2\n2 0\n", "p3iso": "n=5\n0 1\n1 2\n"}
+
+
+def any_pattern(name: str) -> PatternDigraph:
+    return PatternDigraph.from_text(ISOLATED[name]) if name in ISOLATED else load_pattern(name)[0]
+
+
+@pytest.mark.parametrize("name", BUILTIN_PATTERNS + tuple(ISOLATED))
+def test_free_extensions_against_brute_force(name):
+    # every attachment code of a new vertex, kept iff the embedding search
+    # finds no copy in the extension
+    pat = any_pattern(name)
+    for k in (1, 2, 3, 4):
+        table = _attachment_table(k, pat)
+        for g in free_classes(k, pat).values():
+            expect = set()
+            for code in range(4 ** k):
+                edges = set(g.edges)
+                edges |= {(u, k) for u in range(k) if code >> 2 * u & 1}
+                edges |= {(k, u) for u in range(k) if code >> 2 * u + 1 & 1}
+                ext = Digraph(k + 1, frozenset(edges))
+                if is_pattern_free(ext, pat):
+                    expect.add(ext.edges)
+            got = [ext.edges for ext in _free_extensions(g, pat, table)]
+            assert len(got) == len(set(got)) and set(got) == expect
+            assert _free_extension_count(g, pat, table) == len(expect)
+
+
+@pytest.mark.parametrize("a", sorted(WEIGHT_KEYS))
+@pytest.mark.parametrize("name", sorted(ISOLATED))
+def test_modes_agree_isolated_vertices(name, a):
+    # the greedy seed dead-ends on a core copy one vertex short of h
+    pat = any_pattern(name)
+    weight = WeightParam.parse(a)
+    for n in (4, 5):
+        rf = extremal_number(n, pat, weight, mode="full")
+        rc = extremal_number(n, pat, weight, mode="canonical")
+        assert rf.value_str == rc.value_str
+        assert rf.witness_keys == rc.witness_keys
