@@ -17,7 +17,13 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .containers import ContainerFamily, build_containers, container_pipeline, verify_family
+from .containers import (
+    ContainerFamily,
+    build_containers,
+    container_pipeline,
+    require_verifiable,
+    verify_family,
+)
 from .density import density_report, m_density, require_usable_m
 from .digraphs import Digraph, PatternDigraph
 from .errors import (
@@ -409,6 +415,7 @@ def cmd_containers(args) -> int:
 
 def cmd_verify_family(args) -> int:
     pattern, src = load_pattern(args.pattern)
+    require_verifiable(args.N, args.mode)
     hg = build_hypergraph(args.N, pattern)
     if args.family:
         try:

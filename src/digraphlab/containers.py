@@ -20,6 +20,7 @@ fail loudly; there is no silent partial family.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +43,10 @@ from .density import condition_a, require_usable_m
 from .weights import WeightParam
 
 DEAD = -1  # child code: branch handles no independent set
+_HEX = re.compile(r"[0-9a-fA-F]+")
+# the header eps as the builder writes it; Fraction's exponent forms such as
+# 1e-9999999 would first build a ten-million-digit integer
+_FRACTION = re.compile(r"[0-9]+(/[0-9]+)?")
 
 
 def _leaf_code(container_idx: int) -> int:
@@ -118,21 +123,33 @@ class ContainerFamily:
         head = lines[0].split()
         if len(head) != 5:
             raise ParseError("family header needs 'N r eps tau count'", 1)
+        if not _FRACTION.fullmatch(head[2]):
+            raise ParseError(f"bad family header: eps {head[2]!r} is not a fraction p/q", 1)
         try:
             N, r = int(head[0]), int(head[1])
             eps = Fraction(head[2])
             tau = float(head[3])
             count = int(head[4])
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad family header: {exc}", 1) from None
+        if N < 2:
+            raise ParseError(f"family header N={N} below 2", 1)
+        if not Fraction(0) < eps < Fraction(1, 2):
+            raise ParseError(f"family header eps={eps} outside (0, 1/2)", 1)
+        if count < 0:
+            raise ParseError(f"family header count {count} is negative", 1)
         if len(lines) < 1 + count:
             raise ParseError("family export truncated: missing containers")
+        n_u = N * N - N
         containers = []
         for k in range(count):
-            try:
-                containers.append(int(lines[1 + k], 16))
-            except ValueError:
-                raise ParseError("bad container bitset", 2 + k) from None
+            hex_s = lines[1 + k].strip()
+            if not _HEX.fullmatch(hex_s):
+                raise ParseError("bad container bitset", 2 + k)
+            cmask = int(hex_s, 16)
+            if cmask >> n_u:
+                raise ParseError(f"container bitset has a bit at or above N(N-1)={n_u}", 2 + k)
+            containers.append(cmask)
         fam = cls(
             N=N, r=r, eps=eps, tau=tau, total_edges=-1,
             containers=containers, spans=[], root=DEAD,
@@ -142,49 +159,66 @@ class ContainerFamily:
         return fam
 
     def _rebuild_tree(self, pair_lines: list[str], offset: int) -> None:
-        """Reconstruct the routing tree from exported (fingerprint, index) pairs."""
+        """Reconstruct the routing tree from exported (fingerprint, index) pairs.
+
+        Each path is inserted into a trie from the root.  Exports list the
+        leaves in DFS order, so consecutive paths share long prefixes: the
+        tokens equal to the previous line's are neither parsed nor walked
+        again, the walk resumes at the node where the two paths part.
+        """
         count = len(self.containers)
-        entries = []
+        n_u = self.universe.size
+        pivots: list[int] = []
+        out_child: list[int] = []
+        in_child: list[int] = []
+        top = [DEAD]             # the slot holding the root
+        prev: list[str] = []     # previous line's tokens
+        nodes: list[int] = []    # nodes[d]: the node the previous path's token d branches at
         for k, ln in enumerate(pair_lines):
+            line = offset + k
             parts = ln.split()
             if len(parts) != 2:
-                raise ParseError("bad fingerprint pair", offset + k)
+                raise ParseError("bad fingerprint pair", line)
             path_s, idx_s = parts
-            tokens: list[tuple[int, bool]] = []
-            if path_s != ".":
-                for tok in path_s.split(","):
-                    if not tok or tok[-1] not in "+-" or not tok[:-1].isdecimal():
-                        raise ParseError(f"bad fingerprint token {tok!r}", offset + k)
-                    tokens.append((int(tok[:-1]), tok[-1] == "+"))
+            tokens = [] if path_s == "." else path_s.split(",")
+            d = 0
+            for tok, old in zip(tokens, prev):
+                if tok != old:
+                    break
+                d += 1
+            steps: list[tuple[int, bool]] = []
+            for tok in tokens[d:]:
+                if not tok or tok[-1] not in "+-" or not tok[:-1].isdecimal():
+                    raise ParseError(f"bad fingerprint token {tok!r}", line)
+                piv = int(tok[:-1])
+                if piv >= n_u:
+                    raise ParseError(f"fingerprint pivot {piv} not in 0..{n_u - 1}", line)
+                steps.append((piv, tok[-1] == "+"))
             if not (idx_s.isdecimal() and int(idx_s) < count):
-                raise ParseError(f"container index {idx_s!r} not in 0..{count - 1}", offset + k)
-            entries.append((tokens, int(idx_s)))
-
-        self.pivots, self.out_child, self.in_child = [], [], []
-
-        def build(items: list[tuple[list[tuple[int, bool]], int]], depth: int) -> int:
-            leaves = [idx for toks, idx in items if len(toks) == depth]
-            if leaves:
-                if len(items) != 1:
-                    raise ParseError("conflicting fingerprint paths")
-                return _leaf_code(leaves[0])
-            if not items:
-                return DEAD
-            pivs = {toks[depth][0] for toks, _ in items}
-            if len(pivs) != 1:
-                raise ParseError("fingerprint paths disagree on pivot")
-            piv = pivs.pop()
-            node = len(self.pivots)
-            self.pivots.append(piv)
-            self.out_child.append(DEAD)
-            self.in_child.append(DEAD)
-            outs = [(t, i) for t, i in items if not t[depth][1]]
-            ins = [(t, i) for t, i in items if t[depth][1]]
-            self.out_child[node] = build(outs, depth + 1)
-            self.in_child[node] = build(ins, depth + 1)
-            return node
-
-        self.root = build(entries, 0)
+                raise ParseError(f"container index {idx_s!r} not in 0..{count - 1}", line)
+            del nodes[d:]
+            # the walk stands in slot kids[at]: a child list and its parent node
+            kids, at = (in_child if tokens[d - 1][-1] == "+" else out_child, nodes[-1]) if d else (top, 0)
+            code = kids[at]
+            for piv, plus in steps:
+                if code == DEAD:
+                    code = len(pivots)
+                    pivots.append(piv)
+                    out_child.append(DEAD)
+                    in_child.append(DEAD)
+                    kids[at] = code
+                elif code < 0:
+                    raise ParseError("conflicting fingerprint paths", line)
+                elif pivots[code] != piv:
+                    raise ParseError("fingerprint paths disagree on pivot", line)
+                nodes.append(code)
+                kids, at = in_child if plus else out_child, code
+                code = kids[at]
+            if code != DEAD:
+                raise ParseError("conflicting fingerprint paths", line)
+            kids[at] = _leaf_code(int(idx_s))
+            prev = tokens
+        self.root, self.pivots, self.out_child, self.in_child = top[0], pivots, out_child, in_child
 
 
 def build_containers(
@@ -208,16 +242,13 @@ def build_containers(
     depth_cap = 4 * r * math.ceil(1 / eps)
     fp_budget = max(1, math.ceil(4 * r * tau * n_u))
 
-    rem = list(hg.edge_masks)
+    # rem[eid]: the elements of hyperedge eid not yet in the fingerprint
+    rem = [list(e) for e in hg.edges]
     alive = [True] * total
     deg = [0] * n_u
     edges_with: list[list[int]] = [[] for _ in range(n_u)]
-    for eid, mask in enumerate(hg.edge_masks):
-        m = mask
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
+    for eid, e in enumerate(hg.edges):
+        for v in e:
             deg[v] += 1
             edges_with[v].append(eid)
 
@@ -229,91 +260,72 @@ def build_containers(
     spans: list[int] = []
     cont_index: dict[int, int] = {}
 
-    state = {"spanned": total, "out_mask": 0, "fp_size": 0, "zero_rem": 0}
-
-    def emit_container() -> int:
-        cmask = full_mask & ~state["out_mask"]
+    def emit_container(out_mask: int, spanned: int) -> int:
+        cmask = full_mask & ~out_mask
         idx = cont_index.get(cmask)
         if idx is None:
             idx = len(containers)
             cont_index[cmask] = idx
             containers.append(cmask)
-            spans.append(state["spanned"])
+            spans.append(spanned)
         return _leaf_code(idx)
 
-    def visit(depth: int) -> int:
-        if state["zero_rem"]:
-            return DEAD
-        if state["spanned"] * th_den <= th_num * total:
-            return emit_container()
+    def visit(depth: int, spanned: int, out_mask: int, fp_size: int) -> int:
+        """Internal node: both children are decided here before descending."""
         if depth >= depth_cap:
             raise ContainerBuildError(f"branch exceeded the round cap {depth_cap}")
-        if state["fp_size"] > fp_budget:
+        if fp_size > fp_budget:
             raise ContainerBuildError(f"fingerprint exceeded the tau budget {fp_budget}")
         if len(pivots) >= max_nodes:
             raise ContainerBuildError(f"decision tree exceeded {max_nodes} nodes")
-        pivot = -1
-        best = 0
-        for v in range(n_u):
-            if deg[v] > best:
-                best = deg[v]
-                pivot = v
         # spanned > threshold >= 0 means a live edge exists, and live edges
-        # have nonempty remainders (zero_rem == 0), so best >= 1
+        # keep a nonempty remainder, so the highest degree is >= 1
+        pivot = deg.index(max(deg))
         node = len(pivots)
         pivots.append(pivot)
         out_child.append(DEAD)
         in_child.append(DEAD)
-        bit = 1 << pivot
+        # pivots on a path are distinct, so every live edge through the pivot
+        # still holds it in its remainder
+        live = [eid for eid in edges_with[pivot] if alive[eid]]
 
         # excluded branch: kill every live edge through the pivot
-        killed: list[int] = []
-        for eid in edges_with[pivot]:
-            if alive[eid] and rem[eid] & bit:
+        out_spanned = spanned - len(live)
+        if out_spanned * th_den <= th_num * total:
+            out_child[node] = emit_container(out_mask | (1 << pivot), out_spanned)
+        else:
+            for eid in live:
                 alive[eid] = False
-                killed.append(eid)
-                m = rem[eid]
-                while m:
-                    b = m & -m
-                    m ^= b
-                    deg[b.bit_length() - 1] -= 1
-        state["spanned"] -= len(killed)
-        state["out_mask"] |= bit
-        out_child[node] = visit(depth + 1)
-        state["out_mask"] &= ~bit
-        state["spanned"] += len(killed)
-        for eid in killed:
-            alive[eid] = True
-            m = rem[eid]
-            while m:
-                b = m & -m
-                m ^= b
-                deg[b.bit_length() - 1] += 1
+                for v in rem[eid]:
+                    deg[v] -= 1
+            out_child[node] = visit(depth + 1, out_spanned, out_mask | (1 << pivot), fp_size)
+            for eid in live:
+                alive[eid] = True
+                for v in rem[eid]:
+                    deg[v] += 1
 
-        # included branch: shrink live edges through the pivot
-        shrunk: list[int] = []
-        for eid in edges_with[pivot]:
-            if alive[eid] and rem[eid] & bit:
-                rem[eid] &= ~bit
-                deg[pivot] -= 1
-                shrunk.append(eid)
-                if rem[eid] == 0:
-                    state["zero_rem"] += 1
-        state["fp_size"] += 1
-        in_child[node] = visit(depth + 1)
-        state["fp_size"] -= 1
-        for eid in shrunk:
-            if rem[eid] == 0:
-                state["zero_rem"] -= 1
-            rem[eid] |= bit
-            deg[pivot] += 1
-
+        # included branch: a live edge left with the pivot alone would be
+        # swallowed by the fingerprint (DEAD); otherwise shrink the live edges
+        # through the pivot.  spanned does not change, so the child is internal
+        for eid in live:
+            if len(rem[eid]) == 1:
+                return node
+        for eid in live:
+            rem[eid].remove(pivot)
+        deg[pivot] = 0
+        in_child[node] = visit(depth + 1, spanned, out_mask, fp_size + 1)
+        deg[pivot] = len(live)
+        for eid in live:
+            rem[eid].append(pivot)
         return node
 
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, depth_cap + n_u + 100))
     try:
-        root = visit(0)
+        if total * th_den <= th_num * total:
+            root = emit_container(0, total)
+        else:
+            root = visit(0, total, 0, 0)
     finally:
         sys.setrecursionlimit(old_limit)
 
@@ -367,19 +379,29 @@ class VerifyReport:
 
 
 def _check_sparsity(hg: PairHypergraph, fam: ContainerFamily) -> tuple[bool, int]:
-    """Re-count spanned hyperedges per container from the hyperedge store."""
-    worst = 0
-    ok = True
-    num, den = fam.eps.numerator, fam.eps.denominator
-    for cmask in fam.containers:
-        span = 0
-        for em in hg.edge_masks:
-            if em & ~cmask == 0:
-                span += 1
-        worst = max(worst, span)
-        if span * den > num * hg.edge_count:
-            ok = False
-    return ok, worst
+    """Re-count spanned hyperedges per container from the hyperedge store.
+
+    Needs a universe of at most 63 pairs (``require_verifiable``).
+    """
+    conts = np.array(fam.containers, dtype=np.uint64)
+    span = np.zeros(len(conts), dtype=np.int64)
+    for em in hg.edge_masks:
+        em = np.uint64(em)
+        span += (conts & em) == em
+    worst = int(span.max()) if len(conts) else 0
+    return worst * fam.eps.denominator <= fam.eps.numerator * hg.edge_count, worst
+
+
+def require_verifiable(N: int, mode: str) -> None:
+    """Refuse a verification outside its budget before any work is done."""
+    if mode == "exhaustive":
+        if N > FULL_MODE_MAX_N:
+            raise PreconditionError(f"exhaustive verification capped at N={FULL_MODE_MAX_N}")
+    elif mode == "sampled":
+        if N * N - N > 63:
+            raise PreconditionError("sampled verification needs a <=63-bit universe")
+    else:
+        raise PreconditionError(f"unknown verify mode {mode!r}")
 
 
 def verify_family(
@@ -400,6 +422,7 @@ def verify_family(
     N = hg.universe.N
     if fam.N != N:
         raise PreconditionError("family and hypergraph live on different [N]")
+    require_verifiable(N, mode)
     sp_ok, worst = _check_sparsity(hg, fam)
     num, den = fam.eps.numerator, fam.eps.denominator
     limit_num = num * hg.edge_count
@@ -412,8 +435,6 @@ def verify_family(
         return None
 
     if mode == "exhaustive":
-        if N > FULL_MODE_MAX_N:
-            raise PreconditionError(f"exhaustive verification capped at N={FULL_MODE_MAX_N}")
         checked = 0
         for mask in iter_free_edge_masks(N, pattern, hg.universe.pair_index):
             checked += 1
@@ -425,37 +446,33 @@ def verify_family(
                 )
         return VerifyReport(mode, checked, True, None, None, sp_ok, worst, limit_num, den)
 
-    if mode == "sampled":
-        rng = np.random.RandomState(seed)
-        edge_masks = [np.uint64(m) for m in hg.edge_masks]
-        n_u = hg.universe.size
-        if n_u > 63:
-            raise PreconditionError("sampled verification needs a <=63-bit universe")
-        accepted = 0
-        attempts = 0
-        batch = 65_536
-        while accepted < samples:
-            draws = rng.randint(0, 1 << n_u, size=batch, dtype=np.uint64)
-            attempts += batch
-            contained = np.zeros(batch, dtype=bool)
-            for em in edge_masks:
-                contained |= (draws & em) == em
-            for mask in draws[~contained]:
-                mask = int(mask)
-                accepted += 1
-                fail = containment_fail(mask)
-                if fail is not None:
-                    return VerifyReport(
-                        mode, accepted, False, fail[0], fail[1],
-                        sp_ok, worst, limit_num, den, attempts, seed,
-                    )
-                if accepted >= samples:
-                    break
-        return VerifyReport(
-            mode, accepted, True, None, None, sp_ok, worst, limit_num, den, attempts, seed,
-        )
-
-    raise PreconditionError(f"unknown verify mode {mode!r}")
+    rng = np.random.RandomState(seed)
+    edge_masks = [np.uint64(m) for m in hg.edge_masks]
+    n_u = hg.universe.size
+    accepted = 0
+    attempts = 0
+    batch = 65_536
+    while accepted < samples:
+        draws = rng.randint(0, 1 << n_u, size=batch, dtype=np.uint64)
+        attempts += batch
+        # survivors keep their draw order, edge by edge
+        free = draws
+        for em in edge_masks:
+            free = free[(free & em) != em]
+        for mask in free:
+            mask = int(mask)
+            accepted += 1
+            fail = containment_fail(mask)
+            if fail is not None:
+                return VerifyReport(
+                    mode, accepted, False, fail[0], fail[1],
+                    sp_ok, worst, limit_num, den, attempts, seed,
+                )
+            if accepted >= samples:
+                break
+    return VerifyReport(
+        mode, accepted, True, None, None, sp_ok, worst, limit_num, den, attempts, seed,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +535,11 @@ def container_pipeline(
             f"subgraph density {cond.witness_text}"
         )
     m = require_usable_m(pattern)
+    mode = "exhaustive" if N <= FULL_MODE_MAX_N else "sampled"
+    require_verifiable(N, mode)
     hg = build_hypergraph(N, pattern)
     tau = tau_for(N, m)
     fam = build_containers(hg, tau, eps)
-    mode = "exhaustive" if N <= FULL_MODE_MAX_N else "sampled"
     verify = verify_family(hg, fam, pattern, mode=mode, samples=samples, seed=seed)
 
     extremal = None

@@ -193,6 +193,81 @@ def test_verify_family_bad_fingerprint_line_exit_1(capsys, tmp_path, path, index
     assert err == f"digraphlab: parse error: line {len(lines)}: {why}\n"
 
 
+def _bump_last_pivot(lines):
+    # the last fingerprint line with its first token's pair index set to N(N-1) = 12
+    path, index = lines[-1].split()
+    lines[-1] = f"12{path.split(',')[0][-1]} {index}"
+
+
+def _set_header(field, value):
+    def edit(lines):
+        head = lines[0].split()
+        head[field] = value
+        lines[0] = " ".join(head)
+    return edit
+
+
+def _set_container(value):
+    def edit(lines):
+        lines[1] = value(lines[1])
+    return edit
+
+
+@pytest.mark.parametrize("edit, line, why", [
+    (_set_container(lambda c: "-" + c), 2, "bad container bitset"),
+    (_set_container(lambda c: "0x" + c), 2, "bad container bitset"),
+    (_set_container(lambda c: c[0] + "_" + c[1:]), 2, "bad container bitset"),
+    (_set_container(lambda c: f"{int(c, 16) | 1 << 12:x}"), 2,
+     "container bitset has a bit at or above N(N-1)=12"),
+    (_set_header(2, "1"), 1, "family header eps=1 outside (0, 1/2)"),
+    (_set_header(2, "1/2"), 1, "family header eps=1/2 outside (0, 1/2)"),
+    (_set_header(2, "0"), 1, "family header eps=0 outside (0, 1/2)"),
+    (_set_header(2, "1/0"), 1, "bad family header: Fraction(1, 0)"),
+    (_set_header(2, "1e-9999999"), 1, "bad family header: eps '1e-9999999' is not a fraction p/q"),
+    (_set_header(4, "-1"), 1, "family header count -1 is negative"),
+    (_set_header(0, "1"), 1, "family header N=1 below 2"),
+    (_bump_last_pivot, None, "fingerprint pivot 12 not in 0..11"),
+])
+def test_verify_family_malformed_export_exit_1(capsys, tmp_path, edit, line, why):
+    # values the builder never writes are refused with their line number
+    fam_file = tmp_path / "fam.txt"
+    rc, _, _ = run_doc(capsys, [
+        "containers", "--pattern", "c3", "--N", "4", "--eps", "1/10",
+        "--export", str(fam_file),
+    ])
+    assert rc == 0
+    lines = fam_file.read_text().splitlines()
+    edit(lines)
+    fam_file.write_text("\n".join(lines) + "\n")
+    rc, out, err = run(capsys, [
+        "verify-family", "--pattern", "c3", "--N", "4", "--eps", "1/10", "--family", str(fam_file),
+    ])
+    assert rc == 1 and out == ""
+    assert err == f"digraphlab: parse error: line {line or len(lines)}: {why}\n"
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["verify-family", "--pattern", "c3", "--N", "6", "--eps", "1/10", "--mode", "exhaustive"],
+     "exhaustive verification capped at N=5"),
+    (["verify-family", "--pattern", "c3", "--N", "6", "--mode", "exhaustive",
+      "--family", "no-such-family.txt"], "exhaustive verification capped at N=5"),
+    (["verify-family", "--pattern", "c3", "--N", "9", "--mode", "sampled"],
+     "sampled verification needs a <=63-bit universe"),
+    (["pipeline", "--pattern", "c3", "--a", "2", "--N", "9", "--eps", "1/10"],
+     "sampled verification needs a <=63-bit universe"),
+])
+def test_out_of_cap_verification_refused_before_work(capsys, monkeypatch, argv, why):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+    for module in (digraphlab.cli, digraphlab.containers):
+        monkeypatch.setattr(module, "build_hypergraph", no_work)
+        monkeypatch.setattr(module, "build_containers", no_work)
+    monkeypatch.setattr(digraphlab.ContainerFamily, "from_export_text", no_work)
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert err == f"digraphlab: refused: {why}\n"
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_exit_2(capsys, workers):
     rc, out, err = run(capsys, ["count-free", "--pattern", "c3", "--n", "5", "--workers", workers])

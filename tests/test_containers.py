@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import digraphlab.containers
 from digraphlab import (
     ContainerFamily,
     PatternDigraph,
@@ -17,8 +23,18 @@ from digraphlab import (
     count_free,
     verify_family,
 )
-from digraphlab.errors import PreconditionError, VerificationError
+from digraphlab.cli import load_pattern
+from digraphlab.containers import _check_sparsity
+from digraphlab.density import require_usable_m
+from digraphlab.errors import (
+    ContainerBuildError,
+    DigraphLabError,
+    ParseError,
+    PreconditionError,
+    VerificationError,
+)
 from digraphlab.extremal import iter_free_edge_masks
+from digraphlab.pairhypergraph import tau_for
 
 
 def small_family(pat, N, eps=Fraction(1, 10), tau=None):
@@ -163,6 +179,17 @@ def test_sampled_mode_deterministic(c3):
     assert r1.coverage_ok and r1.attempts == r2.attempts and r1.checked == r2.checked
 
 
+def test_sampled_mode_first_miss_pinned(c3):
+    # the first escaping sample pins which draws survive and in what order
+    hg, fam = small_family(c3, 5)
+    for k in (0, 7, 100):
+        mask = fam.containers[k]
+        fam.containers[k] = mask & ~(mask & -mask)
+    rep = verify_family(hg, fam, c3, mode="sampled", samples=5000, seed=7)
+    assert (rep.checked, rep.attempts, rep.miss_container) == (15, 65536, 0)
+    assert rep.miss_witness == "n=5\n1 0\n2 0\n2 1\n3 4\n4 0\n4 2\n4 3\n"
+
+
 def test_pipeline_refusals(dk3, a2, a4):
     with pytest.raises(PreconditionError) as err:
         container_pipeline(dk3, a2, 5, Fraction(1, 10))
@@ -192,3 +219,184 @@ def test_pipeline_copy_counts_match_decode(c3, a2):
     for row in rep.rows:
         g = fam.universe.digraph_from_mask(fam.containers[row.index])
         assert count_copies(g, c3) == row.copies
+
+
+# (pattern, N, eps, tau or None for tau_for(N, m)) -> (containers, nodes, sha256 of export_text)
+PINNED = {
+    ("c3", 4, Fraction(1, 10), None): (
+        99, 275, "e9b85a202538a6437ded8e171a6de5984da4437050ecf35d342849b505b38a0d"),
+    ("c3", 5, Fraction(1, 10), None): (
+        1785, 5207, "76c26aa69697ab6e168822beb584afcac83b1afa2b917bd6897d40fd884a3255"),
+    ("c3", 6, Fraction(1, 5), None): (
+        42524, 118778, "3f3ca956b5e04642e7f6291c84f70bc49d8e12b925a0ff82717a66179ba5d8f0"),
+    ("t3", 6, Fraction(1, 3), None): (
+        1476, 3267, "5ad6a785c630ecf2d3776b71cc19ad2fe653c6fcd8ce3a66ec5ef7a6214d096c"),
+    ("dk3", 5, Fraction(1, 4), 0.5): (
+        405, 575, "d6aa5dd7c02ef805803db0dd8742ed7cb586bb6d1d873442819e63b37c3b9f69"),
+}
+
+
+def _pinned_id(key):
+    name, N, eps, tau = key
+    return f"{name}-N{N}-eps{eps}" + ("" if tau is None else f"-tau{tau}")
+
+
+@pytest.fixture(scope="module")
+def pinned_families():
+    fams = {}
+    for key in PINNED:
+        name, N, eps, tau = key
+        pat, _ = load_pattern(name)
+        hg = build_hypergraph(N, pat)
+        if tau is None:
+            tau = tau_for(N, require_usable_m(pat))
+        fams[key] = hg, build_containers(hg, tau, eps)
+    return fams
+
+
+@pytest.mark.parametrize("key", list(PINNED), ids=_pinned_id)
+def test_pinned_families(pinned_families, key):
+    _, fam = pinned_families[key]
+    containers, nodes, digest = PINNED[key]
+    assert len(fam.containers) == containers
+    assert len(fam.pivots) == nodes
+    assert hashlib.sha256(fam.export_text().encode()).hexdigest() == digest
+
+
+def naive_sparsity(hg, fam):
+    spans = [sum(1 for em in hg.edge_masks if em & ~c == 0) for c in fam.containers]
+    worst = max(spans, default=0)
+    return all(s * fam.eps.denominator <= fam.eps.numerator * hg.edge_count for s in spans), worst
+
+
+@pytest.mark.parametrize("key", list(PINNED), ids=_pinned_id)
+def test_sparsity_recount_against_naive(pinned_families, key):
+    hg, fam = pinned_families[key]
+    assert _check_sparsity(hg, fam) == naive_sparsity(hg, fam) == (True, max(fam.spans))
+    # a container holding the whole universe spans every hyperedge
+    full = replace(fam, containers=fam.containers + [(1 << hg.universe.size) - 1])
+    assert _check_sparsity(hg, full) == naive_sparsity(hg, full) == (False, hg.edge_count)
+
+
+def test_sparsity_recount_empty_family(c3):
+    hg = build_hypergraph(4, c3)
+    empty = ContainerFamily(
+        N=4, r=3, eps=Fraction(1, 10), tau=0.5, total_edges=hg.edge_count,
+        containers=[], spans=[], root=-1, pivots=[], out_child=[], in_child=[],
+    )
+    assert _check_sparsity(hg, empty) == (True, 0)
+
+
+@pytest.mark.parametrize("key", list(PINNED), ids=_pinned_id)
+def test_reader_rebuilds_the_tree(pinned_families, key):
+    hg, fam = pinned_families[key]
+    text = fam.export_text()
+    loaded = ContainerFamily.from_export_text(text)
+    assert (loaded.root, loaded.pivots, loaded.out_child, loaded.in_child) == (
+        fam.root, fam.pivots, fam.out_child, fam.in_child)
+    # fingerprint lines in any order describe the same tree
+    lines = text.splitlines()
+    head, pairs = lines[:1 + len(fam.containers)], lines[1 + len(fam.containers):]
+    random.Random(5).shuffle(pairs)
+    shuffled = ContainerFamily.from_export_text("\n".join(head + pairs) + "\n")
+    assert shuffled.export_text() == text
+    rng = random.Random(6)
+    for _ in range(2000):
+        mask = rng.getrandbits(hg.universe.size)
+        assert shuffled.route(mask) == fam.route(mask)
+
+
+@pytest.mark.parametrize("pairs, line, why", [
+    (["0- 0", "0+ 1", "0- 1"], 6, "conflicting fingerprint paths"),        # the same path twice
+    (["0-,1- 0", "0- 1"], 5, "conflicting fingerprint paths"),            # ends on a node
+    (["0-,1- 0", ". 1"], 5, "conflicting fingerprint paths"),             # ends on the root
+    (["0- 0", "0-,1+ 1"], 5, "conflicting fingerprint paths"),            # runs through a leaf
+    (["0-,1- 0", "0-,2+ 1"], 5, "fingerprint paths disagree on pivot"),
+    (["0-,1- 0", "0-,1+ 1", "0-,2- 0"], 6, "fingerprint paths disagree on pivot"),
+    (["0-,1+ 0", "0+ 1", "0-,1+,2- 1"], 6, "conflicting fingerprint paths"),
+])
+def test_reader_refuses_conflicting_paths(pairs, line, why):
+    text = "\n".join(["3 3 1/10 0.5 2", "3f", "1f", *pairs]) + "\n"
+    with pytest.raises(ParseError, match=f"^line {line}: {why}$"):
+        ContainerFamily.from_export_text(text)
+
+
+def test_builder_guards(c3):
+    hg = build_hypergraph(4, c3)
+    with pytest.raises(ContainerBuildError, match="^decision tree exceeded 1 nodes$"):
+        build_containers(hg, 0.5, Fraction(1, 10), max_nodes=1)
+    # 4 * r * tau * |universe| <= 1 gives a fingerprint budget of 1
+    with pytest.raises(ContainerBuildError, match="^fingerprint exceeded the tau budget 1$"):
+        build_containers(hg, 1e-3, Fraction(1, 10))
+    # one singleton hyperedge per pair on [7]: only exclusions branch, and the
+    # family needs 28 of them against a round cap of 4 * 2 * ceil(50/17) = 24
+    hg7 = build_hypergraph(7, c3)
+    singles = type(hg7)(hg7.universe, 1, tuple((i,) for i in range(42)), 42)
+    with pytest.raises(ContainerBuildError, match="^branch exceeded the round cap 24$"):
+        build_containers(singles, 1.0, Fraction(17, 50))
+
+
+def test_verify_refuses_before_sparsity(c3, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("sparsity re-count ran before the refusal")
+    monkeypatch.setattr(digraphlab.containers, "_check_sparsity", no_work)
+    hg = build_hypergraph(6, c3)
+    fam = ContainerFamily(
+        N=6, r=3, eps=Fraction(1, 10), tau=0.5, total_edges=hg.edge_count,
+        containers=[], spans=[], root=-1, pivots=[], out_child=[], in_child=[],
+    )
+    for mode, why in (("exhaustive", "capped at N=5"), ("nope", "unknown verify mode")):
+        with pytest.raises(PreconditionError, match=why):
+            verify_family(hg, fam, c3, mode=mode)
+
+
+_C3_N4 = build_containers(build_hypergraph(4, PatternDigraph.from_text("n=3; 0 1; 1 2; 2 0")),
+                          0.5, Fraction(1, 10)).export_text()
+_NOISE = "0123456789abcdefABx+-,./_ \n"
+
+
+@st.composite
+def mutated_exports(draw):
+    lines = _C3_N4.splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["char", "drop", "dup", "swap", "header"]))
+        if op == "char":
+            ln = lines[k]
+            i = draw(st.integers(0, len(ln)))
+            cut = draw(st.integers(0, 1))
+            lines[k] = ln[:i] + draw(st.text(_NOISE, max_size=3)) + ln[i + cut:]
+        elif op == "drop":
+            del lines[k]
+        elif op == "dup":
+            lines.insert(k, lines[k])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[k], lines[j] = lines[j], lines[k]
+        else:
+            head = lines[0].split()
+            head[draw(st.integers(0, len(head) - 1))] = draw(st.one_of(
+                st.text(_NOISE, max_size=4),
+                st.builds(lambda a, b: f"{a}" if b is None else f"{a}/{b}",
+                          st.integers(-2, 99), st.none() | st.integers(0, 9))))
+            lines[0] = " ".join(head)
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(mutated_exports())
+def test_reader_fuzz_fails_only_with_package_errors(c3, text):
+    try:
+        fam = ContainerFamily.from_export_text(text)
+    except DigraphLabError:
+        return
+    # whatever parses lies inside its universe and can be verified without a crash
+    n_u = fam.N * (fam.N - 1)
+    assert fam.N >= 2 and 0 < fam.eps < Fraction(1, 2)
+    assert all(c >> n_u == 0 for c in fam.containers)
+    assert all(0 <= v < n_u for v in fam.pivots)
+    if fam.N == 4:
+        hg = build_hypergraph(4, c3)
+        verify_family(hg, fam, c3, mode="exhaustive")
