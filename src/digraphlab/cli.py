@@ -43,7 +43,7 @@ from .extremal import (
 )
 from .pairhypergraph import build_hypergraph, codegree_profile, tau_for, verify_degree_lemma
 from .report import float_field, frac_str, int_str, render_document
-from .weights import WeightParam
+from .weights import WeightParam, parse_fraction
 
 BUILTIN_PATTERNS = ("c3", "t3", "dk3", "twocycle", "p3", "p4")
 
@@ -73,13 +73,6 @@ def load_pattern(spec: str) -> tuple[PatternDigraph, str]:
     raise UsageError(f"pattern {spec!r}: no such file or builtin pattern")
 
 
-def _parse_fraction(text: str, what: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"malformed {what}: {text!r}") from None
-
-
 def _parse_n_range(text: str) -> list[int]:
     text = text.strip()
     if ".." in text:
@@ -100,7 +93,6 @@ def _manifest(command: str, args, params: dict) -> dict:
         "tool": "digraphlab",
         "version": __version__,
         "seed": getattr(args, "seed", 0),
-        "workers": getattr(args, "workers", 1),
         "params": params,
     }
 
@@ -184,7 +176,7 @@ def cmd_ex(args) -> int:
     weight = WeightParam.parse(args.a)
     res = extremal_number(
         args.n, pattern, weight, mode=args.mode,
-        witness_cap=args.witness_cap, workers=args.workers,
+        witness_cap=args.witness_cap,
     )
     if args.witness_dir:
         out_dir = Path(args.witness_dir)
@@ -209,9 +201,10 @@ def cmd_ex(args) -> int:
             "witnesses": [w.to_edge_text() for w in res.witnesses],
             "states_scanned": None if res.states_scanned is None else int_str(res.states_scanned),
         },
+        # a failed witness re-check raises, and exits 3 before any document is written
         "checks": [
             {"name": "witnesses-pattern-free-and-extremal", "pass": True,
-             "detail": "re-checked via copy counting"},
+             "detail": f"witnesses re-checked via copy counting: {len(res.witnesses)}"},
         ],
     }
     _emit(args, doc)
@@ -220,7 +213,7 @@ def cmd_ex(args) -> int:
 
 def cmd_count_free(args) -> int:
     pattern, src = load_pattern(args.pattern)
-    count = count_free(args.n, pattern, workers=args.workers)
+    count = count_free(args.n, pattern)
     doc = {
         "manifest": _manifest("count-free", args, {"pattern": args.pattern, "n": str(args.n)}),
         "inputs": {"pattern": _pattern_doc(pattern, src)},
@@ -233,7 +226,7 @@ def cmd_count_free(args) -> int:
 
 def cmd_ratio(args) -> int:
     pattern, src = load_pattern(args.pattern)
-    rep = counting_ratio(args.n, pattern, workers=args.workers)
+    rep = counting_ratio(args.n, pattern)
     doc = {
         "manifest": _manifest("ratio", args, {"pattern": args.pattern, "n": str(args.n)}),
         "inputs": {"pattern": _pattern_doc(pattern, src)},
@@ -243,9 +236,10 @@ def cmd_ratio(args) -> int:
             "log2_count": float_field(rep.log2_count),
             "ratio": None if rep.ratio is None else float_field(rep.ratio),
         },
+        # a violated bound raises, and exits 3 before any document is written
         "checks": [
-            {"name": "count >= 2^ex2", "pass": rep.lower_bound_ok,
-             "detail": "exact big-integer comparison"},
+            {"name": "count >= 2^ex2", "pass": True,
+             "detail": f"exact big-integer comparison: {rep.count} >= 2^{rep.ex2}"},
         ],
     }
     _emit(args, doc)
@@ -260,7 +254,7 @@ def cmd_supersat(args) -> int:
         if args.k_max > copies:
             raise PreconditionError(f"--k-max {args.k_max} exceeds {copies}, the number of "
                                     f"copies of the pattern in the complete digraph on [{args.n}]")
-    points = supersat_scan(args.n, pattern, weight, args.k_max, workers=args.workers)
+    points = supersat_scan(args.n, pattern, weight, args.k_max)
     doc = {
         "manifest": _manifest("supersat", args, {
             "pattern": args.pattern, "n": str(args.n), "a": args.a, "k_max": str(args.k_max),
@@ -299,9 +293,10 @@ def cmd_hypergraph(args) -> int:
             "labelled_copy_count": int_str(hg.labelled_copy_count),
             "export_text": None if args.export else export,
         },
+        # a failed hyperedge decode raises, and exits 3 before any document is written
         "checks": [
             {"name": "hyperedges-decode-to-one-copy", "pass": True,
-             "detail": "self-check ran on every hyperedge during the build"},
+             "detail": f"hyperedges decoded to one copy each during the build: {hg.edge_count}"},
         ],
     }
     _emit(args, doc)
@@ -310,8 +305,8 @@ def cmd_hypergraph(args) -> int:
 
 def cmd_codegree(args) -> int:
     pattern, src = load_pattern(args.pattern)
+    tau = _parse_tau(args, pattern)
     hg = build_hypergraph(args.N, pattern)
-    tau = float(args.tau) if args.tau != "auto" else tau_for(args.N, require_usable_m(pattern))
     prof = codegree_profile(hg, tau)
     doc = {
         "manifest": _manifest("codegree", args, {
@@ -339,7 +334,7 @@ def cmd_codegree(args) -> int:
 
 def cmd_verify_lemma(args) -> int:
     pattern, src = load_pattern(args.pattern)
-    gamma = _parse_fraction(args.gamma, "gamma")
+    gamma = parse_fraction(args.gamma, "gamma")
     n_values = _parse_n_range(args.N_range)
     rep = verify_degree_lemma(pattern, n_values, gamma)
     doc = {
@@ -371,21 +366,20 @@ def cmd_verify_lemma(args) -> int:
     return 0
 
 
-def _family_params(args, pattern: PatternDigraph) -> tuple[Fraction, float]:
-    eps = _parse_fraction(args.eps, "eps")
+def _parse_tau(args, pattern: PatternDigraph) -> float:
+    """--tau: "auto" for N^(-1/m), or a number in (0, 1]."""
     if args.tau == "auto":
-        tau = tau_for(args.N, require_usable_m(pattern))
-    else:
-        try:
-            tau = float(Fraction(args.tau)) if "/" in args.tau else float(args.tau)
-        except ValueError:
-            raise UsageError(f"malformed tau: {args.tau!r}") from None
-    return eps, tau
+        return tau_for(args.N, require_usable_m(pattern))
+    tau = parse_fraction(args.tau, "tau")
+    if not 0 < tau <= 1:  # decided exactly: float() of a large value overflows
+        raise PreconditionError(f"tau={args.tau} outside (0, 1]")
+    return float(tau)
 
 
 def cmd_containers(args) -> int:
     pattern, src = load_pattern(args.pattern)
-    eps, tau = _family_params(args, pattern)
+    eps = parse_fraction(args.eps, "eps")
+    tau = _parse_tau(args, pattern)
     hg = build_hypergraph(args.N, pattern)
     fam = build_containers(hg, tau, eps)
     export = fam.export_text()
@@ -416,14 +410,19 @@ def cmd_containers(args) -> int:
 def cmd_verify_family(args) -> int:
     pattern, src = load_pattern(args.pattern)
     require_verifiable(args.N, args.mode)
-    hg = build_hypergraph(args.N, pattern)
+    eps = parse_fraction(args.eps, "eps")
     if args.family:
         try:
             fam = ContainerFamily.from_export_text(Path(args.family).read_text())
         except OSError as exc:
             raise UsageError(f"unreadable family file {args.family!r}: {exc}") from None
+        # sparsity is checked against the family's own eps
+        if fam.eps != eps:
+            raise PreconditionError(f"--eps {eps} differs from the family's eps {fam.eps}")
+        hg = build_hypergraph(args.N, pattern)
     else:
-        eps, tau = _family_params(args, pattern)
+        tau = _parse_tau(args, pattern)
+        hg = build_hypergraph(args.N, pattern)
         fam = build_containers(hg, tau, eps)
     rep = verify_family(hg, fam, pattern, mode=args.mode, samples=args.samples, seed=args.seed)
     doc = {
@@ -464,11 +463,8 @@ def cmd_verify_family(args) -> int:
 def cmd_pipeline(args) -> int:
     pattern, src = load_pattern(args.pattern)
     weight = WeightParam.parse(args.a)
-    eps = _parse_fraction(args.eps, "eps")
-    rep = container_pipeline(
-        pattern, weight, args.N, eps,
-        samples=args.samples, seed=args.seed, workers=args.workers,
-    )
+    eps = parse_fraction(args.eps, "eps")
+    rep = container_pipeline(pattern, weight, args.N, eps, samples=args.samples, seed=args.seed)
     ex_doc = None
     if rep.extremal is not None:
         ex_doc = {
@@ -540,7 +536,6 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="write the document here instead of stdout")
     common.add_argument("--seed", type=int, default=0, help="RNG seed recorded in the manifest")
-    common.add_argument("--workers", type=int, default=1, help="accepted for compatibility; scans are serial")
 
     def pat(p):
         p.add_argument("--pattern", required=True, help="pattern file or builtin name")
@@ -634,7 +629,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not hasattr(args, "func"):
             raise UsageError("missing subcommand")
-        for flag, least in (("workers", 1), ("witness_cap", 0), ("samples", 1)):
+        for flag, least in (("witness_cap", 0), ("samples", 1)):
             value = getattr(args, flag, least)
             if value < least:
                 raise PreconditionError(f"--{flag.replace('_', '-')} must be >= {least}, got {value}")

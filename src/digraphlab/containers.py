@@ -245,12 +245,8 @@ def build_containers(
     # rem[eid]: the elements of hyperedge eid not yet in the fingerprint
     rem = [list(e) for e in hg.edges]
     alive = [True] * total
-    deg = [0] * n_u
-    edges_with: list[list[int]] = [[] for _ in range(n_u)]
-    for eid, e in enumerate(hg.edges):
-        for v in e:
-            deg[v] += 1
-            edges_with[v].append(eid)
+    edges_with = hg.incidence
+    deg = [len(eids) for eids in edges_with]
 
     full_mask = (1 << n_u) - 1
     pivots: list[int] = []
@@ -320,7 +316,8 @@ def build_containers(
         return node
 
     old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, depth_cap + n_u + 100))
+    # pivots on a path are distinct, so no path is deeper than n_u
+    sys.setrecursionlimit(max(old_limit, min(depth_cap, n_u) + n_u + 100))
     try:
         if total * th_den <= th_num * total:
             root = emit_container(0, total)
@@ -524,7 +521,6 @@ def container_pipeline(
     *,
     samples: int = 10_000,
     seed: int = 0,
-    workers: int = 1,
 ) -> PipelineReport:
     """Build the hypergraph, run the container construction at tau=N^(-1/m),
     decode every container as a digraph and check the three conclusions."""
@@ -545,10 +541,10 @@ def container_pipeline(
     extremal = None
     note = "bound unavailable: N beyond the exact extremal budget"
     if N <= FULL_MODE_MAX_N:
-        extremal = extremal_number(N, pattern, weight, mode="full", workers=workers)
+        extremal = extremal_number(N, pattern, weight, mode="full")
         note = "exact (full enumeration)"
     elif N <= CANONICAL_MODE_MAX_N:
-        extremal = extremal_number(N, pattern, weight, mode="canonical", workers=workers)
+        extremal = extremal_number(N, pattern, weight, mode="canonical")
         note = "exact (canonical search)"
 
     eps_f = float(eps)

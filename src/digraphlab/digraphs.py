@@ -19,7 +19,8 @@ from .errors import BudgetError, ParseError, PreconditionError
 MAX_VERTICES = 64
 _CANONICAL_MAX = 10  # minimisation over permutations; factorial beyond this is hopeless
 
-_HEADER_RE = re.compile(r"^n\s*=\s*(\d+)$")
+# numbers are kept short: int() refuses a string past 4300 digits
+_HEADER_RE = re.compile(r"^n\s*=\s*(\d{1,18})$")
 
 
 def falling(n: int, k: int) -> int:
@@ -45,14 +46,6 @@ class Digraph:
                 raise PreconditionError(f"loop edge ({u},{v}) is not allowed")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise PreconditionError(f"edge ({u},{v}) outside vertex range 0..{self.n - 1}")
-
-    @classmethod
-    def from_edges(cls, n: int, edge_list) -> "Digraph":
-        edge_list = list(edge_list)
-        edges = frozenset((int(u), int(v)) for u, v in edge_list)
-        if len(edges) != len(edge_list):
-            raise PreconditionError("duplicate edge in edge list")
-        return cls(n, edges)
 
     # -- cached structure ----------------------------------------------------
 
@@ -140,7 +133,7 @@ def parse_digraph(text: str) -> Digraph:
                     raise ParseError(f"vertex count {n} outside 1..{MAX_VERTICES}", lineno)
                 continue
             parts = body.split()
-            if len(parts) != 2 or not all(p.isdigit() for p in parts):
+            if len(parts) != 2 or not all(p.isdecimal() and len(p) <= 18 for p in parts):
                 raise ParseError(f"malformed edge line {body!r}", lineno)
             u, v = int(parts[0]), int(parts[1])
             if u == v:

@@ -176,14 +176,12 @@ def full_scan(
     k_max: int = 0,
     collect_witnesses: bool = False,
     raw_cap: int = 50_000,
-    workers: int = 1,
 ) -> ScanResult:
     """Exhaustive scan of all 4^(n(n-1)/2) digraphs on [n], exact reduce.
 
     best_pairs[c] is the pair of the first state in index order attaining
     the maximum among states with exactly c copies; witnesses are the free
-    states attaining best_pairs[0], in index order, at most raw_cap.  The
-    scan is serial: `workers` is accepted for compatibility and ignored.
+    states attaining best_pairs[0], in index order, at most raw_cap.
     """
     if n > FULL_MODE_MAX_N:
         raise BudgetError(
@@ -467,13 +465,12 @@ def extremal_number(
     weight: WeightParam,
     mode: str = "full",
     witness_cap: int = 256,
-    workers: int = 1,
 ) -> ExtremalResult:
     """Exact maximum weighted size over pattern-free digraphs on [n]."""
     if n < 1:
         raise PreconditionError("n must be >= 1")
     if mode == "full":
-        scan = full_scan(n, pattern, weight, k_max=0, collect_witnesses=True, workers=workers)
+        scan = full_scan(n, pattern, weight, k_max=0, collect_witnesses=True)
         best_pair = scan.best_pairs[0]
         class_map: dict[bytes, Digraph] = {}
         for digits in scan.witness_digits:
@@ -491,12 +488,12 @@ def extremal_number(
     raise PreconditionError(f"unknown mode {mode!r}; expected full or canonical")
 
 
-def count_free(n: int, pattern: PatternDigraph, workers: int = 1) -> int:
+def count_free(n: int, pattern: PatternDigraph) -> int:
     """Exact number of labelled pattern-free digraphs on [n]."""
     if n < 1:
         raise PreconditionError("n must be >= 1")
     if n <= FULL_MODE_MAX_N:
-        return full_scan(n, pattern, None, workers=workers).free_count
+        return full_scan(n, pattern, None).free_count
     if n == COUNT_CLASSES_MAX_N:
         base = COUNT_CLASSES_MAX_N - 1
         reps = free_classes(base, pattern)
@@ -522,26 +519,25 @@ class RatioReport:
     ex2: int
     log2_count: float
     ratio: float | None
-    lower_bound_ok: bool
 
 
-def counting_ratio(n: int, pattern: PatternDigraph, workers: int = 1) -> RatioReport:
+def counting_ratio(n: int, pattern: PatternDigraph) -> RatioReport:
     """log2 of the pattern-free count against the a=2 extremal number.
 
     Also asserts the exact spanning lower bound count >= 2**ex2: every edge
     subset of an extremal witness is pattern-free by monotonicity.
     """
     mode = "full" if n <= FULL_MODE_MAX_N else "canonical"
-    ex = extremal_number(n, pattern, WeightParam.from_rational(2), mode=mode, workers=workers)
+    ex = extremal_number(n, pattern, WeightParam.from_rational(2), mode=mode)
     if ex.value_fraction.denominator != 1:
         raise VerificationError("a=2 extremal value must be an integer")
     ex2 = int(ex.value_fraction)
-    count = count_free(n, pattern, workers=workers)
+    count = count_free(n, pattern)
     if count < (1 << ex2):
         raise VerificationError(f"spanning lower bound violated: f*={count} < 2^{ex2}")
     log2c = math.log2(count)
     ratio = (log2c / ex2) if ex2 > 0 else None
-    return RatioReport(n, count, ex2, log2c, ratio, True)
+    return RatioReport(n, count, ex2, log2c, ratio)
 
 
 @dataclass(frozen=True)
@@ -560,13 +556,12 @@ def supersat_scan(
     pattern: PatternDigraph,
     weight: WeightParam,
     k_max: int,
-    workers: int = 1,
 ) -> list[SupersatPoint]:
     """For each copy budget k in 0..k_max, the exact maximum weighted size
     over digraphs on [n] with at most k pattern copies."""
     if k_max < 0:
         raise PreconditionError("k_max must be >= 0")
-    scan = full_scan(n, pattern, weight, k_max=k_max, workers=workers)
+    scan = full_scan(n, pattern, weight, k_max=k_max)
     points: list[SupersatPoint] = []
     running: tuple[int, int] | None = None
     for k in range(k_max + 1):

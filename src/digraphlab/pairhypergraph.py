@@ -15,11 +15,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .density import degree_lemma_constant, require_usable_m
-from .digraphs import Digraph, PatternDigraph, falling
-from .errors import BudgetError, PreconditionError
+from .digraphs import Digraph, PatternDigraph, count_copies, falling
+from .errors import BudgetError, PreconditionError, VerificationError
+from .extremal import compile_copies, pair_slots
 
 BUILD_INJECTION_BUDGET = 5_000_000
 
@@ -123,42 +124,45 @@ def build_hypergraph(N: int, pattern: PatternDigraph,
                      injection_budget: int = BUILD_INJECTION_BUDGET) -> PairHypergraph:
     """Materialise the auxiliary hypergraph on [N] for the pattern.
 
-    Hyperedges are deduplicated edge images of injective placements; the
-    labelled count keeps the raw number of injections (it equals edge count
-    times the automorphism count whenever copies never coincide).
+    Hyperedges are the copies of ``compile_copies(N, pattern)`` read as sets
+    of pair indices: each (slot, need) constraint names one or both
+    directions of an unordered pair.  The labelled count keeps the raw
+    number of injections (it equals edge count times the automorphism count
+    whenever copies never coincide).
     """
     if N < pattern.h:
         raise PreconditionError(f"N={N} below pattern vertex count h={pattern.h}")
-    core = pattern.core_digraph
     raw = falling(N, pattern.h)
     if raw > injection_budget:
         raise BudgetError(f"{raw} injections exceed the build budget {injection_budget}")
     uni = PairUniverse(N)
-    images: set[tuple[int, ...]] = set()
-    for img in permutations(range(N), core.n):
-        edge = tuple(sorted(uni.pair_index(img[u], img[v]) for u, v in core.edges))
-        images.add(edge)
+    slots = pair_slots(N)
+    edges = []
+    for constraints in compile_copies(N, pattern):
+        edge = []
+        for q, need in constraints:
+            i, j = slots[q]
+            if need & 1:
+                edge.append(uni.pair_index(i, j))
+            if need & 2:
+                edge.append(uni.pair_index(j, i))
+        edges.append(tuple(sorted(edge)))
+    edges.sort()
     # every injection of the full pattern realises a copy (the host is the
     # complete digraph), so the labelled count is the raw injection count
-    edges = tuple(sorted(images))
-    hg = PairHypergraph(uni, pattern.r, edges, raw)
+    hg = PairHypergraph(uni, pattern.r, tuple(edges), raw)
     _self_check(hg, pattern)
     return hg
 
 
 def _self_check(hg: PairHypergraph, pattern: PatternDigraph) -> None:
-    """Every hyperedge decodes to exactly one spanning copy of the pattern."""
-    from .digraphs import count_copies  # local import to avoid cycles
-
-    for e in hg.edges:
+    """Every hyperedge decodes to exactly one spanning copy of the pattern,
+    by an embedding search that shares no code with the copy table."""
+    for e, mask in zip(hg.edges, hg.edge_masks):
         if len(e) != pattern.r:
-            raise PreconditionError("hyperedge size differs from pattern edge count")
-        mask = 0
-        for idx in e:
-            mask |= 1 << idx
-        g = hg.universe.digraph_from_mask(mask)
-        if count_copies(g, pattern) != 1:
-            raise PreconditionError("hyperedge does not decode to exactly one pattern copy")
+            raise VerificationError("hyperedge size differs from pattern edge count")
+        if count_copies(hg.universe.digraph_from_mask(mask), pattern) != 1:
+            raise VerificationError("hyperedge does not decode to exactly one pattern copy")
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +288,10 @@ def verify_degree_lemma(pattern: PatternDigraph, N_values, gamma: Fraction) -> L
     rows = []
     for N in N_values:
         hg = build_hypergraph(N, pattern)
-        tau = float(1 / gamma) * N ** (-1 / float(m))
+        try:
+            tau = float(1 / gamma) * N ** (-1 / float(m))
+        except OverflowError:  # 1/gamma past the float range puts tau far above 1
+            raise PreconditionError(f"gamma={gamma} puts tau above 1 at N={N}") from None
         prof = codegree_profile(hg, tau)
         ok = prof.delta <= float(bound)
         rows.append(LemmaRow(N, tau, prof.delta, bound, ok, prof))

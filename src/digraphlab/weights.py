@@ -17,7 +17,21 @@ from fractions import Fraction
 
 from .errors import ParseError, PreconditionError
 
-_LOG2_RE = re.compile(r"^log2\((\d+)\)$")
+_LOG2_RE = re.compile(r"log2\(([0-9]+)\)")
+# p, p/q or a plain decimal; Fraction's exponent forms such as 1e-9999999
+# would first build a ten-million-digit integer
+_NUMBER_RE = re.compile(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?")
+
+
+def parse_fraction(text: str, what: str) -> Fraction:
+    """The exact value of a number flag written p, p/q or as a plain decimal."""
+    text = text.strip()
+    if _NUMBER_RE.fullmatch(text):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):  # q = 0, or past int's digit limit
+            pass
+    raise ParseError(f"malformed {what}: {text!r}; expected p, p/q or a decimal such as 1.5")
 
 
 def _sign(x: int) -> int:
@@ -69,13 +83,14 @@ class WeightParam:
     def parse(cls, text: str) -> "WeightParam":
         """Parse "2", "7/2", "1.5" or "log2(3)"."""
         text = text.strip()
-        m = _LOG2_RE.match(text)
+        m = _LOG2_RE.fullmatch(text)
         if m:
-            return cls.log2(int(m.group(1)))
-        try:
-            value = Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"cannot parse weight {text!r}") from None
+            try:
+                k = int(m.group(1))
+            except ValueError:  # past int's digit limit
+                raise ParseError(f"malformed weight: {text!r}") from None
+            return cls.log2(k)
+        value = parse_fraction(text, "weight")
         if value < 1:
             raise PreconditionError(f"weight a={text} must be >= 1")
         return cls(rational=value)
@@ -140,7 +155,3 @@ class WeightParam:
         if f1 == 0:
             return base
         return f"{base}+{f1}" if f1 > 0 else f"{base}{f1}"
-
-
-#: the weight that counts directed edges
-A_EDGES = WeightParam.from_rational(2)

@@ -62,6 +62,8 @@ def test_ex_document(capsys, tmp_path):
     assert rc == 0
     assert doc["results"]["value"] == "8"
     n_wit = int(doc["results"]["witness_count"])
+    assert doc["checks"] == [{"name": "witnesses-pattern-free-and-extremal", "pass": True,
+                              "detail": f"witnesses re-checked via copy counting: {n_wit}"}]
     assert len(list(wdir.glob("*.dg"))) == n_wit
     # witness files parse back and are extremal
     from digraphlab import parse_digraph
@@ -77,7 +79,8 @@ def test_count_free_and_ratio(capsys):
     rc, doc, _ = run_doc(capsys, ["ratio", "--pattern", "dk3", "--n", "3"])
     assert rc == 0
     assert doc["results"]["ex2"] == "5"
-    assert doc["checks"][0]["pass"] is True
+    assert doc["checks"] == [{"name": "count >= 2^ex2", "pass": True,
+                              "detail": "exact big-integer comparison: 63 >= 2^5"}]
 
 
 def test_supersat_document(capsys):
@@ -96,6 +99,8 @@ def test_hypergraph_document(capsys, tmp_path):
     assert doc["results"]["edges"] == "2"
     assert doc["results"]["labelled_copy_count"] == "6"
     assert doc["results"]["export_text"].startswith("N=3 r=3 edges=2")
+    assert doc["checks"] == [{"name": "hyperedges-decode-to-one-copy", "pass": True,
+                              "detail": "hyperedges decoded to one copy each during the build: 2"}]
     out = tmp_path / "d.hg"
     rc, doc, _ = run_doc(capsys, [
         "hypergraph", "--pattern", "c3", "--N", "3", "--export", str(out),
@@ -165,6 +170,31 @@ def test_verify_family_fault_exit_3(capsys, tmp_path):
     assert doc["results"]["coverage_ok"] is False
     assert doc["results"]["miss_witness"].startswith("n=4")
     assert "witness" in err
+
+
+def test_verify_family_eps_must_match_the_export(capsys, tmp_path, monkeypatch):
+    # the family's sparsity limit comes from its header; a different --eps
+    # would be recorded in the manifest but not checked
+    fam_file = tmp_path / "fam.txt"
+    rc, _, _ = run_doc(capsys, [
+        "containers", "--pattern", "c3", "--N", "4", "--eps", "1/3", "--export", str(fam_file),
+    ])
+    assert rc == 0
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("verification started before the refusal")
+    monkeypatch.setattr(digraphlab.cli, "verify_family", no_work)
+    rc, out, err = run(capsys, [
+        "verify-family", "--pattern", "c3", "--N", "4", "--eps", "1/10", "--family", str(fam_file),
+    ])
+    assert rc == 2 and out == ""
+    assert err == "digraphlab: refused: --eps 1/10 differs from the family's eps 1/3\n"
+    monkeypatch.undo()
+    rc, doc, _ = run_doc(capsys, [
+        "verify-family", "--pattern", "c3", "--N", "4", "--eps", "1/3",
+        "--family", str(fam_file),
+    ])
+    assert rc == 0 and doc["results"]["sparsity_ok"] is True
 
 
 @pytest.mark.parametrize("path, index", [
@@ -268,13 +298,6 @@ def test_out_of_cap_verification_refused_before_work(capsys, monkeypatch, argv, 
     assert err == f"digraphlab: refused: {why}\n"
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_workers_below_one_exit_2(capsys, workers):
-    rc, out, err = run(capsys, ["count-free", "--pattern", "c3", "--n", "5", "--workers", workers])
-    assert rc == 2 and out == ""
-    assert err == f"digraphlab: refused: --workers must be >= 1, got {workers}\n"
-
-
 @pytest.mark.parametrize("argv, why", [
     (["ex", "--pattern", "c3", "--n", "4", "--witness-cap", "-1"], "--witness-cap must be >= 0, got -1"),
     (["verify-family", "--pattern", "c3", "--N", "5", "--mode", "sampled", "--samples", "0"],
@@ -291,6 +314,79 @@ def test_out_of_contract_budgets_exit_2(capsys, argv, why):
     rc, out, err = run(capsys, argv)
     assert rc == 2 and out == ""
     assert err == f"digraphlab: refused: {why}\n"
+
+
+def test_workers_flag_is_a_usage_error(capsys):
+    # every scan is serial; the flag that chose a worker count is gone
+    rc, out, err = run(capsys, ["count-free", "--pattern", "c3", "--n", "4", "--workers", "2"])
+    assert rc == 1 and out == ""
+    assert err == "digraphlab: error: unrecognized arguments: --workers 2\n"
+
+
+_LEMMA = ["verify-lemma", "--pattern", "c3", "--N-range", "6"]
+_CONTAINERS = ["containers", "--pattern", "c3", "--N", "3"]
+
+
+@pytest.mark.parametrize("argv, field, value", [
+    (["density", "--pattern", "c3", "--a", "3"], "a", "3"),
+    (["density", "--pattern", "c3", "--a", "7/2"], "a", "7/2"),
+    (["density", "--pattern", "c3", "--a", "1.5"], "a", "3/2"),
+    (_LEMMA + ["--gamma", "1"], "gamma", "1"),
+    (_LEMMA + ["--gamma", "1/2"], "gamma", "1/2"),
+    (_LEMMA + ["--gamma", "0.5"], "gamma", "1/2"),
+    (_CONTAINERS + ["--eps", "1/10"], "eps", "1/10"),
+    (_CONTAINERS + ["--eps", "0.25"], "eps", "1/4"),
+    (_CONTAINERS + ["--eps", "1/10", "--tau", "1"], "tau", 1.0),
+    (_CONTAINERS + ["--eps", "1/10", "--tau", "3/4"], "tau", 0.75),
+    (["codegree", "--pattern", "c3", "--N", "4", "--tau", "0.5"], "tau", 0.5),
+])
+def test_number_flags_accept_p_fraction_and_decimal(capsys, argv, field, value):
+    rc, doc, _ = run_doc(capsys, argv)
+    assert rc == 0
+    res = doc["results"]
+    got = res["condition_a"]["a"] if field == "a" else res[field]
+    assert (got["value"] if isinstance(value, float) else got) == value
+
+
+def test_number_flag_integer_eps_is_parsed_then_refused(capsys):
+    rc, out, err = run(capsys, _CONTAINERS + ["--eps", "1"])
+    assert rc == 2 and out == ""
+    assert err == "digraphlab: refused: eps=1 outside (0, 1/2)\n"
+
+
+@pytest.mark.parametrize("argv, what, text", [
+    (["codegree", "--pattern", "c3", "--N", "5", "--tau", "abc"], "tau", "abc"),
+    (_CONTAINERS + ["--eps", "1/10", "--tau", "1/0"], "tau", "1/0"),
+    (_CONTAINERS + ["--eps", "1e9999"], "eps", "1e9999"),
+    (_LEMMA + ["--gamma", "1e9999"], "gamma", "1e9999"),
+    (["density", "--pattern", "c3", "--a", "1e-9999999"], "weight", "1e-9999999"),
+    (["density", "--pattern", "c3", "--a", "inf"], "weight", "inf"),
+    (["pipeline", "--pattern", "c3", "--N", "4", "--eps", ".1"], "eps", ".1"),
+    (["pipeline", "--pattern", "c3", "--N", "4", "--eps", "1/10", "--a", "2/"], "weight", "2/"),
+])
+def test_malformed_number_flags_exit_1(capsys, argv, what, text):
+    rc, out, err = run(capsys, argv)
+    assert rc == 1 and out == ""
+    assert err == (f"digraphlab: parse error: malformed {what}: {text!r}; "
+                   "expected p, p/q or a decimal such as 1.5\n")
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["codegree", "--pattern", "c3", "--N", "5", "--tau", "1" + "0" * 400],
+     f"tau={'1' + '0' * 400} outside (0, 1]"),
+    (["verify-lemma", "--pattern", "c3", "--N-range", "6..7", "--gamma", "1/1" + "0" * 400],
+     f"gamma=1/1{'0' * 400} puts tau above 1 at N=6"),
+])
+def test_numbers_past_the_float_range_refused(capsys, argv, why):
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert err == f"digraphlab: refused: {why}\n"
+
+
+def test_tiny_eps_builds_independent_containers(capsys):
+    # 1/eps is far past the recursion limit; the tree is no deeper than N(N-1)
+    rc, doc, _ = run_doc(capsys, _CONTAINERS + ["--eps", "1/" + "9" * 30])
+    assert rc == 0 and doc["results"]["max_span"] == "0"
 
 
 def test_k_max_up_to_copy_count_accepted(capsys):

@@ -7,6 +7,8 @@ from collections import Counter
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digraphlab import (
     Digraph,
@@ -22,7 +24,7 @@ from digraphlab import (
     parse_digraph,
     weighted_size,
 )
-from digraphlab.errors import PreconditionError
+from digraphlab.errors import DigraphLabError, PreconditionError
 
 from oracles import burnside_digraph_classes, naive_count_copies
 
@@ -73,6 +75,32 @@ def test_parse_errors_name_lines(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_digraph(text)
     assert fragment in str(err.value)
+
+
+_DOC_NOISE = "0123456789n= ;#\n\t-+x\u00b2\u0663\u00a0"
+
+
+@st.composite
+def mutated_documents(draw):
+    text = draw(st.sampled_from(["n=3\n0 1\n1 2\n2 0\n", "n=4; 0 1; 1 0 # c\n2 3\n", "n=1\n"]))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 2))
+        noise = draw(st.one_of(st.text(_DOC_NOISE, max_size=4),
+                               st.integers(1, 6000).map(lambda k: "9" * k)))
+        text = text[:i] + noise + text[i + cut:]
+    return text
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(mutated_documents())
+def test_parse_fuzz_fails_only_with_package_errors(text):
+    try:
+        g = parse_digraph(text)
+    except DigraphLabError:
+        return
+    # whatever parses round-trips through the writer
+    assert parse_digraph(g.to_edge_text()) == g
 
 
 def test_parse_error_line_numbers():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -16,6 +17,7 @@ from digraphlab import (
     count_copies,
     verify_degree_lemma,
 )
+from digraphlab.cli import BUILTIN_PATTERNS, load_pattern
 from digraphlab.errors import BudgetError, PreconditionError
 from digraphlab.extremal import iter_free_edge_masks
 
@@ -52,6 +54,23 @@ def test_build_examples(c3, t3):
     hg = build_hypergraph(3, t3)
     assert hg.edge_count == 6
     assert hg.labelled_copy_count == 6
+
+
+@pytest.mark.parametrize("name", BUILTIN_PATTERNS + ("c3+isolated",))
+def test_hyperedges_are_the_permutation_images(name):
+    # the hyperedges come from the copy table; here every injection of the
+    # whole pattern is mapped to its pair indices afresh
+    if name == "c3+isolated":
+        pat = PatternDigraph.from_text("n=4; 0 1; 1 2; 2 0")
+    else:
+        pat = load_pattern(name)[0]
+    for N in range(pat.h, 8):
+        uni = PairUniverse(N)
+        images = {
+            tuple(sorted(uni.pair_index(img[u], img[v]) for u, v in pat.graph.edges))
+            for img in permutations(range(N), pat.h)
+        }
+        assert build_hypergraph(N, pat).edges == tuple(sorted(images))
 
 
 def test_build_preconditions(c3):

@@ -7,9 +7,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digraphlab import WeightParam
-from digraphlab.errors import ParseError, PreconditionError
+from digraphlab.errors import DigraphLabError, ParseError, PreconditionError
 
 
 def test_parse_forms():
@@ -23,8 +25,9 @@ def test_parse_forms():
 def test_parse_rejects():
     with pytest.raises(PreconditionError):
         WeightParam.parse("1/2")  # below 1
-    with pytest.raises(ParseError):
-        WeightParam.parse("two")
+    for text in ("two", "1e3", "1e-9999999", "2/0", "inf", "1_000", ".5", "log2(3", "log2(1e3)"):
+        with pytest.raises(ParseError):
+            WeightParam.parse(text)
 
 
 def test_log2_power_of_two_collapses_to_rational():
@@ -88,3 +91,33 @@ def test_ea_values():
     w = WeightParam.parse("log2(3)")
     assert w.ea_fraction(3, 1) is None
     assert w.ea_float(1, 1) == math.log2(3) + 1
+
+
+_WEIGHT_NOISE = "0123456789./-+eE_ \tlog2()x\u00b2\u0663"
+
+
+@st.composite
+def weight_texts(draw):
+    text = draw(st.sampled_from(["2", "7/2", "1.5", "log2(3)", "log2(8)", "10/3", ""]))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 2))
+        text = text[:i] + draw(st.text(_WEIGHT_NOISE, max_size=3)) + text[i + cut:]
+    return text
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(weight_texts())
+def test_parse_fuzz_fails_only_with_package_errors(text):
+    try:
+        w = WeightParam.parse(text)
+    except DigraphLabError:
+        return
+    # only p, p/q, a plain decimal or log2(k) get through, and never below 1
+    body = text.strip()
+    if body.startswith("log2("):
+        k = int(body[5:-1])
+        assert w.exact_str == body or 2 ** w.rational == k
+    else:
+        assert not set(body) - set("0123456789./-")
+        assert w.rational == Fraction(body) >= 1
