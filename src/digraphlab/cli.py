@@ -24,8 +24,8 @@ from .containers import (
     require_verifiable,
     verify_family,
 )
-from .density import density_report, m_density, require_usable_m
-from .digraphs import Digraph, PatternDigraph
+from .density import density_report, require_usable_m
+from .digraphs import PatternDigraph, falling
 from .errors import (
     BudgetError,
     DigraphLabError,
@@ -41,7 +41,13 @@ from .extremal import (
     extremal_number,
     supersat_scan,
 )
-from .pairhypergraph import build_hypergraph, codegree_profile, tau_for, verify_degree_lemma
+from .pairhypergraph import (
+    BUILD_INJECTION_BUDGET,
+    build_hypergraph,
+    codegree_profile,
+    tau_for,
+    verify_degree_lemma,
+)
 from .report import float_field, frac_str, int_str, render_document
 from .weights import WeightParam, parse_fraction
 
@@ -73,297 +79,82 @@ def load_pattern(spec: str) -> tuple[PatternDigraph, str]:
     raise UsageError(f"pattern {spec!r}: no such file or builtin pattern")
 
 
-def _parse_n_range(text: str) -> list[int]:
+def _parse_n_range(text: str, pattern: PatternDigraph) -> range | list[int]:
+    """--N-range: "lo..hi" or "a,b,c", refused unless every N can be built."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
         try:
-            return list(range(int(lo), int(hi) + 1))
+            values = range(int(lo), int(hi) + 1)
         except ValueError:
             raise UsageError(f"malformed N range {text!r}") from None
-    try:
-        return [int(x) for x in text.split(",") if x]
-    except ValueError:
-        raise UsageError(f"malformed N list {text!r}") from None
+    else:
+        try:
+            values = [int(x) for x in text.split(",") if x]
+        except ValueError:
+            raise UsageError(f"malformed N list {text!r}") from None
+    if not values:
+        raise PreconditionError(f"--N-range {text!r} is empty")
+    # a range is never materialised: its ends are read off directly
+    if isinstance(values, range):
+        least, largest = values[0], values[-1]
+    else:
+        least, largest = min(values), max(values)
+    if least < pattern.h:
+        raise PreconditionError(f"N={least} below pattern vertex count h={pattern.h}")
+    # falling(N, h) rises with N, so the largest N decides the build budget
+    raw = falling(largest, pattern.h)
+    if raw > BUILD_INJECTION_BUDGET:
+        raise BudgetError(f"N={largest}: {raw} injections exceed the build budget "
+                          f"{BUILD_INJECTION_BUDGET}")
+    return values
 
 
-def _manifest(command: str, args, params: dict) -> dict:
-    return {
-        "command": command,
-        "tool": "digraphlab",
-        "version": __version__,
-        "seed": getattr(args, "seed", 0),
-        "params": params,
+_UNRECORDED = ("subcommand", "func", "out", "seed", "witness_dir")
+
+
+def _run(args) -> int:
+    """Run one subcommand and write its document; exit 3 on a failed verdict.
+
+    The manifest records every flag of the subcommand as parsed, in
+    declaration order, except --seed (its own field), --out and
+    --witness-dir, which say where output goes.
+    """
+    pattern, source = load_pattern(args.pattern)
+    results, checks, failure = args.func(args, pattern)
+    params = {k: "" if v is None else str(v)
+              for k, v in vars(args).items() if k not in _UNRECORDED}
+    doc = {
+        "manifest": {
+            "command": args.subcommand,
+            "tool": "digraphlab",
+            "version": __version__,
+            "seed": args.seed,
+            "params": params,
+        },
+        "inputs": {"pattern": {
+            "source": source,
+            "n": int_str(pattern.h),
+            "edges": int_str(pattern.r),
+            "aut": int_str(pattern.aut),
+            "edge_list": pattern.graph.to_edge_text(),
+        }},
+        "results": results,
+        "checks": checks,
     }
-
-
-def _pattern_doc(pattern: PatternDigraph, source: str) -> dict:
-    return {
-        "source": source,
-        "n": int_str(pattern.h),
-        "edges": int_str(pattern.r),
-        "aut": int_str(pattern.aut),
-        "edge_list": pattern.graph.to_edge_text(),
-    }
-
-
-def _emit(args, doc: dict) -> None:
     text = render_document(doc)
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
+    if failure is None:
+        return 0
+    print(failure, file=sys.stderr)
+    return 3
 
 
 def _edges_json(edges) -> list[list[int]]:
     return [[u, v] for u, v in sorted(edges)]
-
-
-# ---------------------------------------------------------------------------
-# Subcommand handlers
-# ---------------------------------------------------------------------------
-
-def cmd_density(args) -> int:
-    pattern, src = load_pattern(args.pattern)
-    weight = WeightParam.parse(args.a)
-    rep = density_report(pattern, weight)
-    m = rep.m
-    doc = {
-        "manifest": _manifest("density", args, {"pattern": args.pattern, "a": args.a}),
-        "inputs": {"pattern": _pattern_doc(pattern, src)},
-        "results": {
-            "m": m.display,
-            "m_finite_part": None if m.value is None else frac_str(m.value),
-            "m_two_cycle_flag": m.has_two_cycle_subgraph,
-            "m_witness_edges": None if m.witness is None else _edges_json(m.witness),
-            "condition_a": {
-                "a": weight.exact_str,
-                "verdict": rep.condition.ok,
-                "max_density": frac_str(rep.condition.max_density),
-                "witness_edges": _edges_json(rep.condition.witness),
-                "witness_text": rep.condition.witness_text,
-            },
-            "degree_constant": int_str(rep.constant),
-        },
-        "checks": [],
-    }
-    _emit(args, doc)
-    return 0
-
-
-def cmd_condition_a(args) -> int:
-    pattern, src = load_pattern(args.pattern)
-    weight = WeightParam.parse(args.a)
-    rep = density_report(pattern, weight).condition
-    doc = {
-        "manifest": _manifest("condition-a", args, {"pattern": args.pattern, "a": args.a}),
-        "inputs": {"pattern": _pattern_doc(pattern, src)},
-        "results": {
-            "a": weight.exact_str,
-            "verdict": rep.ok,
-            "max_density": frac_str(rep.max_density),
-            "witness_edges": _edges_json(rep.witness),
-            "witness_text": rep.witness_text,
-        },
-        "checks": [],
-    }
-    _emit(args, doc)
-    return 0
-
-
-def cmd_ex(args) -> int:
-    pattern, src = load_pattern(args.pattern)
-    weight = WeightParam.parse(args.a)
-    res = extremal_number(
-        args.n, pattern, weight, mode=args.mode,
-        witness_cap=args.witness_cap,
-    )
-    if args.witness_dir:
-        out_dir = Path(args.witness_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for i, w in enumerate(res.witnesses):
-            (out_dir / f"witness_{i:03d}.dg").write_text(w.to_edge_text())
-    doc = {
-        "manifest": _manifest("ex", args, {
-            "pattern": args.pattern, "n": str(args.n), "a": args.a,
-            "mode": args.mode, "witness_cap": str(args.witness_cap),
-        }),
-        "inputs": {"pattern": _pattern_doc(pattern, src)},
-        "results": {
-            "value": res.value_str,
-            "value_float": float_field(res.value_float),
-            "best_f2": int_str(res.best_pair[0]),
-            "best_f1": int_str(res.best_pair[1]),
-            "mode": res.mode,
-            "witness_count": int_str(len(res.witnesses)),
-            "witness_overflow": res.witness_overflow,
-            "witness_keys": [k.hex() for k in res.witness_keys],
-            "witnesses": [w.to_edge_text() for w in res.witnesses],
-            "states_scanned": None if res.states_scanned is None else int_str(res.states_scanned),
-        },
-        # a failed witness re-check raises, and exits 3 before any document is written
-        "checks": [
-            {"name": "witnesses-pattern-free-and-extremal", "pass": True,
-             "detail": f"witnesses re-checked via copy counting: {len(res.witnesses)}"},
-        ],
-    }
-    _emit(args, doc)
-    return 0
-
-
-def cmd_count_free(args) -> int:
-    pattern, src = load_pattern(args.pattern)
-    count = count_free(args.n, pattern)
-    doc = {
-        "manifest": _manifest("count-free", args, {"pattern": args.pattern, "n": str(args.n)}),
-        "inputs": {"pattern": _pattern_doc(pattern, src)},
-        "results": {"count": int_str(count)},
-        "checks": [],
-    }
-    _emit(args, doc)
-    return 0
-
-
-def cmd_ratio(args) -> int:
-    pattern, src = load_pattern(args.pattern)
-    rep = counting_ratio(args.n, pattern)
-    doc = {
-        "manifest": _manifest("ratio", args, {"pattern": args.pattern, "n": str(args.n)}),
-        "inputs": {"pattern": _pattern_doc(pattern, src)},
-        "results": {
-            "count": int_str(rep.count),
-            "ex2": int_str(rep.ex2),
-            "log2_count": float_field(rep.log2_count),
-            "ratio": None if rep.ratio is None else float_field(rep.ratio),
-        },
-        # a violated bound raises, and exits 3 before any document is written
-        "checks": [
-            {"name": "count >= 2^ex2", "pass": True,
-             "detail": f"exact big-integer comparison: {rep.count} >= 2^{rep.ex2}"},
-        ],
-    }
-    _emit(args, doc)
-    return 0
-
-
-def cmd_supersat(args) -> int:
-    pattern, src = load_pattern(args.pattern)
-    weight = WeightParam.parse(args.a)
-    if 1 <= args.n <= FULL_MODE_MAX_N:  # larger n is refused by the scan itself
-        copies = len(compile_copies(args.n, pattern))
-        if args.k_max > copies:
-            raise PreconditionError(f"--k-max {args.k_max} exceeds {copies}, the number of "
-                                    f"copies of the pattern in the complete digraph on [{args.n}]")
-    points = supersat_scan(args.n, pattern, weight, args.k_max)
-    doc = {
-        "manifest": _manifest("supersat", args, {
-            "pattern": args.pattern, "n": str(args.n), "a": args.a, "k_max": str(args.k_max),
-        }),
-        "inputs": {"pattern": _pattern_doc(pattern, src)},
-        "results": {
-            "points": [
-                {"k": int_str(p.k), "max_ea": p.value_str,
-                 "f2": int_str(p.f2), "f1": int_str(p.f1),
-                 "max_ea_float": float_field(p.value_float)}
-                for p in points
-            ],
-        },
-        "checks": [],
-    }
-    _emit(args, doc)
-    return 0
-
-
-def cmd_hypergraph(args) -> int:
-    pattern, src = load_pattern(args.pattern)
-    hg = build_hypergraph(args.N, pattern)
-    export = hg.export_text()
-    if args.export:
-        Path(args.export).write_text(export)
-    doc = {
-        "manifest": _manifest("hypergraph", args, {
-            "pattern": args.pattern, "N": str(args.N),
-            "export": args.export or "",
-        }),
-        "inputs": {"pattern": _pattern_doc(pattern, src)},
-        "results": {
-            "universe_size": int_str(hg.universe.size),
-            "r": int_str(hg.r),
-            "edges": int_str(hg.edge_count),
-            "labelled_copy_count": int_str(hg.labelled_copy_count),
-            "export_text": None if args.export else export,
-        },
-        # a failed hyperedge decode raises, and exits 3 before any document is written
-        "checks": [
-            {"name": "hyperedges-decode-to-one-copy", "pass": True,
-             "detail": f"hyperedges decoded to one copy each during the build: {hg.edge_count}"},
-        ],
-    }
-    _emit(args, doc)
-    return 0
-
-
-def cmd_codegree(args) -> int:
-    pattern, src = load_pattern(args.pattern)
-    tau = _parse_tau(args, pattern)
-    hg = build_hypergraph(args.N, pattern)
-    prof = codegree_profile(hg, tau)
-    doc = {
-        "manifest": _manifest("codegree", args, {
-            "pattern": args.pattern, "N": str(args.N), "tau": args.tau,
-        }),
-        "inputs": {"pattern": _pattern_doc(pattern, src)},
-        "results": {
-            "tau": float_field(prof.tau),
-            "universe_size": int_str(prof.universe_size),
-            "edges": int_str(prof.edge_count),
-            "labelled_copy_count": int_str(prof.labelled_count),
-            "average_degree": frac_str(prof.d_avg),
-            "max_degree": int_str(prof.max_degree),
-            "codegree_sums": {str(j): int_str(s) for j, s in sorted(prof.codegree_sums.items())},
-            "delta_j": {str(j): float_field(v) for j, v in sorted(prof.delta_j.items())},
-            "delta": float_field(prof.delta),
-            "delta_j_maxnorm": {str(j): float_field(v) for j, v in sorted(prof.delta_j_maxnorm.items())},
-            "delta_maxnorm": float_field(prof.delta_maxnorm),
-        },
-        "checks": [],
-    }
-    _emit(args, doc)
-    return 0
-
-
-def cmd_verify_lemma(args) -> int:
-    pattern, src = load_pattern(args.pattern)
-    gamma = parse_fraction(args.gamma, "gamma")
-    n_values = _parse_n_range(args.N_range)
-    rep = verify_degree_lemma(pattern, n_values, gamma)
-    doc = {
-        "manifest": _manifest("verify-lemma", args, {
-            "pattern": args.pattern, "gamma": args.gamma, "N_range": args.N_range,
-        }),
-        "inputs": {"pattern": _pattern_doc(pattern, src)},
-        "results": {
-            "m": frac_str(rep.m),
-            "gamma": frac_str(rep.gamma),
-            "degree_constant": int_str(rep.constant),
-            "bound": frac_str(Fraction(rep.constant) * rep.gamma),
-            "rows": [
-                {"N": int_str(r.N), "tau": float_field(r.tau),
-                 "delta": float_field(r.delta), "pass": r.ok}
-                for r in rep.rows
-            ],
-            "delta_trend": [float_field(r.delta) for r in rep.rows],
-        },
-        "checks": [
-            {"name": "degree-bound-all-rows", "pass": rep.all_ok,
-             "detail": f"{sum(r.ok for r in rep.rows)}/{len(rep.rows)} rows pass"},
-        ],
-    }
-    _emit(args, doc)
-    if not rep.all_ok:
-        print("verification failed: degree bound violated", file=sys.stderr)
-        return 3
-    return 0
 
 
 def _parse_tau(args, pattern: PatternDigraph) -> float:
@@ -376,8 +167,162 @@ def _parse_tau(args, pattern: PatternDigraph) -> float:
     return float(tau)
 
 
-def cmd_containers(args) -> int:
-    pattern, src = load_pattern(args.pattern)
+# ---------------------------------------------------------------------------
+# Subcommand handlers: each returns (results, checks, failure), where failure
+# is the stderr line of a failed verdict (exit 3) or None
+# ---------------------------------------------------------------------------
+
+def _condition_a_doc(weight: WeightParam, cond) -> dict:
+    return {
+        "a": weight.exact_str,
+        "verdict": cond.ok,
+        "max_density": frac_str(cond.max_density),
+        "witness_edges": _edges_json(cond.witness),
+        "witness_text": cond.witness_text,
+    }
+
+
+def cmd_density(args, pattern):
+    weight = WeightParam.parse(args.a)
+    rep = density_report(pattern, weight)
+    m = rep.m
+    return {
+        "m": m.display,
+        "m_finite_part": None if m.value is None else frac_str(m.value),
+        "m_two_cycle_flag": m.has_two_cycle_subgraph,
+        "m_witness_edges": None if m.witness is None else _edges_json(m.witness),
+        "condition_a": _condition_a_doc(weight, rep.condition),
+        "degree_constant": int_str(rep.constant),
+    }, [], None
+
+
+def cmd_condition_a(args, pattern):
+    weight = WeightParam.parse(args.a)
+    return _condition_a_doc(weight, density_report(pattern, weight).condition), [], None
+
+
+def cmd_ex(args, pattern):
+    weight = WeightParam.parse(args.a)
+    res = extremal_number(
+        args.n, pattern, weight, mode=args.mode,
+        witness_cap=args.witness_cap,
+    )
+    if args.witness_dir:
+        out_dir = Path(args.witness_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for i, w in enumerate(res.witnesses):
+            (out_dir / f"witness_{i:03d}.dg").write_text(w.to_edge_text())
+    return {
+        "value": res.value_str,
+        "value_float": float_field(res.value_float),
+        "best_f2": int_str(res.best_pair[0]),
+        "best_f1": int_str(res.best_pair[1]),
+        "mode": res.mode,
+        "witness_count": int_str(len(res.witnesses)),
+        "witness_overflow": res.witness_overflow,
+        "witness_keys": [k.hex() for k in res.witness_keys],
+        "witnesses": [w.to_edge_text() for w in res.witnesses],
+        "states_scanned": None if res.states_scanned is None else int_str(res.states_scanned),
+    }, [
+        # a failed witness re-check raises, and exits 3 before any document is written
+        {"name": "witnesses-pattern-free-and-extremal", "pass": True,
+         "detail": f"witnesses re-checked via copy counting: {len(res.witnesses)}"},
+    ], None
+
+
+def cmd_count_free(args, pattern):
+    return {"count": int_str(count_free(args.n, pattern))}, [], None
+
+
+def cmd_ratio(args, pattern):
+    rep = counting_ratio(args.n, pattern)
+    return {
+        "count": int_str(rep.count),
+        "ex2": int_str(rep.ex2),
+        "log2_count": float_field(rep.log2_count),
+        "ratio": None if rep.ratio is None else float_field(rep.ratio),
+    }, [
+        # a violated bound raises, and exits 3 before any document is written
+        {"name": "count >= 2^ex2", "pass": True,
+         "detail": f"exact big-integer comparison: {rep.count} >= 2^{rep.ex2}"},
+    ], None
+
+
+def cmd_supersat(args, pattern):
+    weight = WeightParam.parse(args.a)
+    if 1 <= args.n <= FULL_MODE_MAX_N:  # larger n is refused by the scan itself
+        copies = len(compile_copies(args.n, pattern))
+        if args.k_max > copies:
+            raise PreconditionError(f"--k-max {args.k_max} exceeds {copies}, the number of "
+                                    f"copies of the pattern in the complete digraph on [{args.n}]")
+    points = supersat_scan(args.n, pattern, weight, args.k_max)
+    return {
+        "points": [
+            {"k": int_str(p.k), "max_ea": p.value_str,
+             "f2": int_str(p.f2), "f1": int_str(p.f1),
+             "max_ea_float": float_field(p.value_float)}
+            for p in points
+        ],
+    }, [], None
+
+
+def cmd_hypergraph(args, pattern):
+    hg = build_hypergraph(args.N, pattern)
+    export = hg.export_text()
+    if args.export:
+        Path(args.export).write_text(export)
+    return {
+        "universe_size": int_str(hg.universe.size),
+        "r": int_str(hg.r),
+        "edges": int_str(hg.edge_count),
+        "labelled_copy_count": int_str(hg.labelled_copy_count),
+        "export_text": None if args.export else export,
+    }, [
+        # a failed hyperedge decode raises, and exits 3 before any document is written
+        {"name": "hyperedges-decode-to-one-copy", "pass": True,
+         "detail": f"hyperedges decoded to one copy each during the build: {hg.edge_count}"},
+    ], None
+
+
+def cmd_codegree(args, pattern):
+    tau = _parse_tau(args, pattern)
+    prof = codegree_profile(build_hypergraph(args.N, pattern), tau)
+    return {
+        "tau": float_field(prof.tau),
+        "universe_size": int_str(prof.universe_size),
+        "edges": int_str(prof.edge_count),
+        "labelled_copy_count": int_str(prof.labelled_count),
+        "average_degree": frac_str(prof.d_avg),
+        "max_degree": int_str(prof.max_degree),
+        "codegree_sums": {str(j): int_str(s) for j, s in sorted(prof.codegree_sums.items())},
+        "delta_j": {str(j): float_field(v) for j, v in sorted(prof.delta_j.items())},
+        "delta": float_field(prof.delta),
+        "delta_j_maxnorm": {str(j): float_field(v) for j, v in sorted(prof.delta_j_maxnorm.items())},
+        "delta_maxnorm": float_field(prof.delta_maxnorm),
+    }, [], None
+
+
+def cmd_verify_lemma(args, pattern):
+    gamma = parse_fraction(args.gamma, "gamma")
+    rep = verify_degree_lemma(pattern, _parse_n_range(args.N_range, pattern), gamma)
+    return {
+        "m": frac_str(rep.m),
+        "gamma": frac_str(rep.gamma),
+        "degree_constant": int_str(rep.constant),
+        "bound": frac_str(Fraction(rep.constant) * rep.gamma),
+        "rows": [
+            {"N": int_str(r.N), "tau": float_field(r.tau),
+             "delta": float_field(r.delta), "pass": r.ok}
+            for r in rep.rows
+        ],
+        "delta_trend": [float_field(r.delta) for r in rep.rows],
+    }, [
+        {"name": "degree-bound-all-rows", "pass": rep.all_ok,
+         "detail": f"{sum(r.ok for r in rep.rows)}/{len(rep.rows)} rows pass"},
+    ], None if rep.all_ok else "verification failed: degree bound violated"
+
+
+def cmd_containers(args, pattern):
     eps = parse_fraction(args.eps, "eps")
     tau = _parse_tau(args, pattern)
     hg = build_hypergraph(args.N, pattern)
@@ -385,30 +330,19 @@ def cmd_containers(args) -> int:
     export = fam.export_text()
     if args.export:
         Path(args.export).write_text(export)
-    doc = {
-        "manifest": _manifest("containers", args, {
-            "pattern": args.pattern, "N": str(args.N), "eps": args.eps,
-            "tau": args.tau, "export": args.export or "",
-        }),
-        "inputs": {"pattern": _pattern_doc(pattern, src)},
-        "results": {
-            "universe_size": int_str(hg.universe.size),
-            "hypergraph_edges": int_str(hg.edge_count),
-            "eps": frac_str(eps),
-            "tau": float_field(fam.tau),
-            "containers": int_str(len(fam.containers)),
-            "tree_nodes": int_str(len(fam.pivots)),
-            "max_span": int_str(max(fam.spans, default=0)),
-            "export_text": None if args.export else export,
-        },
-        "checks": [],
-    }
-    _emit(args, doc)
-    return 0
+    return {
+        "universe_size": int_str(hg.universe.size),
+        "hypergraph_edges": int_str(hg.edge_count),
+        "eps": frac_str(eps),
+        "tau": float_field(fam.tau),
+        "containers": int_str(len(fam.containers)),
+        "tree_nodes": int_str(len(fam.pivots)),
+        "max_span": int_str(max(fam.spans, default=0)),
+        "export_text": None if args.export else export,
+    }, [], None
 
 
-def cmd_verify_family(args) -> int:
-    pattern, src = load_pattern(args.pattern)
+def cmd_verify_family(args, pattern):
     require_verifiable(args.N, args.mode)
     eps = parse_fraction(args.eps, "eps")
     if args.family:
@@ -419,110 +353,82 @@ def cmd_verify_family(args) -> int:
         # sparsity is checked against the family's own eps
         if fam.eps != eps:
             raise PreconditionError(f"--eps {eps} differs from the family's eps {fam.eps}")
+        # a hyperedge has one element per pattern edge
+        if fam.r != pattern.r:
+            raise PreconditionError(f"the family's r={fam.r} differs from the pattern's "
+                                    f"edge count {pattern.r}")
         hg = build_hypergraph(args.N, pattern)
     else:
         tau = _parse_tau(args, pattern)
         hg = build_hypergraph(args.N, pattern)
         fam = build_containers(hg, tau, eps)
     rep = verify_family(hg, fam, pattern, mode=args.mode, samples=args.samples, seed=args.seed)
-    doc = {
-        "manifest": _manifest("verify-family", args, {
-            "pattern": args.pattern, "N": str(args.N), "eps": args.eps,
-            "tau": args.tau, "mode": args.mode, "samples": str(args.samples),
-            "family": args.family or "",
-        }),
-        "inputs": {"pattern": _pattern_doc(pattern, src)},
-        "results": {
-            "mode": rep.mode,
-            "checked": int_str(rep.checked),
-            "attempts": None if rep.attempts is None else int_str(rep.attempts),
-            "coverage_ok": rep.coverage_ok,
-            "miss_witness": rep.miss_witness,
-            "miss_container": None if rep.miss_container is None else int_str(rep.miss_container),
-            "sparsity_ok": rep.sparsity_ok,
-            "max_span": int_str(rep.max_span),
-        },
-        "checks": [
-            {"name": "coverage", "pass": rep.coverage_ok,
-             "detail": f"{rep.checked} pattern-free digraphs routed"},
-            {"name": "sparsity", "pass": rep.sparsity_ok,
-             "detail": f"max span {rep.max_span}, limit {rep.span_limit_num}/{rep.span_limit_den}"},
-        ],
-    }
-    _emit(args, doc)
+    failure = None
     if not rep.ok:
-        if rep.miss_witness is not None:
-            print(f"verification failed: coverage miss, witness:\n{rep.miss_witness}",
-                  file=sys.stderr)
-        else:
-            print("verification failed: container sparsity violated", file=sys.stderr)
-        return 3
-    return 0
+        failure = (f"verification failed: coverage miss, witness:\n{rep.miss_witness}"
+                   if rep.miss_witness is not None
+                   else "verification failed: container sparsity violated")
+    return {
+        "mode": rep.mode,
+        "checked": int_str(rep.checked),
+        "attempts": None if rep.attempts is None else int_str(rep.attempts),
+        "coverage_ok": rep.coverage_ok,
+        "miss_witness": rep.miss_witness,
+        "miss_container": None if rep.miss_container is None else int_str(rep.miss_container),
+        "sparsity_ok": rep.sparsity_ok,
+        "max_span": int_str(rep.max_span),
+    }, [
+        {"name": "coverage", "pass": rep.coverage_ok,
+         "detail": f"{rep.checked} pattern-free digraphs routed"},
+        {"name": "sparsity", "pass": rep.sparsity_ok,
+         "detail": f"max span {rep.max_span}, limit {rep.span_limit_num}/{rep.span_limit_den}"},
+    ], failure
 
 
-def cmd_pipeline(args) -> int:
-    pattern, src = load_pattern(args.pattern)
+def cmd_pipeline(args, pattern):
     weight = WeightParam.parse(args.a)
     eps = parse_fraction(args.eps, "eps")
     rep = container_pipeline(pattern, weight, args.N, eps, samples=args.samples, seed=args.seed)
-    ex_doc = None
-    if rep.extremal is not None:
-        ex_doc = {
-            "value": rep.extremal.value_str,
-            "mode": rep.extremal.mode,
-        }
-    doc = {
-        "manifest": _manifest("pipeline", args, {
-            "pattern": args.pattern, "a": args.a, "N": str(args.N),
-            "eps": args.eps, "samples": str(args.samples),
-        }),
-        "inputs": {"pattern": _pattern_doc(pattern, src)},
-        "results": {
-            "N": int_str(rep.N),
-            "m": frac_str(rep.m),
-            "tau": float_field(rep.tau),
-            "eps": frac_str(rep.eps),
-            "hypergraph_edges": int_str(rep.hypergraph_edges),
-            "labelled_copy_count": int_str(rep.labelled_count),
-            "family_size": int_str(rep.family_size),
-            "log2_family_size": float_field(rep.log2_family),
-            "reference_curve": float_field(rep.reference_curve),
-            "implied_constant": float_field(rep.implied_constant),
-            "extremal": ex_doc,
-            "extremal_note": rep.extremal_note,
-            "coverage": {
-                "mode": rep.verify.mode,
-                "checked": int_str(rep.verify.checked),
-                "ok": rep.verify.coverage_ok,
-            },
-            "containers": [
-                {
-                    "index": int_str(row.index),
-                    "copies": int_str(row.copies),
-                    "ea": row.ea_str,
-                    "copies_le_eps_edges": row.copies_le_eps_edges,
-                    "copies_le_eps_Nh": row.copies_le_eps_Nh,
-                    "ea_within_extremal_slack": row.ea_within_extremal_slack,
-                }
-                for row in rep.rows
-            ],
+    ex = rep.extremal
+    return {
+        "N": int_str(rep.N),
+        "m": frac_str(rep.m),
+        "tau": float_field(rep.tau),
+        "eps": frac_str(rep.eps),
+        "hypergraph_edges": int_str(rep.hypergraph_edges),
+        "labelled_copy_count": int_str(rep.labelled_count),
+        "family_size": int_str(rep.family_size),
+        "log2_family_size": float_field(rep.log2_family),
+        "reference_curve": float_field(rep.reference_curve),
+        "implied_constant": float_field(rep.implied_constant),
+        "extremal": None if ex is None else {"value": ex.value_str, "mode": ex.mode},
+        "extremal_note": rep.extremal_note,
+        "coverage": {
+            "mode": rep.verify.mode,
+            "checked": int_str(rep.verify.checked),
+            "ok": rep.verify.coverage_ok,
         },
-        "checks": [
-            {"name": "property-a-coverage", "pass": rep.verify.coverage_ok,
-             "detail": f"{rep.verify.mode}: {rep.verify.checked} independent sets"},
-            {"name": "property-b-copy-bounds", "pass": rep.copies_ok,
-             "detail": "both eps normalisations (hyperedge count and N^h)"},
-            {"name": "property-b-weighted-size", "pass": bool(rep.ea_ok) if rep.ea_ok is not None else None,
-             "detail": rep.extremal_note},
-            {"name": "property-c-family-size", "pass": None,
-             "detail": "reported against the reference curve, not asserted"},
+        "containers": [
+            {
+                "index": int_str(row.index),
+                "copies": int_str(row.copies),
+                "ea": row.ea_str,
+                "copies_le_eps_edges": row.copies_le_eps_edges,
+                "copies_le_eps_Nh": row.copies_le_eps_Nh,
+                "ea_within_extremal_slack": row.ea_within_extremal_slack,
+            }
+            for row in rep.rows
         ],
-    }
-    _emit(args, doc)
-    if not rep.ok:
-        print("verification failed: container pipeline property check", file=sys.stderr)
-        return 3
-    return 0
+    }, [
+        {"name": "property-a-coverage", "pass": rep.verify.coverage_ok,
+         "detail": f"{rep.verify.mode}: {rep.verify.checked} independent sets"},
+        {"name": "property-b-copy-bounds", "pass": rep.copies_ok,
+         "detail": "both eps normalisations (hyperedge count and N^h)"},
+        {"name": "property-b-weighted-size", "pass": bool(rep.ea_ok) if rep.ea_ok is not None else None,
+         "detail": rep.extremal_note},
+        {"name": "property-c-family-size", "pass": None,
+         "detail": "reported against the reference curve, not asserted"},
+    ], None if rep.ok else "verification failed: container pipeline property check"
 
 
 # ---------------------------------------------------------------------------
@@ -536,89 +442,68 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="write the document here instead of stdout")
     common.add_argument("--seed", type=int, default=0, help="RNG seed recorded in the manifest")
+    common.add_argument("--pattern", required=True, help="pattern file or builtin name")
 
-    def pat(p):
-        p.add_argument("--pattern", required=True, help="pattern file or builtin name")
+    def add(name, func, help):
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("density", parents=[common], help="exponent m, sparsity verdict, degree constant")
-    pat(p)
+    p = add("density", cmd_density, "exponent m, sparsity verdict, degree constant")
     p.add_argument("--a", default="2")
-    p.set_defaults(func=cmd_density)
 
-    p = sub.add_parser("condition-a", parents=[common], help="sparsity verdict at weight a")
-    pat(p)
+    p = add("condition-a", cmd_condition_a, "sparsity verdict at weight a")
     p.add_argument("--a", default="2")
-    p.set_defaults(func=cmd_condition_a)
 
-    p = sub.add_parser("ex", parents=[common], help="exact extremal weighted size")
-    pat(p)
+    p = add("ex", cmd_ex, "exact extremal weighted size")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", default="2")
     p.add_argument("--mode", choices=["full", "canonical"], default="full")
     p.add_argument("--witness-cap", type=int, default=256)
     p.add_argument("--witness-dir", default=None, help="write witness .dg files here")
-    p.set_defaults(func=cmd_ex)
 
-    p = sub.add_parser("count-free", parents=[common], help="exact labelled pattern-free count")
-    pat(p)
+    p = add("count-free", cmd_count_free, "exact labelled pattern-free count")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_count_free)
 
-    p = sub.add_parser("ratio", parents=[common], help="log2 count against the a=2 extremal number")
-    pat(p)
+    p = add("ratio", cmd_ratio, "log2 count against the a=2 extremal number")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_ratio)
 
-    p = sub.add_parser("supersat", parents=[common], help="max weighted size per copy budget")
-    pat(p)
+    p = add("supersat", cmd_supersat, "max weighted size per copy budget")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", default="2")
     p.add_argument("--k-max", type=int, required=True)
-    p.set_defaults(func=cmd_supersat)
 
-    p = sub.add_parser("hypergraph", parents=[common], help="build and export the pair hypergraph")
-    pat(p)
+    p = add("hypergraph", cmd_hypergraph, "build and export the pair hypergraph")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--export", default=None, help="write the export format here")
-    p.set_defaults(func=cmd_hypergraph)
 
-    p = sub.add_parser("codegree", parents=[common], help="co-degree profile at tau")
-    pat(p)
+    p = add("codegree", cmd_codegree, "co-degree profile at tau")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--tau", default="auto", help="branching scale; auto = N^(-1/m)")
-    p.set_defaults(func=cmd_codegree)
 
-    p = sub.add_parser("verify-lemma", parents=[common], help="numeric degree-bound check across N")
-    pat(p)
+    p = add("verify-lemma", cmd_verify_lemma, "numeric degree-bound check across N")
     p.add_argument("--gamma", default="1")
     p.add_argument("--N-range", required=True, help="e.g. 6..14 or 6,8,10")
-    p.set_defaults(func=cmd_verify_lemma)
 
-    p = sub.add_parser("containers", parents=[common], help="build a container family")
-    pat(p)
+    p = add("containers", cmd_containers, "build a container family")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--eps", required=True)
     p.add_argument("--tau", default="auto")
     p.add_argument("--export", default=None, help="write the family export here")
-    p.set_defaults(func=cmd_containers)
 
-    p = sub.add_parser("verify-family", parents=[common], help="coverage and sparsity verification")
-    pat(p)
+    p = add("verify-family", cmd_verify_family, "coverage and sparsity verification")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--eps", default="1/10")
     p.add_argument("--tau", default="auto")
     p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--family", default=None, help="verify this exported family instead of rebuilding")
-    p.set_defaults(func=cmd_verify_family)
 
-    p = sub.add_parser("pipeline", parents=[common], help="end-to-end container run with checks")
-    pat(p)
+    p = add("pipeline", cmd_pipeline, "end-to-end container run with checks")
     p.add_argument("--a", default="2")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--eps", required=True)
     p.add_argument("--samples", type=int, default=10_000)
-    p.set_defaults(func=cmd_pipeline)
 
     return parser
 
@@ -633,7 +518,7 @@ def main(argv=None) -> int:
             value = getattr(args, flag, least)
             if value < least:
                 raise PreconditionError(f"--{flag.replace('_', '-')} must be >= {least}, got {value}")
-        return args.func(args)
+        return _run(args)
     except UsageError as exc:
         print(f"digraphlab: error: {exc}", file=sys.stderr)
         return 1

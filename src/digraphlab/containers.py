@@ -34,7 +34,6 @@ from .extremal import (
     FULL_MODE_MAX_N,
     CANONICAL_MODE_MAX_N,
     ExtremalResult,
-    count_free,
     extremal_number,
     iter_free_edge_masks,
 )

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import time
 import subprocess
 import sys
 from pathlib import Path
@@ -482,3 +484,145 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert rc == 0
     assert out == ""
     assert json.loads(target.read_text())["results"]["count"] == "49"
+
+
+def _drop_one_element(path):
+    lines = path.read_text().splitlines()
+    mask = int(lines[1], 16)
+    lines[1] = f"{mask & ~(mask & -mask):0{len(lines[1])}x}"
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _tighten_eps(src, dst, eps):
+    head, rest = src.read_text().split("\n", 1)
+    fields = head.split()
+    fields[2] = eps
+    dst.write_text(" ".join(fields) + "\n" + rest)
+
+
+# (argv, exit code, sha256 of stdout, stderr), or a file edit between runs.
+# Paths are relative, so the --export and --family values recorded in the
+# manifests do not depend on where the test runs.
+_EMPTY = hashlib.sha256(b"").hexdigest()
+_PINNED = [
+    (["condition-a", "--pattern", "dk3", "--a", "2"],
+     0, "345872afd51287daa2b16fa0cd59140e761575d32850e028467ddc60bac17a20", ""),
+    (["density", "--pattern", "c3", "--a", "2"],
+     0, "12d7c60848f03493af0b2c8a25e06777cb9dc55b05d1d4ce7a53b124c98639a4", ""),
+    (["ex", "--pattern", "t3", "--n", "4", "--a", "2", "--mode", "full"],
+     0, "85eb352fd197912dd43ea0d3a8bbd18f5d2c66137bcdcebd27aa2e81203bda53", ""),
+    (["ex", "--pattern", "c3", "--n", "4", "--a", "2", "--mode", "canonical"],
+     0, "333d8885aa755a9fc9447a968618fc1dd12b19b4275969c355599c9fe9efae52", ""),
+    (["count-free", "--pattern", "dk3", "--n", "4"],
+     0, "a0d2431465eaaa320cb3d24422bcaf20286417c9bd48ad81294102e15e970131", ""),
+    (["ratio", "--pattern", "c3", "--n", "4"],
+     0, "0f2e822be269642f44fee33df89524685f06d66cde7a585307c8fd956d029351", ""),
+    (["supersat", "--pattern", "dk3", "--n", "4", "--a", "2", "--k-max", "2"],
+     0, "dcbbe96ab53b2f24984c45ffe3e68c95454f47222e6a5dddfa9fb746a518b6c3", ""),
+    (["hypergraph", "--pattern", "c3", "--N", "5"],
+     0, "66b94b035d0cfc2cdb9a4690434a90f779063a8e3002a2baf6303393262122c8", ""),
+    (["codegree", "--pattern", "t3", "--N", "7", "--tau", "0.5"],
+     0, "582f314048accea0e1291b94e48bcab3b4db8b97772ff5266c6f416b41fd9dab", ""),
+    (["verify-lemma", "--pattern", "c3", "--gamma", "1/2", "--N-range", "6..9"],
+     0, "c0657fdc88639e5e94da69f02078c64fbffd41b673658cf83040f53cde012707", ""),
+    (["containers", "--pattern", "c3", "--N", "4", "--eps", "1/10"],
+     0, "946083429eada6ca625606f3b99b9a9c3eaa13e4e5b6c411ffa44ac60591a62d", ""),
+    (["verify-family", "--pattern", "c3", "--N", "4", "--eps", "1/10", "--mode", "exhaustive"],
+     0, "bbb8f7868ba807388db808a4a92783ccb9f871ef2f522d3592d216800ffbc0a1", ""),
+    (["verify-family", "--pattern", "c3", "--N", "6", "--eps", "1/10",
+      "--mode", "sampled", "--samples", "2000", "--seed", "11"],
+     0, "e90b17f91b528a36e17f69a13a5760eb8af7b86065e225afa033296a1d22656a", ""),
+    (["pipeline", "--pattern", "c3", "--a", "2", "--N", "4", "--eps", "1/10"],
+     0, "60afaa5e3742aa6123bcf01d080fcdefe799c594c3f10bea870217534a274017", ""),
+    (["ex", "--pattern", "c3", "--n", "4", "--witness-dir", "wits"],
+     0, "953e0def4b793fda2207c98a49a0379a4832236f5e567d45fe2c545140cbd7fc", ""),
+    (["hypergraph", "--pattern", "c3", "--N", "4", "--export", "hg.txt"],
+     0, "2e4036f11b0898b6cf4eb0204b2e3fb3a17592195403c1518cba0f555cd5a943", ""),
+    (["containers", "--pattern", "c3", "--N", "4", "--eps", "1/10", "--export", "fam.txt"],
+     0, "01645bd1154124c7e8820a08f083b642fd5f57f5c0db5788f0a7a42538173c7f", ""),
+    (["verify-family", "--pattern", "c3", "--N", "4", "--eps", "1/10", "--family", "fam.txt"],
+     0, "982c4799f314ca7a882bf65497c5e99c649ceb892696fb460afeedbd45d56e3e", ""),
+    (["containers", "--pattern", "c3", "--N", "4", "--eps", "1/3", "--export", "loose.txt"],
+     0, "c9516391fb0938df83855f4aa02c0a99f0a2c7a2e58fb81be14b3b821b7cf7ae", ""),
+    lambda: _tighten_eps(Path("loose.txt"), Path("tight.txt"), "1/10"),
+    (["verify-family", "--pattern", "c3", "--N", "4", "--eps", "1/10", "--family", "tight.txt"],
+     3, "e520c71bc8934116889815aa08554ee35e9d51c016665b66feb9026734850ee7",
+     "verification failed: container sparsity violated\n"),
+    lambda: _drop_one_element(Path("fam.txt")),
+    (["verify-family", "--pattern", "c3", "--N", "4", "--eps", "1/10", "--family", "fam.txt"],
+     3, "fee57c552f6952924504b7a0f2dee55fae46620f7ca22db76a15aad6030e3fe7",
+     "verification failed: coverage miss, witness:\nn=4\n1 0\n\n"),
+    (["count-free", "--pattern", "c3", "--n", "3", "--seed", "5", "--out", "doc.json"],
+     0, _EMPTY, ""),
+    (["verify-lemma", "--pattern", "c3", "--N-range", "6,7", "--gamma", "2"],
+     2, _EMPTY, "digraphlab: refused: gamma=2 outside (0, 1]\n"),
+    (["count-free", "--pattern", "c3", "--n", "9"],
+     2, _EMPTY, "digraphlab: refused: labelled count capped at n=6\n"),
+    (["ex", "--pattern", "nope", "--n", "3"],
+     1, _EMPTY,
+     "digraphlab: error: pattern 'nope': no such file or builtin pattern\n"),
+    (["ex", "--pattern", "c3"],
+     1, _EMPTY, "digraphlab: error: the following arguments are required: --n\n"),
+]
+# every file the runs above leave behind, hashed as "path\0bytes\0" in path order
+_PINNED_FILES = "4c7a8dd73876bd7063493baf958749b3059fbb43f8bf8adfb8679133f7b8f7b2"
+
+
+def test_documents_are_pinned(capsys, tmp_path, monkeypatch):
+    # every document, exit code and stderr line, byte for byte: the criterion-9
+    # manifests, the flags that write files, and exits 1, 2 and 3
+    monkeypatch.chdir(tmp_path)
+    for step in _PINNED:
+        if callable(step):
+            step()
+            continue
+        argv, rc, out_sha, err = step
+        got_rc, out, got_err = run(capsys, argv)
+        got = (got_rc, hashlib.sha256(out.encode()).hexdigest(), got_err)
+        assert got == (rc, out_sha, err), argv
+    files = hashlib.sha256()
+    for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
+        files.update(str(path).encode() + b"\0" + path.read_bytes() + b"\0")
+    assert files.hexdigest() == _PINNED_FILES
+
+
+@pytest.mark.parametrize("pattern, edges", [("dk3", 6), ("p3", 2)])
+def test_verify_family_refuses_a_family_of_another_pattern(capsys, tmp_path, monkeypatch,
+                                                           pattern, edges):
+    # a c3 family read against dk3 used to end in a coverage miss, and
+    # against p3 in a sparsity violation (exit 3 both)
+    fam_file = tmp_path / "fam.txt"
+    rc, _, _ = run_doc(capsys, [
+        "containers", "--pattern", "c3", "--N", "4", "--eps", "1/10", "--export", str(fam_file),
+    ])
+    assert rc == 0
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+    monkeypatch.setattr(digraphlab.cli, "build_hypergraph", no_work)
+    monkeypatch.setattr(digraphlab.cli, "verify_family", no_work)
+    rc, out, err = run(capsys, [
+        "verify-family", "--pattern", pattern, "--N", "4", "--family", str(fam_file),
+    ])
+    assert rc == 2 and out == ""
+    assert err == (f"digraphlab: refused: the family's r=3 differs from the pattern's "
+                   f"edge count {edges}\n")
+
+
+@pytest.mark.parametrize("n_range, why", [
+    ("9..6", "--N-range '9..6' is empty"),
+    (",", "--N-range ',' is empty"),
+    ("6..1000000000", "N=1000000000: 999999997000000002000000000 injections exceed the "
+                      "build budget 5000000"),
+    ("1000,6", "N=1000: 997002000 injections exceed the build budget 5000000"),
+    ("2..6", "N=2 below pattern vertex count h=3"),
+])
+def test_verify_lemma_refuses_an_n_range_it_cannot_build(capsys, monkeypatch, n_range, why):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a hypergraph was built before the refusal")
+    monkeypatch.setattr(digraphlab.pairhypergraph, "build_hypergraph", no_work)
+    t0 = time.monotonic()
+    rc, out, err = run(capsys, ["verify-lemma", "--pattern", "c3", "--N-range", n_range])
+    assert time.monotonic() - t0 < 1.0  # the range is never materialised
+    assert rc == 2 and out == ""
+    assert err == f"digraphlab: refused: {why}\n"
