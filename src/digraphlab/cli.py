@@ -11,6 +11,7 @@ output byte for byte.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -147,6 +148,7 @@ def _run(args) -> int:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()  # a closed reader fails here, inside main, not at shutdown
     if failure is None:
         return 0
     print(failure, file=sys.stderr)
@@ -521,6 +523,14 @@ def main(argv=None) -> int:
         return _run(args)
     except UsageError as exc:
         print(f"digraphlab: error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the unwritten rest of the document goes to devnull, so the
+        # interpreter's last flush of stdout does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("digraphlab: error: standard output closed", file=sys.stderr)
         return 1
     except ParseError as exc:
         print(f"digraphlab: parse error: {exc}", file=sys.stderr)

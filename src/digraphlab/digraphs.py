@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .errors import BudgetError, ParseError, PreconditionError
 
@@ -155,25 +155,8 @@ def weighted_size(g: Digraph, weight) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Automorphisms and embeddings
+# Embeddings
 # ---------------------------------------------------------------------------
-
-def automorphism_count(g: Digraph) -> int:
-    """|Aut(G)| by exhaustive permutation check (fine for n <= 10)."""
-    if g.n > _CANONICAL_MAX:
-        raise BudgetError(f"automorphism count over {g.n}! permutations refused")
-    edges = g.edges
-    count = 0
-    for perm in permutations(range(g.n)):
-        ok = True
-        for u, v in edges:
-            if (perm[u], perm[v]) not in edges:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
-
 
 def _embedding_plan(core: Digraph) -> list[tuple[list[int], list[int]]]:
     """Constraint-first visit order for embedding the core into a host.
@@ -361,36 +344,59 @@ def enumerate_subpatterns(pattern: PatternDigraph) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Canonical forms
+# Canonical forms and automorphisms
 # ---------------------------------------------------------------------------
 
 def _colour_refine(g: Digraph) -> list[int]:
     """Iterated directed colour refinement; colour ids are canonical under
-    isomorphism (derived from sorted signatures at every round)."""
+    isomorphism (ranks of sorted signatures at every round).
+
+    Colours start as ranks of (out-degree, in-degree, 2-cycle count).  Every
+    vertex has four relation masks over the other vertices: none, out only,
+    in only, both.  A round's signature is one integer: the vertex's colour,
+    then one 4-bit field 15 - |mask & cell| per (relation, colour cell),
+    relation-major.  The integers sort as the tuples (colour, sorted
+    (relation, colour of u) over the other vertices u) would, since a tuple
+    holding more of a smaller pair sorts first; n - 1 <= 15 keeps each field
+    in range.  Stops when a round splits no colour.
+    """
     n = g.n
-    out_m, in_m = g.out_mask, g.in_mask
-    code = [[0] * n for _ in range(n)]
-    for u in range(n):
-        row = out_m[u]
-        for v in range(n):
-            if u != v:
-                code[u][v] = (row >> v & 1) | ((in_m[u] >> v & 1) << 1)
-    triples = [
-        (bin(out_m[v]).count("1"), bin(in_m[v]).count("1"), bin(out_m[v] & in_m[v]).count("1"))
-        for v in range(n)
-    ]
-    rank = {t: i for i, t in enumerate(sorted(set(triples)))}
+    full = (1 << n) - 1
+    rels = []
+    triples = []
+    for v, (o, i) in enumerate(zip(g.out_mask, g.in_mask)):
+        rels.append((full ^ (o | i | 1 << v), o & ~i, i & ~o, o & i))
+        triples.append((o.bit_count(), i.bit_count(), (o & i).bit_count()))
+    rank = {t: r for r, t in enumerate(sorted(set(triples)))}
     colours = [rank[t] for t in triples]
-    while True:
+    while len(rank) < n:
+        width = 4 * len(rank)  # the fields of one relation, first cell highest
+        # tally[m] holds |m & cell| in the field of each cell, for every vertex set m
+        tally = [0]
+        for c in colours:
+            unit = 1 << width - 4 - 4 * c
+            tally += [t + unit for t in tally]
+        top = (1 << 4 * width) - 1
         sigs = [
-            (colours[v], tuple(sorted((code[v][u], colours[u]) for u in range(n) if u != v)))
-            for v in range(n)
+            c << 4 * width
+            | top - (tally[no] << 3 * width | tally[out] << 2 * width | tally[inn] << width | tally[both])
+            for c, (no, out, inn, both) in zip(colours, rels)
         ]
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [rank[s] for s in sigs]
-        if len(set(new)) == len(set(colours)):
-            return new
-        colours = new
+        split = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        if len(split) == len(rank):
+            break
+        rank = split
+        colours = [rank[s] for s in sigs]
+    return colours
+
+
+def _colour_cells(g: Digraph) -> list[list[int]]:
+    """The vertices of each refined colour, in colour order."""
+    colours = _colour_refine(g)
+    cells = [[] for _ in range(max(colours) + 1)]
+    for v, c in enumerate(colours):
+        cells[c].append(v)
+    return cells
 
 
 def canonical_form(g: Digraph) -> bytes:
@@ -400,48 +406,57 @@ def canonical_form(g: Digraph) -> bytes:
     vertex orders (colour refinement never separates vertices an isomorphism
     could exchange, so restricting to colour-respecting orders is lossless).
     The string is read in bordered order: placing vertex k appends the 2k bits
-    (M[0,k], M[k,0], M[1,k], M[k,1], ..., M[k-1,k], M[k,k-1]).
+    (M[0,k], M[k,0], M[1,k], M[k,1], ..., M[k-1,k], M[k,k-1]).  A discrete
+    colouring admits one such order, which is read off without a search.
     """
     n = g.n
     if n > _CANONICAL_MAX:
         raise BudgetError(f"canonical form over {n}! permutations refused")
     if n == 1:
         return bytes([1])
-    colours = _colour_refine(g)
-    by_colour: dict[int, list[int]] = {}
-    for v, c in enumerate(colours):
-        by_colour.setdefault(c, []).append(v)
-    pos_colour: list[int] = []
-    for c in sorted(by_colour):
-        pos_colour.extend([c] * len(by_colour[c]))
     out_m = g.out_mask
+    cells = _colour_cells(g)
+    acc = 0
+    if len(cells) == n:
+        order = [v for v, in cells]
+        for k, v in enumerate(order):
+            row = out_m[v]
+            for u in order[:k]:
+                acc = acc << 2 | (out_m[u] >> v & 1) << 1 | (row >> u & 1)
+    else:
+        for k, w in enumerate(_minimal_words(out_m, cells)):
+            acc = acc << 2 * k | w
+    nbytes = max(1, (n * (n - 1) + 7) // 8)
+    return bytes([n]) + acc.to_bytes(nbytes, "big")
 
-    perm = [0] * n
+
+def _minimal_words(out_m: tuple[int, ...], cells: list[list[int]]) -> list[int]:
+    """The lexicographically least word sequence over the vertex orders that
+    place the cells one after another; word k is the 2k bits of vertex k."""
+    n = len(out_m)
+    # pair[u][v]: the 2 bits (u->v, v->u) that u, placed before v, adds to v's word
+    pair = [[(out_m[u] >> v & 1) << 1 | (out_m[v] >> u & 1) for v in range(n)] for u in range(n)]
+    slot_cell = [cell for cell in cells for _ in cell]
     used = [False] * n
+    path = [0] * n
     best: list[int] | None = None
-    inf = 1 << (2 * n + 2)  # larger than any level word
+    inf = 1 << (2 * n + 2)  # larger than any word
 
-    def word_for(v: int, k: int) -> int:
-        w = 0
-        for p in range(k):
-            u = perm[p]
-            w = (w << 2) | ((out_m[u] >> v & 1) << 1) | (out_m[v] >> u & 1)
-        return w
-
-    # invariant on entry to dfs(k): best is None, or the words chosen on the
-    # current path equal best[0..k-1]; a strictly smaller word truncates best
-    # in place (the old deeper suffix is dominated), so the global minimum
-    # path is never pruned and best converges to it
-    def dfs(k: int):
+    # words[v] is v's word against the first k placed vertices.  Invariant on
+    # entry to dfs(k): best is None, or the words on the current path equal
+    # best[0..k-1]; a strictly smaller word truncates best in place (the old
+    # deeper suffix is dominated), so the global minimum path is never pruned
+    # and best converges to it
+    def dfs(k: int, words: list[int]):
         nonlocal best
         if k == n:
             if best is None:
-                best = [word_for(perm[i], i) for i in range(n)]
+                best = path.copy()
             return
-        for v in by_colour[pos_colour[k]]:
+        for v in slot_cell[k]:
             if used[v]:
                 continue
-            w = word_for(v, k)
+            w = words[v]
             if best is not None:
                 if w > best[k]:
                     continue
@@ -450,16 +465,56 @@ def canonical_form(g: Digraph) -> bytes:
                     for i in range(k + 1, n):
                         best[i] = inf
             used[v] = True
-            perm[k] = v
-            dfs(k + 1)
+            path[k] = w
+            dfs(k + 1, [x << 2 | b for x, b in zip(words, pair[v])])
             used[v] = False
 
-    dfs(0)
-    acc = 0
-    for k, w in enumerate(best):
-        acc = (acc << (2 * k)) | w
-    nbytes = max(1, (n * (n - 1) + 7) // 8)
-    return bytes([n]) + acc.to_bytes(nbytes, "big")
+    dfs(0, [0] * n)
+    return best
+
+
+def automorphisms(g: Digraph) -> list[tuple[int, ...]]:
+    """Every automorphism of g, as perm[old] = new, in lexicographic order.
+
+    Only bijections that keep each refined colour are tried: the refinement
+    is canonical, so every automorphism keeps it.
+    """
+    n = g.n
+    if n > _CANONICAL_MAX:
+        raise BudgetError(f"automorphism search over {n}! permutations refused")
+    cells = _colour_cells(g)
+    if len(cells) == n:
+        return [tuple(range(n))]
+    out_m = g.out_mask
+    same = [0] * n
+    for cell in cells:
+        mask = sum(1 << v for v in cell)
+        for v in cell:
+            same[v] = mask
+    perm = [0] * n
+    found = []
+
+    def extend(v: int, used: int):
+        if v == n:
+            found.append(tuple(perm))
+            return
+        cand = same[v] & ~used
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            w = bit.bit_length() - 1
+            if all(out_m[u] >> v & 1 == out_m[perm[u]] >> w & 1
+                   and out_m[v] >> u & 1 == out_m[w] >> perm[u] & 1 for u in range(v)):
+                perm[v] = w
+                extend(v + 1, used | bit)
+
+    extend(0, 0)
+    return found
+
+
+def automorphism_count(g: Digraph) -> int:
+    """|Aut(G)|, counted over the colour-respecting bijections (n <= 10)."""
+    return len(automorphisms(g))
 
 
 def generate_nonisomorphic_digraphs(n: int, spanning: bool = False) -> list[Digraph]:

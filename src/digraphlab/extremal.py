@@ -9,8 +9,11 @@ into bit-sliced counters, so n=5 (4^10 states) takes a fraction of a second.
 Canonical mode grows graphs one vertex at a time with isomorph rejection.
 The attachment codes that keep a new vertex free are one bitset over the 4^k
 codes, derived from the copy table on [k+1], and the weight bound discards
-whole groups of codes before any digraph is built.  It reaches its cap n=7:
-c3 at a=2 took 13-17 s there and 0.3-0.6 s at n=6 on one Xeon vCPU.
+whole groups of codes before any digraph is built.  Of each orbit of codes
+under the parent's automorphisms only the smallest is extended, and the
+extensions are deduplicated by canonical key.  It reaches its cap n=7: c3 at
+a=2 took 7.7-8.5 s there per CLI process and 0.33 s at n=6 in-process, on
+one Xeon vCPU.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .digraphs import (
     Digraph,
     PatternDigraph,
     automorphism_count,
+    automorphisms,
     canonical_form,
     count_copies,
     is_pattern_free,
@@ -244,7 +248,7 @@ def iter_free_edge_masks(n: int, pattern: PatternDigraph, edge_bit):
 
 
 # ---------------------------------------------------------------------------
-# Canonical-augmentation search
+# One-vertex growth: canonical-key dedup and Aut-orbit pruning
 # ---------------------------------------------------------------------------
 
 def _attachment_table(k: int, pattern: PatternDigraph) -> list[tuple[frozenset, int]]:
@@ -308,6 +312,31 @@ def _extension(g: Digraph, code: int) -> Digraph:
     return Digraph(k + 1, frozenset(edges))  # sized to fit; frozenset.union over-allocates
 
 
+def _orbit_minimal(g: Digraph, codes: int) -> int:
+    """The codes of the bitset that no automorphism of g maps to a smaller one.
+
+    An automorphism pi acts on a code by moving bits 2u, 2u+1 to 2pi(u),
+    2pi(u)+1, and g extended by pi(code) is isomorphic to g extended by code.
+    The bitset must be closed under Aut(g), as the free codes and the codes
+    of one size group are; walking it in ascending order then meets each
+    orbit at its minimum first.
+    """
+    auts = automorphisms(g)
+    if len(auts) == 1:
+        return codes
+    k = g.n
+    keep = 0
+    seen = set()
+    for code in _bits(codes):
+        if code in seen:
+            continue
+        keep |= 1 << code
+        digits = [(u, code >> 2 * u & 3) for u in range(k)]
+        for perm in auts:
+            seen.add(sum(d << 2 * perm[u] for u, d in digits))
+    return keep
+
+
 def _free_extensions(g: Digraph, pattern: PatternDigraph, table):
     """Pattern-free one-vertex extensions of g (new vertex = g.n), in
     ascending attachment-code order."""
@@ -327,7 +356,9 @@ def free_classes(n: int, pattern: PatternDigraph) -> dict[bytes, Digraph]:
 
     Every pattern-free class on k+1 vertices restricts to a pattern-free
     class on k vertices, so extending every representative in all 4^k ways
-    and deduplicating by canonical key is complete.
+    and deduplicating by canonical key is complete.  Of each Aut-orbit of
+    codes only the smallest is extended: it is met first and gives the same
+    class, so each class keeps the representative the full walk keeps.
     """
     if n > COUNT_CLASSES_MAX_N:
         raise BudgetError(f"class generation capped at n={COUNT_CLASSES_MAX_N}")
@@ -337,7 +368,8 @@ def free_classes(n: int, pattern: PatternDigraph) -> dict[bytes, Digraph]:
         table = _attachment_table(level - 1, pattern)
         new: dict[bytes, Digraph] = {}
         for g in reps.values():
-            for ext in _free_extensions(g, pattern, table):
+            for code in _bits(_orbit_minimal(g, _free_codes(g, pattern, table))):
+                ext = _extension(g, code)
                 key = canonical_form(ext)
                 if key not in new:
                     new[key] = ext
@@ -370,7 +402,10 @@ def _extremal_canonical(n: int, pattern: PatternDigraph, weight: WeightParam):
 
     Pruning discards a representative only when even turning every remaining
     pair into a double edge cannot reach the current best, so every class
-    attaining the maximum survives to level n.
+    attaining the maximum survives to level n.  A code that an automorphism
+    of its parent maps to a smaller code is skipped: the smaller one came
+    first with the same class and the same (f2, f1), so the winners and
+    their representatives are those of the full walk.
     """
     if n > CANONICAL_MODE_MAX_N:
         raise BudgetError(f"canonical search capped at n={CANONICAL_MODE_MAX_N}")
@@ -392,7 +427,7 @@ def _extremal_canonical(n: int, pattern: PatternDigraph, weight: WeightParam):
             for (f2, f1), codes in groups:
                 if weight.cmp_pairs((g.f2 + f2 + rem, g.f1 + f1), best_pair) >= 0:
                     reach |= codes
-            for code in _bits(_free_codes(g, pattern, tables[level - 2]) & reach):
+            for code in _bits(_orbit_minimal(g, _free_codes(g, pattern, tables[level - 2]) & reach)):
                 ext = _extension(g, code)
                 if level == n:
                     val = weight.cmp_pairs((ext.f2, ext.f1), best_pair)

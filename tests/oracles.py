@@ -158,3 +158,63 @@ def naive_codegree_sums(universe_size: int, edges: list[tuple[int, ...]], r: int
                     per_vertex[v] = val
         sums[j] = sum(per_vertex)
     return sums
+
+
+def naive_automorphism_count(n: int, edges: frozenset) -> int:
+    """Vertex permutations mapping the edge set onto itself, all n! tried."""
+    return sum(
+        1 for perm in permutations(range(n))
+        if frozenset((perm[u], perm[v]) for u, v in edges) == edges
+    )
+
+
+def sorted_signature_colours(n: int, edges: frozenset) -> list[int]:
+    """Iterated directed colour refinement with sorted tuple signatures.
+
+    Start from the rank of (out-degree, in-degree, 2-cycle count); each round
+    a vertex's signature is its colour and the sorted (relation, colour) pairs
+    of the other vertices, relation 0 none, 1 out only, 2 in only, 3 both.
+    Colours are ranks in the sorted set of signatures, so they are canonical
+    under isomorphism.  Stops when a round splits no colour.
+    """
+    def rel(u, v):
+        return ((u, v) in edges) | (((v, u) in edges) << 1)
+
+    triples = [
+        (sum((v, u) in edges for u in range(n)),
+         sum((u, v) in edges for u in range(n)),
+         sum(rel(v, u) == 3 for u in range(n) if u != v))
+        for v in range(n)
+    ]
+    colours = [sorted(set(triples)).index(t) for t in triples]
+    while True:
+        sigs = [(colours[v], tuple(sorted((rel(v, u), colours[u]) for u in range(n) if u != v)))
+                for v in range(n)]
+        new = [sorted(set(sigs)).index(s) for s in sigs]
+        if len(set(new)) == len(set(colours)):
+            return new
+        colours = new
+
+
+def naive_canonical_key(n: int, edges: frozenset) -> bytes:
+    """The canonical key by a minimum over every colour-respecting vertex order.
+
+    Vertices are placed cell by cell in colour order, every order inside each
+    cell tried.  Placing the k-th vertex appends, for p = 0..k-1, the bit of
+    the edge from the p-th vertex to it, then the bit of the edge back.  The
+    key is the byte n followed by the smallest such bit string, big-endian.
+    """
+    if n == 1:
+        return bytes([1])
+    colours = sorted_signature_colours(n, edges)
+    cells = [[v for v in range(n) if colours[v] == c] for c in sorted(set(colours))]
+    best = None
+    for parts in product(*(permutations(cell) for cell in cells)):
+        order = [v for part in parts for v in part]
+        bits = "".join(
+            f"{int((order[p], order[k]) in edges)}{int((order[k], order[p]) in edges)}"
+            for k in range(n) for p in range(k)
+        )
+        if best is None or bits < best:
+            best = bits
+    return bytes([n]) + int(best, 2).to_bytes(max(1, (n * (n - 1) + 7) // 8), "big")

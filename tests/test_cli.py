@@ -412,17 +412,37 @@ def test_canonical_isolated_vertex_pattern(capsys, tmp_path):
     assert docs["canonical"]["witness_keys"] == docs["full"]["witness_keys"]
 
 
+def _module_env() -> dict[str, str]:
+    """The environment of a child interpreter that imports this digraphlab."""
+    src = str(Path(digraphlab.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.mark.parametrize("module", ["digraphlab", "digraphlab.cli"])
 def test_module_entry_point(capsys, module):
-    src = str(Path(digraphlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", module, "density", "--pattern", "c3"],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_module_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     rc, out, _ = run(capsys, ["density", "--pattern", "c3"])
     assert rc == 0 and proc.stdout == out
+
+
+def test_closed_stdout_is_one_line_exit_1():
+    # the pipe's reader is gone before the program starts, so its first
+    # write to stdout fails; no traceback and no "Exception ignored" may follow
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "digraphlab", "count-free", "--pattern", "c3", "--n", "4"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=_module_env(), timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == "digraphlab: error: standard output closed\n"
 
 
 def test_pipeline_refusal_exit_2(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
 from itertools import permutations
@@ -24,9 +25,18 @@ from digraphlab import (
     parse_digraph,
     weighted_size,
 )
+from digraphlab.cli import BUILTIN_PATTERNS, load_pattern
+from digraphlab.digraphs import _colour_refine
 from digraphlab.errors import DigraphLabError, PreconditionError
 
-from oracles import burnside_digraph_classes, naive_count_copies
+from oracles import (
+    all_digraph_edge_sets,
+    burnside_digraph_classes,
+    naive_automorphism_count,
+    naive_canonical_key,
+    naive_count_copies,
+    sorted_signature_colours,
+)
 
 
 def random_digraph(rng: random.Random, n: int) -> Digraph:
@@ -36,6 +46,36 @@ def random_digraph(rng: random.Random, n: int) -> Digraph:
             if u != v and rng.random() < 0.4:
                 edges.add((u, v))
     return Digraph(n, frozenset(edges))
+
+
+def key_sample() -> list[Digraph]:
+    """Seeded digraphs at n = 5..8 over a spread of edge densities, plus
+    circulants at n = 5..7, whose one colour cell makes the search run in full."""
+    rng = random.Random(8)
+    out = []
+    for n in range(5, 9):
+        for _ in range(60):
+            p = rng.choice((0.1, 0.25, 0.5, 0.75, 0.9))
+            out.append(Digraph(n, frozenset(
+                (u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p)))
+    for n in (5, 6, 7):
+        for _ in range(4):
+            steps = [s for s in range(1, n) if rng.random() < 0.5]
+            out.append(Digraph(n, frozenset((u, (u + s) % n) for u in range(n) for s in steps)))
+    return out
+
+
+def all_digraphs_on_4() -> list[Digraph]:
+    return [Digraph(4, edges) for edges in all_digraph_edge_sets(4)]
+
+
+@st.composite
+def relabelled_digraphs(draw):
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = frozenset(e for e, on in zip(pairs, draw(st.lists(
+        st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if on)
+    return Digraph(n, edges), draw(st.permutations(range(n)))
 
 
 # -- parsing -----------------------------------------------------------------
@@ -238,6 +278,23 @@ def test_automorphism_counts(c3, t3, dk3, twocycle, p3):
     assert p3.aut == 1
 
 
+def test_automorphism_count_matches_brute_force():
+    builtins = [load_pattern(name)[0].graph for name in BUILTIN_PATTERNS]
+    sample = [g for g in key_sample() if g.n <= 6]
+    assert len(builtins) == 6 and {5, 6} <= {g.n for g in sample}
+    for g in all_digraphs_on_4() + sample + builtins:
+        assert automorphism_count(g) == naive_automorphism_count(g.n, g.edges), g.edge_list
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(relabelled_digraphs())
+def test_key_and_aut_invariant_under_relabelling(case):
+    g, perm = case
+    h = g.relabel(perm)
+    assert canonical_form(h) == canonical_form(g)
+    assert automorphism_count(h) == automorphism_count(g)
+
+
 def test_aut_divides_factorial(c3, t3, dk3):
     import math
 
@@ -286,3 +343,18 @@ def test_canonical_exhaustive_relabel_small():
             key = canonical_form(g)
             for perm in permutations(range(n)):
                 assert canonical_form(g.relabel(list(perm))) == key
+
+
+def test_canonical_key_bytes_are_pinned():
+    # the keys are written into ex documents (witness_keys): any change of a
+    # byte here changes those documents
+    digest = hashlib.sha256()
+    for g in all_digraphs_on_4() + key_sample():
+        digest.update(canonical_form(g))
+    assert digest.hexdigest() == "b2349904b2f64397358fc1c0d3c760767ac53e5f7e309a7583bc16a0c2d14fc4"
+
+
+def test_canonical_key_matches_naive_minimum():
+    for g in all_digraphs_on_4() + key_sample():
+        assert _colour_refine(g) == sorted_signature_colours(g.n, g.edges), g.edge_list
+        assert canonical_form(g) == naive_canonical_key(g.n, g.edges), g.edge_list

@@ -22,10 +22,12 @@ from digraphlab import (
     is_pattern_free,
     supersat_scan,
 )
+from digraphlab import extremal
 from digraphlab.cli import BUILTIN_PATTERNS, load_pattern
 from digraphlab.errors import BudgetError, PreconditionError
 from digraphlab.extremal import (
     _attachment_table,
+    _extremal_canonical,
     _free_extension_count,
     _free_extensions,
     full_scan,
@@ -338,3 +340,33 @@ def test_modes_agree_isolated_vertices(name, a):
         rc = extremal_number(n, pat, weight, mode="canonical")
         assert rf.value_str == rc.value_str
         assert rf.witness_keys == rc.witness_keys
+
+
+def _unpruned(monkeypatch, run):
+    """run() with every attachment code extended, not one per Aut-orbit."""
+    with monkeypatch.context() as m:
+        m.setattr(extremal, "_orbit_minimal", lambda g, codes: codes)
+        return run()
+
+
+@pytest.mark.parametrize("name", ["c3", "t3", "dk3", "p4", "c3iso"])
+def test_orbit_pruning_keeps_every_class_and_representative(name, monkeypatch):
+    pat = any_pattern(name)
+    for n in range(1, 6):
+        got = free_classes(n, pat)
+        expect = _unpruned(monkeypatch, lambda: free_classes(n, pat))
+        assert list(got) == list(expect)  # the same keys in the same order
+        assert [g.edges for g in got.values()] == [g.edges for g in expect.values()]
+
+
+@pytest.mark.parametrize("a", ["2", "log2(3)", "7/2"])
+@pytest.mark.parametrize("name", ["c3", "t3"])
+def test_orbit_pruning_keeps_the_canonical_winners(name, a, monkeypatch):
+    pat = any_pattern(name)
+    weight = WeightParam.parse(a)
+    for n in range(1, 7):
+        best, winners = _extremal_canonical(n, pat, weight)
+        best_ref, winners_ref = _unpruned(monkeypatch, lambda: _extremal_canonical(n, pat, weight))
+        assert best == best_ref
+        assert list(winners) == list(winners_ref)
+        assert [g.edges for g in winners.values()] == [g.edges for g in winners_ref.values()]
