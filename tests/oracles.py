@@ -218,3 +218,66 @@ def naive_canonical_key(n: int, edges: frozenset) -> bytes:
         if best is None or bits < best:
             best = bits
     return bytes([n]) + int(best, 2).to_bytes(max(1, (n * (n - 1) + 7) // 8), "big")
+
+
+def naive_build_containers(hg, eps: Fraction):
+    """The container decision tree, built recursively with per-edge lists.
+
+    Returns ``(root, pivots, out_child, in_child, containers, spans)`` as
+    plain lists, numbered as the recursion visits nodes (excluded branch
+    first) and emits containers.  No guards: callers keep the tree small.
+    """
+    dead = -1
+    total = hg.edge_count
+    full_mask = (1 << hg.universe.size) - 1
+    rem = [list(e) for e in hg.edges]     # elements not yet in the fingerprint
+    alive = [True] * total
+    edges_with = hg.incidence
+    deg = [len(eids) for eids in edges_with]
+    pivots, out_child, in_child, containers, spans = [], [], [], [], []
+    index: dict[int, int] = {}
+
+    def stops(spanned: int) -> bool:
+        return spanned <= eps * total
+
+    def emit(out_mask: int, spanned: int) -> int:
+        cmask = full_mask & ~out_mask
+        if cmask not in index:
+            index[cmask] = len(containers)
+            containers.append(cmask)
+            spans.append(spanned)
+        return -index[cmask] - 2
+
+    def visit(spanned: int, out_mask: int) -> int:
+        pivot = deg.index(max(deg))
+        node = len(pivots)
+        pivots.append(pivot)
+        out_child.append(dead)
+        in_child.append(dead)
+        live = [eid for eid in edges_with[pivot] if alive[eid]]
+        out_spanned = spanned - len(live)
+        if stops(out_spanned):
+            out_child[node] = emit(out_mask | (1 << pivot), out_spanned)
+        else:
+            for eid in live:
+                alive[eid] = False
+                for v in rem[eid]:
+                    deg[v] -= 1
+            out_child[node] = visit(out_spanned, out_mask | (1 << pivot))
+            for eid in live:
+                alive[eid] = True
+                for v in rem[eid]:
+                    deg[v] += 1
+        if any(len(rem[eid]) == 1 for eid in live):
+            return node
+        for eid in live:
+            rem[eid].remove(pivot)
+        deg[pivot] = 0
+        in_child[node] = visit(spanned, out_mask)
+        deg[pivot] = len(live)
+        for eid in live:
+            rem[eid].append(pivot)
+        return node
+
+    root = emit(0, total) if stops(total) else visit(total, 0)
+    return root, pivots, out_child, in_child, containers, spans

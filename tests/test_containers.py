@@ -6,7 +6,10 @@ import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,7 +37,8 @@ from digraphlab.errors import (
     VerificationError,
 )
 from digraphlab.extremal import iter_free_edge_masks
-from digraphlab.pairhypergraph import tau_for
+from digraphlab.pairhypergraph import PairHypergraph, PairUniverse, tau_for
+from oracles import naive_build_containers
 
 
 def small_family(pat, N, eps=Fraction(1, 10), tau=None):
@@ -190,6 +194,80 @@ def test_sampled_mode_first_miss_pinned(c3):
     assert rep.miss_witness == "n=5\n1 0\n2 0\n2 1\n3 4\n4 0\n4 2\n4 3\n"
 
 
+def _first_miss_per_mask(hg, fam, masks):
+    """(checked, witness, container) of the first set its route misses, one
+    ``route`` call per set: the reference for the batched verifier."""
+    checked = 0
+    for mask in masks:
+        checked += 1
+        idx = fam.route(mask)
+        if idx is None or mask & ~fam.containers[idx]:
+            return checked, hg.universe.digraph_from_mask(mask).to_edge_text(), idx
+    return checked, None, None
+
+
+def _sampled_masks(hg, seed, attempts):
+    """The sampled verifier's accepted sets, in order; counts draws in ``attempts``."""
+    rng = np.random.RandomState(seed)
+    while True:
+        draws = rng.randint(0, 1 << hg.universe.size, size=65_536, dtype=np.uint64)
+        attempts.append(len(draws))
+        for mask in draws.tolist():
+            if all(em & ~mask for em in hg.edge_masks):
+                yield mask
+
+
+@pytest.fixture(scope="module")
+def c3_n5(c3):
+    hg = build_hypergraph(5, c3)
+    fam = build_containers(hg, 5 ** -0.5, Fraction(1, 10))
+    return hg, fam, list(iter_free_edge_masks(5, c3, hg.universe.pair_index))
+
+
+def _late_fault(fam, masks, after):
+    """A copy of the family whose first miss is the first set routed to a
+    container no earlier set reaches, past position ``after``."""
+    seen = set()
+    for k, mask in enumerate(masks):
+        idx = fam.route(mask)
+        if k >= after and idx not in seen and mask:
+            bad = replace(fam, containers=list(fam.containers))
+            bad.containers[idx] &= ~(mask & -mask)
+            return bad
+        seen.add(idx)
+    raise AssertionError("no late container")
+
+
+def test_batched_exhaustive_routing_matches_route(c3, c3_n5):
+    hg, fam, free = c3_n5
+    late = _late_fault(fam, free, 70_000)
+    # a DEAD branch where free sets arrive: the first node with an internal in-child
+    dead = replace(fam, in_child=fam.in_child[:])
+    dead.in_child[next(n for n, c in enumerate(fam.in_child) if c >= 0)] = -1
+    for bad in (late, dead):
+        rep = verify_family(hg, bad, c3, mode="exhaustive")
+        want = _first_miss_per_mask(hg, bad, free)
+        assert (rep.checked, rep.miss_witness, rep.miss_container) == want
+        assert not rep.coverage_ok
+    # the late miss lies past the first batch; the DEAD one has no container
+    assert _first_miss_per_mask(hg, late, free)[0] > 65_536
+    assert _first_miss_per_mask(hg, dead, free)[2] is None
+
+
+def test_batched_sampled_routing_matches_route(c3, c3_n5):
+    hg, fam, _ = c3_n5
+    attempts = []
+    sampled = list(islice(_sampled_masks(hg, 7, attempts), 30_000))
+    rep = verify_family(hg, fam, c3, mode="sampled", samples=30_000, seed=7)
+    assert (rep.coverage_ok, rep.checked, rep.attempts) == (True, 30_000, sum(attempts))
+    bad = _late_fault(fam, sampled, 12_000)
+    rep = verify_family(hg, bad, c3, mode="sampled", samples=30_000, seed=7)
+    attempts.clear()
+    want = _first_miss_per_mask(hg, bad, _sampled_masks(hg, 7, attempts))
+    assert (rep.checked, rep.miss_witness, rep.miss_container) == want
+    assert rep.attempts == sum(attempts) > 65_536
+
+
 def test_pipeline_refusals(dk3, a2, a4):
     with pytest.raises(PreconditionError) as err:
         container_pipeline(dk3, a2, 5, Fraction(1, 10))
@@ -321,6 +399,63 @@ def test_reader_refuses_conflicting_paths(pairs, line, why):
         ContainerFamily.from_export_text(text)
 
 
+def _tree(fam):
+    return (fam.root, list(fam.pivots), list(fam.out_child), list(fam.in_child),
+            fam.containers, fam.spans)
+
+
+@pytest.mark.parametrize("name", ["c3", "t3", "dk3", "p3", "p4"])
+def test_builder_matches_recursive_oracle(name):
+    pat, _ = load_pattern(name)
+    cases = [(N, eps) for N in range(max(3, pat.h), 7)
+             for eps in (Fraction(1, 10), Fraction(1, 5), Fraction(1, 3))]
+    if name == "t3":
+        cases.append((7, Fraction(1, 3)))
+    for N, eps in cases:
+        hg = build_hypergraph(N, pat)
+        assert _tree(build_containers(hg, 1.0, eps)) == naive_build_containers(hg, eps), (N, eps)
+
+
+@st.composite
+def small_hypergraphs(draw):
+    N = draw(st.integers(2, 10))
+    n_u = N * (N - 1)
+    edges = draw(st.lists(st.lists(st.integers(0, n_u - 1), min_size=1, max_size=4, unique=True),
+                          max_size=12))
+    edges = tuple(sorted(tuple(sorted(e)) for e in edges))
+    return PairHypergraph(PairUniverse(N), max((len(e) for e in edges), default=1), edges, 0)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(small_hypergraphs(), st.integers(7, 60), st.integers(1, 10))
+def test_builder_matches_recursive_oracle_on_random_hypergraphs(hg, den, num):
+    # eps <= 1/6 keeps the round cap (>= 48) above any depth: at most 48 elements;
+    # N >= 9 puts elements past the first 64-bit word
+    eps = Fraction(min(num, den // 6), den)
+    assert _tree(build_containers(hg, 1.0, eps)) == naive_build_containers(hg, eps)
+
+
+def test_stop_rule_is_exact_for_any_eps(c3):
+    # num * total overflows int64 for these fractions; the stop rule stays exact
+    hg = build_hypergraph(4, c3)
+    big = 10 ** 30
+    for eps in (Fraction(1, big), Fraction(big - 1, 2 * big), Fraction(big // 10 + 1, big)):
+        fam = build_containers(hg, 1.0, eps)
+        assert _tree(fam) == naive_build_containers(hg, eps)
+        assert all(s <= eps * hg.edge_count for s in fam.spans)
+
+
+def test_builder_refuses_what_it_cannot_count_exactly(c3):
+    # degrees are float32 sums: 2^24 hyperedges are refused before any is read
+    stub = SimpleNamespace(universe=PairUniverse(4), r=3, edge_count=1 << 24)
+    with pytest.raises(PreconditionError, match="fewer than 2\\^24"):
+        build_containers(stub, 0.5, Fraction(1, 10))
+    # and an incidence matrix past 2^21 cells
+    stub = SimpleNamespace(universe=PairUniverse(100), r=3, edge_count=10_000)
+    with pytest.raises(PreconditionError, match="capped at 2\\^21 cells"):
+        build_containers(stub, 0.5, Fraction(1, 10))
+
+
 def test_builder_guards(c3):
     hg = build_hypergraph(4, c3)
     with pytest.raises(ContainerBuildError, match="^decision tree exceeded 1 nodes$"):
@@ -334,6 +469,24 @@ def test_builder_guards(c3):
     singles = type(hg7)(hg7.universe, 1, tuple((i,) for i in range(42)), 42)
     with pytest.raises(ContainerBuildError, match="^branch exceeded the round cap 24$"):
         build_containers(singles, 1.0, Fraction(17, 50))
+
+
+def test_builder_reports_the_shallowest_breach(c3):
+    # c3 on [4], eps=1/10: levels 0-2 hold 1, 2 and 4 nodes, and level 2 has
+    # the first fingerprint of size 2
+    hg = build_hypergraph(4, c3)
+    # fingerprint and node budget both breached at level 2: the fingerprint
+    # is reported, although a depth-first build meets the 5th node first
+    with pytest.raises(ContainerBuildError, match="^fingerprint exceeded the tau budget 1$"):
+        build_containers(hg, 1e-3, Fraction(1, 10), max_nodes=4)
+    # the node budget breached at level 1 comes first
+    with pytest.raises(ContainerBuildError, match="^decision tree exceeded 2 nodes$"):
+        build_containers(hg, 1e-3, Fraction(1, 10), max_nodes=2)
+    # the singleton tree is a path: its 25th node sits at the round cap 24
+    hg7 = build_hypergraph(7, c3)
+    singles = type(hg7)(hg7.universe, 1, tuple((i,) for i in range(42)), 42)
+    with pytest.raises(ContainerBuildError, match="^branch exceeded the round cap 24$"):
+        build_containers(singles, 1.0, Fraction(17, 50), max_nodes=24)
 
 
 def test_verify_refuses_before_sparsity(c3, monkeypatch):
