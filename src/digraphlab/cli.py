@@ -359,6 +359,8 @@ def cmd_verify_family(args, pattern):
         if fam.r != pattern.r:
             raise PreconditionError(f"the family's r={fam.r} differs from the pattern's "
                                     f"edge count {pattern.r}")
+        if fam.N != args.N:
+            raise PreconditionError("family and hypergraph live on different [N]")
         hg = build_hypergraph(args.N, pattern)
     else:
         tau = _parse_tau(args, pattern)

@@ -25,6 +25,15 @@ and containers are then numbered as a depth-first build (excluded branch
 first) would visit and emit them, and the tree is stored as ``array('i')``.
 The verifier routes batches of sets down the tree together, one depth step
 at a time.
+
+The export writes one fingerprint line per container leaf, depth first.
+The writer orders the leaves by the leaf count below each node (bottom-up)
+and each node's first-leaf rank (top-down), then turns blocks of token rows
+into bytes through a table of per-token cells.  The reader scans the text a
+block at a time for words and commas, parses the tokens in bulk, puts the
+paths in depth-first order if they are not, and numbers the nodes each path
+adds below the one it shares with the path before it.  A refused file's
+first bad line is found by bisection over its line prefixes.
 """
 
 from __future__ import annotations
@@ -67,7 +76,17 @@ _MIN_ROWS = 64
 _STEP_CELLS = 1 << 20
 _BLAS_CELLS = 1 << 19
 _ROUTE_BATCH = 65_536    # free sets the exhaustive verifier routes together
-_HEX = re.compile(r"[0-9a-fA-F]+")
+# bytes of fingerprint lines the export writer renders together
+_RENDER_CELLS = 1 << 20
+# characters of text, and token comparisons, the export reader handles together
+_BLOCK_CHARS = 1 << 18
+_COMPARE_CELLS = 1 << 16
+_INT64_MAX = (1 << 63) - 1
+_SPACES = re.compile(r"\s+")
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+_HEX_RUN = re.compile(rb"[0-9a-fA-F]+")
+# the marks of the export reader's scanner: spaces and breaks end a word
+_COMMA, _SPACE, _BREAK = 1, 2, 3
 # the header eps as the builder writes it; Fraction's exponent forms such as
 # 1e-9999999 would first build a ten-million-digit integer
 _FRACTION = re.compile(r"[0-9]+(/[0-9]+)?")
@@ -109,147 +128,575 @@ class ContainerFamily:
             code = self.in_child[code] if (mask >> v) & 1 else self.out_child[code]
         return None if code == DEAD else _leaf_index(code)
 
-    def fingerprint_pairs(self) -> list[tuple[str, int]]:
-        """(path string, container index) per container leaf, in DFS order.
+    def export_text(self) -> str:
+        """Header, one hex container per line, then one fingerprint line per
+        container leaf, the leaves in depth-first order (excluded branch first).
 
         Path tokens are ``<pair index><+|->`` for the included/excluded
-        branch; paths are prefix-free and reconstruct the routing tree.
+        branch (``.`` for the empty path); paths are prefix-free and
+        reconstruct the routing tree.
         """
-        out: list[tuple[str, int]] = []
-        path: list[str] = []     # the tokens from the root to the popped code
-        stack = [(self.root, 0, "")]
-        while stack:
-            code, depth, token = stack.pop()
-            if depth:
-                del path[depth - 1:]
-                path.append(token)
-            if code == DEAD:
-                continue
-            if code < 0:
-                out.append((",".join(path) if path else ".", _leaf_index(code)))
-                continue
-            v = self.pivots[code]
-            stack.append((self.in_child[code], depth + 1, f"{v}+"))
-            stack.append((self.out_child[code], depth + 1, f"{v}-"))
-        return out
-
-    def export_text(self) -> str:
-        w = max(1, (self.universe.size + 3) // 4)
-        lines = [f"{self.N} {self.r} {self.eps} {self.tau!r} {len(self.containers)}"]
-        for c in self.containers:
-            lines.append(f"{c:0{w}x}")
-        for path, idx in self.fingerprint_pairs():
-            lines.append(f"{path} {idx}")
-        return "\n".join(lines) + "\n"
+        head = f"{self.N} {self.r} {self.eps} {self.tau!r} {len(self.containers)}\n"
+        return "".join([head, _hex_lines(self.containers, self.universe.size),
+                        *_leaf_lines(self.root, self.pivots, self.out_child, self.in_child)])
 
     @classmethod
     def from_export_text(cls, text: str) -> "ContainerFamily":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ParseError("empty family export")
-        head = lines[0].split()
-        if len(head) != 5:
-            raise ParseError("family header needs 'N r eps tau count'", 1)
-        if not _FRACTION.fullmatch(head[2]):
-            raise ParseError(f"bad family header: eps {head[2]!r} is not a fraction p/q", 1)
-        try:
-            N, r = int(head[0]), int(head[1])
-            eps = Fraction(head[2])
-            tau = float(head[3])
-            count = int(head[4])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad family header: {exc}", 1) from None
-        if N < 2:
-            raise ParseError(f"family header N={N} below 2", 1)
-        if not Fraction(0) < eps < Fraction(1, 2):
-            raise ParseError(f"family header eps={eps} outside (0, 1/2)", 1)
-        if count < 0:
-            raise ParseError(f"family header count {count} is negative", 1)
-        if len(lines) < 1 + count:
-            raise ParseError("family export truncated: missing containers")
-        n_u = N * N - N
-        containers = []
-        for k in range(count):
-            hex_s = lines[1 + k].strip()
-            if not _HEX.fullmatch(hex_s):
-                raise ParseError("bad container bitset", 2 + k)
-            cmask = int(hex_s, 16)
-            if cmask >> n_u:
-                raise ParseError(f"container bitset has a bit at or above N(N-1)={n_u}", 2 + k)
-            containers.append(cmask)
-        fam = cls(
-            N=N, r=r, eps=eps, tau=tau, total_edges=-1,
-            containers=containers, spans=[], root=DEAD,
-            pivots=array("i"), out_child=array("i"), in_child=array("i"),
-        )
-        fam._rebuild_tree(lines[1 + count:], offset=2 + count)
-        return fam
+        """The family an export describes, its fingerprint lines in any order.
 
-    def _rebuild_tree(self, pair_lines: list[str], offset: int) -> None:
-        """Reconstruct the routing tree from exported (fingerprint, index) pairs.
-
-        Each path is inserted into a trie from the root.  Exports list the
-        leaves in DFS order, so consecutive paths share long prefixes: the
-        tokens equal to the previous line's are neither parsed nor walked
-        again, the walk resumes at the node where the two paths part.
+        Refuses what the builder never writes, with the number of the first
+        bad line among the non-blank ones.
         """
-        count = len(self.containers)
-        n_u = self.universe.size
-        pivots = array("i")
-        out_child = array("i")
-        in_child = array("i")
-        top = [DEAD]             # the slot holding the root
-        prev: list[str] = []     # previous line's tokens
-        nodes: list[int] = []    # nodes[d]: the node the previous path's token d branches at
-        for k, ln in enumerate(pair_lines):
-            line = offset + k
-            parts = ln.split()
-            if len(parts) != 2:
-                raise ParseError("bad fingerprint pair", line)
-            path_s, idx_s = parts
-            tokens = [] if path_s == "." else path_s.split(",")
-            d = 0
-            for tok, old in zip(tokens, prev):
-                if tok != old:
-                    break
-                d += 1
-            steps: list[tuple[int, bool]] = []
-            for tok in tokens[d:]:
-                if not tok or tok[-1] not in "+-" or not tok[:-1].isdecimal():
-                    raise ParseError(f"bad fingerprint token {tok!r}", line)
-                piv = int(tok[:-1])
-                if piv >= n_u:
-                    raise ParseError(f"fingerprint pivot {piv} not in 0..{n_u - 1}", line)
-                steps.append((piv, tok[-1] == "+"))
-            if not (idx_s.isdecimal() and int(idx_s) < count):
-                raise ParseError(f"container index {idx_s!r} not in 0..{count - 1}", line)
-            del nodes[d:]
-            # the walk stands in slot kids[at]: a child list and its parent node
-            kids, at = (in_child if tokens[d - 1][-1] == "+" else out_child, nodes[-1]) if d else (top, 0)
-            code = kids[at]
-            for piv, plus in steps:
-                if code == DEAD:
-                    code = len(pivots)
-                    pivots.append(piv)
-                    out_child.append(DEAD)
-                    in_child.append(DEAD)
-                    kids[at] = code
-                elif code < 0:
-                    raise ParseError("conflicting fingerprint paths", line)
-                elif pivots[code] != piv:
-                    raise ParseError("fingerprint paths disagree on pivot", line)
-                nodes.append(code)
-                kids, at = in_child if plus else out_child, code
-                code = kids[at]
-            if code != DEAD:
-                raise ParseError("conflicting fingerprint paths", line)
-            kids[at] = _leaf_code(int(idx_s))
-            prev = tokens
-        self.root, self.pivots, self.out_child, self.in_child = top[0], pivots, out_child, in_child
+        if not text.isascii():
+            # the scanner splits ASCII: make every other line break a newline
+            # and every other whitespace a space, as str.splitlines and
+            # str.split see them
+            text = "\n".join(_SPACES.sub(" ", ln) for ln in text.splitlines() if ln.strip())
+        cursor = _Cursor(text)
+        head = cursor.text()
+        if head is None:
+            raise ParseError("empty family export")
+        N, r, eps, tau, count = _parse_header(head)
+        containers, bad = cursor.containers(N * N - N, count)
+        if cursor.number < 2 + count:
+            raise ParseError("family export truncated: missing containers")
+        if bad:
+            raise bad
+        first = cursor.number
+        *paths, bad = cursor.paths(N * N - N, count)
+        del cursor              # and the block of text it holds
+        # a conflict among the lines before a bad one is met first
+        root, tree = _read_tree(*paths, first)
+        if bad:
+            raise bad
+        return cls(
+            N=N, r=r, eps=eps, tau=tau, total_edges=-1, containers=containers, spans=[],
+            root=root, pivots=tree[0], out_child=tree[1], in_child=tree[2],
+        )
+
+
+# ---------------------------------------------------------------------------
+# Family export: writer
+# ---------------------------------------------------------------------------
+
+def _decimal_digits(values) -> tuple[np.ndarray, np.ndarray]:
+    """Non-negative integers as right-aligned ASCII decimal digits, and the
+    mask of the digits each one uses."""
+    values = np.asarray(values, dtype=np.int64)
+    width = len(str(int(values.max(initial=0))))
+    digits = np.empty((len(values), width), dtype=np.uint8)
+    rest = values.copy()
+    for j in range(width - 1, -1, -1):
+        digits[:, j] = rest % 10 + ord("0")
+        rest //= 10
+    used = values[:, None] >= np.r_[10 ** np.arange(width - 1, 0, -1, dtype=np.int64), 0]
+    return digits, used
+
+
+def _hex_lines(masks: list[int], n_u: int) -> str:
+    """The masks as zero-padded hex numbers of the universe's width, one per line."""
+    if not masks:
+        return ""
+    width = max(1, (n_u + 3) // 4)
+    rows = _words(masks, -(-width // 16))
+    text = np.empty((len(masks), width + 1), dtype=np.uint8)
+    text[:, width] = ord("\n")
+    for k in range(width):      # the k-th digit from the right
+        nibble = (rows[:, k // 16] >> np.uint64(4 * (k % 16))) & np.uint64(15)
+        text[:, width - 1 - k] = _HEX_DIGITS[nibble]
+    return text.tobytes().decode("ascii")
+
+
+def _leaf_lines(root: int, pivots, out_child, in_child):
+    """The fingerprint lines of a routing tree, depth first, a block of leaves at a time."""
+    if root == DEAD:
+        return
+    if root < 0:
+        yield f". {_leaf_index(root)}\n"
+        return
+    pivots, out_child, in_child = (np.asarray(x, dtype=np.intc) for x in (pivots, out_child, in_child))
+    parent, edge, leaves = _depth_first_leaves(root, pivots, out_child, in_child)
+    if not leaves.shape[1]:
+        return
+    # cells "<v>-," and "<v>+," per token code 2v and 2v+1, then an empty pad cell
+    digits, used = _decimal_digits(np.arange(int(pivots.max()) + 1))
+    codes, width = 2 * len(digits) + 1, digits.shape[1] + 2
+    cells = np.zeros((codes, width), dtype=np.uint8)
+    cell_used = np.zeros((codes, width), dtype=bool)
+    cells[:-1, :-2] = np.repeat(digits, 2, axis=0)
+    cells[:-1, -2] = np.tile(np.frombuffer(b"-+", dtype=np.uint8), len(digits))
+    cells[:-1, -1] = ord(",")
+    cell_used[:-1, :-2] = np.repeat(used, 2, axis=0)
+    cell_used[:-1, -2:] = True
+    # the walk up from a leaf stays at the root, on the pad cell
+    parent[root], edge[root] = root, codes - 1
+    step = max(1, _RENDER_CELLS // (int(leaves[3].max()) * width))
+    for a in range(0, leaves.shape[1], step):
+        yield _render_leaves(parent, edge, cells, cell_used, *leaves[:, a:a + step])
+
+
+def _depth_first_leaves(root: int, pivots: np.ndarray, out_child: np.ndarray,
+                        in_child: np.ndarray):
+    """Parent and edge token code of every node, and (parent, edge token code,
+    container index, depth) of every leaf, the leaves in depth-first order.
+
+    The order comes from the leaf count below each node (bottom-up) and the
+    rank of each node's first leaf (top-down), a depth level at a time.
+    """
+    levels = []                 # per depth: the nodes, and their out- and in-child codes
+    frontier = np.array([root], dtype=np.intc)
+    while len(frontier):
+        kids = out_child[frontier], in_child[frontier]
+        levels.append((frontier, kids))
+        frontier = np.concatenate(kids)
+        frontier = frontier[frontier >= 0]
+    nodes = len(pivots)
+    below = np.zeros(nodes + 1, dtype=np.int64)     # code -1 (DEAD) reads the trailing 0
+
+    def leaves_below(codes):
+        return np.where(codes >= 0, below[np.maximum(codes, -1)], codes <= -2)
+
+    for level, (out, in_) in reversed(levels):
+        below[level] = leaves_below(out) + leaves_below(in_)
+    parent = np.zeros(nodes, dtype=np.intc)
+    edge = np.zeros(nodes, dtype=np.intc)
+    rank = np.zeros(nodes, dtype=np.int64)          # the depth-first rank of a node's first leaf
+    leaves = np.empty((4, int(below[root])), dtype=np.intc)
+    for depth, (level, kids) in enumerate(levels, start=1):
+        first = rank[level]
+        token = 2 * pivots[level]
+        for c in kids:              # the out-child's subtree comes first
+            node = c >= 0
+            kid = c[node]
+            parent[kid], edge[kid], rank[kid] = level[node], token[node], first[node]
+            leaf = c <= -2
+            at = first[leaf]
+            leaves[:3, at] = level[leaf], token[leaf], _leaf_index(c[leaf])
+            leaves[3, at] = depth
+            first = first + leaves_below(c)
+            token = token + 1
+    return parent, edge, leaves
+
+
+def _render_leaves(parent, edge, cells, cell_used, leaf_parent, leaf_edge, leaf_index,
+                   leaf_depth) -> str:
+    """The fingerprint lines of a block of leaves.
+
+    The token rows are right-aligned: the last column holds each leaf's edge,
+    and each step up the tree fills the column to its left.  Every token code
+    then becomes its cell of bytes.
+    """
+    count, depth = len(leaf_index), int(leaf_depth.max())
+    tokens = np.empty((count, depth), dtype=np.intc)
+    tokens[:, -1] = leaf_edge
+    node = leaf_parent
+    for j in range(depth - 2, -1, -1):
+        tokens[:, j] = edge[node]
+        node = parent[node]
+    cell = np.dtype((np.void, cells.shape[1]))
+    text = cells.view(cell).ravel()[tokens].view(np.uint8).reshape(count, -1)
+    used = cell_used.view(cell).ravel()[tokens].view(bool).reshape(count, -1)
+    used[:, -1] = False                 # no comma after a path's last token
+    digits, digit_used = _decimal_digits(leaf_index)
+    one = np.ones((count, 1), dtype=bool)
+    text = np.concatenate([text, np.full((count, 1), ord(" "), np.uint8), digits,
+                           np.full((count, 1), ord("\n"), np.uint8)], axis=1)
+    used = np.concatenate([used, one, digit_used, one], axis=1)
+    return text[used].tobytes().decode("ascii")
+
+
+# ---------------------------------------------------------------------------
+# Family export: reader
+# ---------------------------------------------------------------------------
+
+def _parse_header(line: str) -> tuple[int, int, Fraction, float, int]:
+    """(N, r, eps, tau, count) of a family header, or a ParseError at line 1."""
+    head = line.split()
+    if len(head) != 5:
+        raise ParseError("family header needs 'N r eps tau count'", 1)
+    if not _FRACTION.fullmatch(head[2]):
+        raise ParseError(f"bad family header: eps {head[2]!r} is not a fraction p/q", 1)
+    try:
+        N, r = int(head[0]), int(head[1])
+        eps = Fraction(head[2])
+        tau = float(head[3])
+        count = int(head[4])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad family header: {exc}", 1) from None
+    if N < 2:
+        raise ParseError(f"family header N={N} below 2", 1)
+    if N * (N - 1) >= 1 << 31:
+        # pivots are stored as 32-bit ints
+        raise ParseError(f"family header N={N}: N(N-1) reaches 2^31", 1)
+    if not Fraction(0) < eps < Fraction(1, 2):
+        raise ParseError(f"family header eps={eps} outside (0, 1/2)", 1)
+    if not 0 < tau <= 1:
+        # the builder takes tau in (0, 1]; nan fails both comparisons
+        raise ParseError(f"family header tau={head[3]} outside (0, 1]", 1)
+    if count < 0:
+        raise ParseError(f"family header count {count} is negative", 1)
+    return N, r, eps, tau, count
+
+
+def _marks() -> bytes:
+    """A ``bytes.translate`` table: 0 for a byte of a word, else the mark it is."""
+    table = bytearray(256)
+    for chars, mark in ((b",", _COMMA), (b"\t\x1f ", _SPACE), (b"\n\x0b\x0c\r\x1c\x1d\x1e", _BREAK)):
+        for ch in chars:
+            table[ch] = mark
+    return bytes(table)
+
+
+_MARKS = _marks()
+
+
+def _digit_values(digits: bytes, values) -> np.ndarray:
+    """A table from a byte to its value as a digit, 255 for a byte not in ``digits``."""
+    table = np.full(256, 255, dtype=np.uint8)
+    table[np.frombuffer(digits, dtype=np.uint8)] = values
+    return table
+
+
+_DECIMAL_VALUES = _digit_values(b"0123456789", range(10))
+_HEX_VALUES = _digit_values(b"0123456789abcdefABCDEF", [*range(16), *range(10, 16)])
+
+
+def _decimals(data: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """Values of the runs ``data[start:end]``, and whether each is all decimal digits.
+
+    Runs past 18 digits are read by ``int`` and capped at 2^63 - 1.
+    """
+    size = end - start
+    value = np.zeros(len(start), dtype=np.int64)
+    digits = np.ones(len(start), dtype=bool)
+    at = end - 1
+    for k in range(min(int(size.max(initial=0)), 18)):
+        digit = _DECIMAL_VALUES[data[at]] * (size > k)     # a byte before the run reads as 0
+        digits &= digit < 10
+        value += np.multiply(digit, 10 ** k, dtype=np.int64)
+        at -= 1
+    for i in np.flatnonzero(size > 18):
+        run = data[start[i]:end[i]].tobytes()
+        digits[i] = run.isdigit()
+        value[i] = min(int(run), _INT64_MAX) if digits[i] else 0
+    return value, digits
+
+
+class _Lines:
+    """The non-blank lines of a block of text that ends at a line break.
+
+    Lines end at the ASCII bytes ``str.splitlines`` ends them at, and words
+    are separated by the ASCII whitespace ``str.split`` skips.  Every other
+    byte is part of a word; the commas among them are kept with their word.
+    """
+
+    def __init__(self, data: bytes):
+        self.data = np.frombuffer(data, dtype=np.uint8)
+        marks = np.frombuffer(data.translate(_MARKS), dtype=np.uint8)
+        at = np.flatnonzero(marks)
+        kind = marks[at]
+        gap = kind >= _SPACE
+        bounds = np.concatenate([[-1], at[gap], [len(data)]])
+        word = np.diff(bounds) > 1
+        self.start, self.end = bounds[:-1][word] + 1, bounds[1:][word]
+        line = np.concatenate([[0], np.cumsum(kind[gap] == _BREAK)])[word]
+        self.first = np.flatnonzero(np.diff(line, prepend=-1))     # each line's first word
+        self.words = np.diff(self.first, append=len(line))
+        self.n = len(self.first)
+        # a comma lies in the gap-free stretch after the gaps before it
+        self.commas = at[~gap]
+        self.comma_word = (np.cumsum(word) - 1)[np.cumsum(gap)[~gap]]
+
+    def text(self, i: int) -> str:
+        first, last = self.first[i], self.first[i] + self.words[i] - 1
+        return self.data[self.start[first]:self.end[last]].tobytes().decode()
+
+    def containers(self, lo: int, hi: int, n_u: int):
+        """The bitmasks of lines lo..hi-1, and (line - lo, message) of the first bad one."""
+        w = self.first[lo:hi]
+        start, end = self.start[w], self.end[w]
+        size = end - start
+        words = -(-n_u // 64)
+        rows = np.zeros((len(w), words), dtype=np.uint64)
+        hexed = self.words[lo:hi] == 1
+        for k in range(min(int(size.max(initial=0)), 16 * words)):
+            inside = size > k
+            nibble = _HEX_VALUES[self.data[end - 1 - k]]
+            hexed &= ~inside | (nibble < 16)
+            rows[:, k // 16] |= np.where(inside, nibble, 0).astype(np.uint64) << np.uint64(4 * (k % 16))
+        top = n_u - 64 * (words - 1)        # universe bits in the top word
+        big = (rows[:, -1] >> np.uint64(top)) != 0 if top < 64 else np.zeros(len(w), dtype=bool)
+        values = _ints(rows)
+        for i in np.flatnonzero(hexed & (size > 16 * words)):
+            run = self.data[start[i]:end[i]].tobytes()
+            hexed[i] = _HEX_RUN.fullmatch(run) is not None
+            values[i] = int(run, 16) if hexed[i] else 0
+            big[i] = values[i] >> n_u != 0
+        bad = np.flatnonzero(~hexed | big)
+        if not len(bad):
+            return values, None
+        i = int(bad[0])
+        return values, (i, "bad container bitset" if not hexed[i]
+                        else f"container bitset has a bit at or above N(N-1)={n_u}")
+
+    def pairs(self, lo: int, hi: int, n_u: int, count: int):
+        """Token codes, path lengths and container indices of lines lo..hi-1 up
+        to the first bad one, and (line - lo, message) of that line.
+
+        A token code is 2 * pivot + 1, plus 1 on the included branch: codes
+        compare as a depth-first walk (excluded branch first) orders them.
+        """
+        paired = np.flatnonzero(self.words[lo:hi] == 2)
+        path = self.first[lo:hi][paired]
+        index_word = path + 1
+        ps, pe = self.start[path], self.end[path]
+        tokened = (pe - ps != 1) | (self.data[ps] != ord("."))
+        # tokens: the comma-separated runs of each path word but "."
+        ordinal = np.full(len(self.start), -1, dtype=np.int64)
+        ordinal[path[tokened]] = np.arange(int(tokened.sum()))
+        of = ordinal[self.comma_word]
+        at, of = self.commas[of >= 0], of[of >= 0]
+        per_path = np.bincount(of, minlength=int(tokened.sum())) + 1
+        last = np.cumsum(per_path) - 1
+        starts = np.empty(int(per_path.sum()), dtype=np.int64)
+        ends = np.empty_like(starts)
+        ends[np.arange(len(at)) + of] = at
+        ends[last] = pe[tokened]
+        starts[np.arange(len(at)) + of + 1] = at + 1
+        starts[last - per_path + 1] = ps[tokened]
+        # a token is digits then a sign
+        sign = self.data[ends - 1]
+        plus = sign == ord("+")
+        pivot, digits = _decimals(self.data, starts, ends - 1)
+        formed = digits & (ends - 1 > starts) & (plus | (sign == ord("-")))
+        bad_token = np.flatnonzero(~formed | (pivot >= n_u))
+        token_line = np.repeat(paired[tokened], per_path)
+        index, digits = _decimals(self.data, self.start[index_word], self.end[index_word])
+        bad_index = ~digits | (index >= count)
+
+        firsts = [x[:1] for x in (np.flatnonzero(self.words[lo:hi] != 2),
+                                  token_line[bad_token], paired[bad_index])]
+        bad = int(np.concatenate(firsts).min()) if any(len(x) for x in firsts) else hi - lo
+        lengths = np.zeros(len(paired), dtype=np.int64)
+        lengths[tokened] = per_path
+        lengths = lengths[:bad]     # the lines before the bad one are all paired
+        # unsigned, so that big-endian bytes compare as the codes do
+        codes = (2 * pivot + plus + 1)[:int(lengths.sum())].astype(np.min_scalar_type(2 * n_u))
+        rows = codes, lengths, index[:bad]
+        if bad == hi - lo:
+            return *rows, None
+        if self.words[lo + bad] != 2:
+            why = "bad fingerprint pair"
+        elif len(bad_token) and token_line[bad_token[0]] == bad:
+            t = bad_token[0]
+            if formed[t]:
+                value = int(self.data[starts[t]:ends[t] - 1].tobytes())
+                why = f"fingerprint pivot {value} not in 0..{n_u - 1}"
+            else:
+                why = f"bad fingerprint token {self.data[starts[t]:ends[t]].tobytes().decode()!r}"
+        else:
+            w = index_word[bad]
+            why = (f"container index {self.data[self.start[w]:self.end[w]].tobytes().decode()!r}"
+                   f" not in 0..{count - 1}")
+        return *rows, (bad, why)
+
+
+class _Cursor:
+    """Walks the non-blank lines of a text a block at a time, counting them from 1."""
+
+    def __init__(self, text: str):
+        self.blocks = self._blocks(text)
+        self.lines = None
+        self.at = 0
+        self.number = 1          # the number of the next line
+
+    @staticmethod
+    def _blocks(text: str):
+        at = 0
+        while at < len(text):
+            end = text.find("\n", at + _BLOCK_CHARS) + 1 or len(text)
+            yield _Lines(text[at:end].encode())
+            at = end
+
+    def take(self, k):
+        """(lines, lo, hi, number of line lo) covering the next k lines, or fewer at the end."""
+        while k > 0:
+            if self.lines is None or self.at == self.lines.n:
+                self.lines, self.at = next(self.blocks, None), 0
+                if self.lines is None:
+                    return
+                continue
+            lo, number = self.at, self.number
+            hi = min(self.lines.n, lo + k)
+            self.at, self.number, k = hi, number + hi - lo, k - (hi - lo)
+            yield self.lines, lo, hi, number
+
+    def text(self) -> str | None:
+        """The next line's text, or None past the last line."""
+        for lines, lo, _, _ in self.take(1):
+            return lines.text(lo)
+        return None
+
+    def containers(self, n_u: int, count: int) -> tuple[list[int], ParseError | None]:
+        """The bitmasks of the next ``count`` lines, and the first bad one's error."""
+        containers: list[int] = []
+        bad = None
+        for lines, lo, hi, number in self.take(count):
+            if bad is None:         # past a bad line the lines are only counted
+                values, error = lines.containers(lo, hi, n_u)
+                containers += values
+                bad = error and ParseError(error[1], number + error[0])
+        return containers, bad
+
+    def paths(self, n_u: int, count: int):
+        """Token codes, path lengths and container indices of the remaining
+        lines up to the first bad one, and that line's error."""
+        blocks = [(np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))]
+        bad = None
+        for lines, lo, hi, number in self.take(math.inf):
+            *rows, error = lines.pairs(lo, hi, n_u, count)
+            blocks.append(rows)
+            if error:
+                bad = ParseError(error[1], number + error[0])
+                break
+        return (*(np.concatenate(x) for x in zip(*blocks)), bad)
+
+
+def _shared_prefix(codes: np.ndarray, offsets: np.ndarray, lengths: np.ndarray,
+                   a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The leading tokens rows a[i] and b[i] share, a block of pairs at a time."""
+    most = np.minimum(lengths[a], lengths[b])
+    shared = most.copy()
+    ends = np.cumsum(most)
+    lo = 0
+    while lo < len(a):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - most[lo] + _COMPARE_CELLS, "right")))
+        m = most[lo:hi]
+        total = int(m.sum())
+        if total:
+            pair = np.repeat(np.arange(hi - lo), m)
+            step = np.arange(total)
+            before = np.cumsum(m) - m
+            differ = np.flatnonzero(codes[(offsets[a[lo:hi]] - before)[pair] + step]
+                                    != codes[(offsets[b[lo:hi]] - before)[pair] + step])
+            p = pair[differ]
+            first = np.flatnonzero(np.diff(p, prepend=-1))     # each pair's first difference
+            shared[lo + p[first]] = differ[first] - before[p[first]]
+        lo = hi
+    return shared
+
+
+def _token_at(codes: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, rows: np.ndarray,
+              depth: np.ndarray) -> np.ndarray:
+    """Each row's token code at a depth, 0 past its end."""
+    inside = depth < lengths[rows]
+    out = np.zeros(len(rows), dtype=np.int64)
+    out[inside] = codes[offsets[rows[inside]] + depth[inside]]
+    return out
+
+
+def _conflicts(codes, offsets, lengths, a, b, shared) -> np.ndarray:
+    """Per pair of paths next to each other in depth-first order: 0, or 1 if
+    one is a prefix of the other, or 2 if they branch at different pivots."""
+    ta = _token_at(codes, offsets, lengths, a, shared)
+    tb = _token_at(codes, offsets, lengths, b, shared)
+    prefix = (ta == 0) | (tb == 0)
+    return np.where(prefix, 1, np.where((ta + 1) >> 1 != (tb + 1) >> 1, 2, 0))
+
+
+def _depth_first_order(codes, offsets, lengths) -> np.ndarray:
+    """The rows sorted as their paths are met depth first, a path before its extensions."""
+    size = codes.dtype.itemsize
+    raw = codes.astype(codes.dtype.newbyteorder(">")).tobytes()    # bytes compare as codes do
+    keys = [raw[s:e] for s, e in zip((offsets * size).tolist(), ((offsets + lengths) * size).tolist())]
+    return np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)
+
+
+def _first_conflict(codes, offsets, lengths, order, shared) -> tuple[int, str]:
+    """(row, message) of the first row, in file order, that conflicts with the rows before it.
+
+    A bisection over file prefixes: the paths of rows < m stay in depth-first
+    order, and two of them share the least prefix of the paths between them.
+    """
+    between = np.concatenate([[0], shared])
+
+    def why(m: int) -> np.ndarray:
+        at = np.flatnonzero(order < m)
+        if len(at) < 2:
+            return np.zeros(0, dtype=np.int64)
+        sub = np.minimum.reduceat(between[:at[-1] + 1], at[:-1] + 1)
+        return _conflicts(codes, offsets, lengths, order[at[:-1]], order[at[1:]], sub)
+
+    lo, hi = 1, len(order)      # the rows before lo agree, the rows before hi do not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if why(mid).any() else (mid, hi)
+    reason = why(hi)
+    first = reason[reason > 0][0]
+    return hi - 1, "conflicting fingerprint paths" if first == 1 else "fingerprint paths disagree on pivot"
+
+
+def _read_tree(codes: np.ndarray, lengths: np.ndarray, index: np.ndarray, first_line: int):
+    """(root, (pivots, out_child, in_child)) of the tree the fingerprint paths
+    describe, nodes in preorder; a ParseError names the first line that conflicts.
+
+    Row i's path is ``codes[offsets[i]:offsets[i] + lengths[i]]``.  In
+    depth-first order each path leaves the one before it at a node of depth
+    ``shared``, and adds the nodes below it, in preorder.
+    """
+    rows = len(lengths)
+    empty = array("i"), array("i"), array("i")
+    if not rows:
+        return DEAD, empty
+    offsets = np.cumsum(lengths) - lengths
+    order = np.arange(rows)
+    shared = _shared_prefix(codes, offsets, lengths, order[:-1], order[1:])
+    ta = _token_at(codes, offsets, lengths, order[:-1], shared)
+    tb = _token_at(codes, offsets, lengths, order[1:], shared)
+    if (ta > tb).any():
+        order = _depth_first_order(codes, offsets, lengths)
+        shared = _shared_prefix(codes, offsets, lengths, order[:-1], order[1:])
+    if _conflicts(codes, offsets, lengths, order[:-1], order[1:], shared).any():
+        row, why = _first_conflict(codes, offsets, lengths, order, shared)
+        raise ParseError(why, first_line + row)
+    start, length, leaf = offsets[order], lengths[order], _leaf_code(index[order])
+    if rows == 1 and length[0] == 0:
+        return int(leaf[0]), empty
+    parted = np.concatenate([[-1], shared]).astype(np.int32)   # the depth a path leaves the last one at
+    new = (length - 1 - parted).astype(np.int32)
+    base = np.cumsum(new, dtype=np.int32) - new    # the preorder number of each path's first new node
+    nodes = int(base[-1] + new[-1])
+    node = np.arange(nodes, dtype=np.int32)
+    row = np.repeat(np.arange(rows, dtype=np.int32), new)
+    token = (start + parted + 1 - base)[row] + node         # each node's pivot token
+    pivots = (codes[token] - 1) >> 1
+    plus = (codes[token - 1] - 1) & 1                       # the branch above each node but the root
+    del token
+    depth = (parted + 1 - base)[row] + node
+    del row
+    # the node a path leaves the last one at: the last node of that depth
+    # numbered before the path's first new node
+    key = np.sort(depth.astype(np.int64) << 32 | node)
+    del depth
+    branch = key[np.searchsorted(key, parted[1:].astype(np.int64) << 32 | base[1:]) - 1]
+    branch = np.r_[-1, branch & 0xFFFFFFFF].astype(np.int32)
+    del key
+    tree = np.full((2, nodes), DEAD, dtype=np.intc)
+    first = np.zeros(nodes, dtype=bool)
+    first[base[new > 0]] = True
+    inner = node[~first]                    # a path's nodes after its first hang on the one before
+    tree[plus[inner], inner - 1] = inner
+    opens = np.flatnonzero(new > 0)[1:]     # a path's first node hangs on its branch node
+    tree[plus[base[opens]], branch[opens]] = base[opens]
+    leaf_plus = (codes[start + length - 1] - 1) & 1
+    tree[leaf_plus, np.where(new > 0, base + new - 1, branch)] = leaf
+    return 0, (_int_array(pivots), _int_array(tree[0]), _int_array(tree[1]))
 
 
 def _words(masks, words: int) -> np.ndarray:
     """Bitmasks as rows of ``words`` uint64 words, least significant first."""
+    if words == 1:
+        return np.array(masks, dtype=np.uint64).reshape(len(masks), 1)
     return np.array([[(m >> s) & _WORD_MASK for s in range(0, 64 * words, 64)] for m in masks],
                     dtype=np.uint64).reshape(len(masks), words)
 

@@ -281,3 +281,117 @@ def naive_build_containers(hg, eps: Fraction):
 
     root = emit(0, total) if stops(total) else visit(total, 0)
     return root, pivots, out_child, in_child, containers, spans
+
+
+def naive_export_text(fam) -> str:
+    """A family's export text, its leaf lines written by an explicit depth-first walk.
+
+    ``fam`` needs ``N r eps tau containers root pivots out_child in_child``.
+    The walk descends the excluded branch first; a path's tokens are
+    ``<pair index><+|->`` (``.`` for the empty path).
+    """
+    dead = -1
+    n_u = fam.N * (fam.N - 1)
+    w = max(1, (n_u + 3) // 4)
+    lines = [f"{fam.N} {fam.r} {fam.eps} {fam.tau!r} {len(fam.containers)}"]
+    lines += [f"{c:0{w}x}" for c in fam.containers]
+    stack = [(fam.root, [])]
+    while stack:
+        code, path = stack.pop()
+        if code == dead:
+            continue
+        if code < 0:
+            lines.append(f"{','.join(path) or '.'} {-code - 2}")
+            continue
+        v = fam.pivots[code]
+        stack.append((fam.in_child[code], path + [f"{v}+"]))
+        stack.append((fam.out_child[code], path + [f"{v}-"]))
+    return "\n".join(lines) + "\n"
+
+
+def naive_read_family(text: str):
+    """A family export read line by line, its paths inserted one by one into a trie.
+
+    Returns a namespace with ``N r eps tau containers root pivots out_child
+    in_child`` (plain lists; nodes numbered as the lines create them), or
+    raises the package's ``ParseError`` with the reader's message.  Lines are
+    counted among the non-blank ones.
+    """
+    import re
+    from types import SimpleNamespace
+
+    from digraphlab.errors import ParseError
+
+    dead = -1
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ParseError("empty family export")
+    head = lines[0].split()
+    if len(head) != 5:
+        raise ParseError("family header needs 'N r eps tau count'", 1)
+    if not re.fullmatch(r"[0-9]+(/[0-9]+)?", head[2]):
+        raise ParseError(f"bad family header: eps {head[2]!r} is not a fraction p/q", 1)
+    try:
+        N, r = int(head[0]), int(head[1])
+        eps = Fraction(head[2])
+        tau = float(head[3])
+        count = int(head[4])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad family header: {exc}", 1) from None
+    if N < 2:
+        raise ParseError(f"family header N={N} below 2", 1)
+    if N * (N - 1) >= 1 << 31:
+        raise ParseError(f"family header N={N}: N(N-1) reaches 2^31", 1)
+    if not Fraction(0) < eps < Fraction(1, 2):
+        raise ParseError(f"family header eps={eps} outside (0, 1/2)", 1)
+    if not 0 < tau <= 1:
+        raise ParseError(f"family header tau={head[3]} outside (0, 1]", 1)
+    if count < 0:
+        raise ParseError(f"family header count {count} is negative", 1)
+    if len(lines) < 1 + count:
+        raise ParseError("family export truncated: missing containers")
+    n_u = N * N - N
+    containers = []
+    for k in range(count):
+        hex_s = lines[1 + k].strip()
+        if not re.fullmatch(r"[0-9a-fA-F]+", hex_s):
+            raise ParseError("bad container bitset", 2 + k)
+        if int(hex_s, 16) >> n_u:
+            raise ParseError(f"container bitset has a bit at or above N(N-1)={n_u}", 2 + k)
+        containers.append(int(hex_s, 16))
+
+    pivots, out_child, in_child = [], [], []
+    top = [dead]             # the slot holding the root
+    for line, ln in enumerate(lines[1 + count:], start=2 + count):
+        parts = ln.split()
+        if len(parts) != 2:
+            raise ParseError("bad fingerprint pair", line)
+        path_s, idx_s = parts
+        steps = []
+        for tok in ([] if path_s == "." else path_s.split(",")):
+            if not tok or tok[-1] not in "+-" or not tok[:-1].isdecimal():
+                raise ParseError(f"bad fingerprint token {tok!r}", line)
+            if int(tok[:-1]) >= n_u:
+                raise ParseError(f"fingerprint pivot {int(tok[:-1])} not in 0..{n_u - 1}", line)
+            steps.append((int(tok[:-1]), tok[-1] == "+"))
+        if not (idx_s.isdecimal() and int(idx_s) < count):
+            raise ParseError(f"container index {idx_s!r} not in 0..{count - 1}", line)
+        kids, at = top, 0    # the walk stands in slot kids[at]
+        for piv, plus in steps:
+            code = kids[at]
+            if code == dead:
+                code = len(pivots)
+                pivots.append(piv)
+                out_child.append(dead)
+                in_child.append(dead)
+                kids[at] = code
+            elif code < 0:
+                raise ParseError("conflicting fingerprint paths", line)
+            elif pivots[code] != piv:
+                raise ParseError("fingerprint paths disagree on pivot", line)
+            kids, at = (in_child if plus else out_child), code
+        if kids[at] != dead:
+            raise ParseError("conflicting fingerprint paths", line)
+        kids[at] = -int(idx_s) - 2
+    return SimpleNamespace(N=N, r=r, eps=eps, tau=tau, containers=containers, root=top[0],
+                           pivots=pivots, out_child=out_child, in_child=in_child)

@@ -258,6 +258,11 @@ def _set_container(value):
     (_set_header(2, "1e-9999999"), 1, "bad family header: eps '1e-9999999' is not a fraction p/q"),
     (_set_header(4, "-1"), 1, "family header count -1 is negative"),
     (_set_header(0, "1"), 1, "family header N=1 below 2"),
+    (_set_header(3, "nan"), 1, "family header tau=nan outside (0, 1]"),
+    (_set_header(3, "inf"), 1, "family header tau=inf outside (0, 1]"),
+    (_set_header(3, "-3"), 1, "family header tau=-3 outside (0, 1]"),
+    (_set_header(3, "0"), 1, "family header tau=0 outside (0, 1]"),
+    (_set_header(3, "1e400"), 1, "family header tau=1e400 outside (0, 1]"),
     (_bump_last_pivot, None, "fingerprint pivot 12 not in 0..11"),
 ])
 def test_verify_family_malformed_export_exit_1(capsys, tmp_path, edit, line, why):
@@ -627,6 +632,24 @@ def test_verify_family_refuses_a_family_of_another_pattern(capsys, tmp_path, mon
     assert rc == 2 and out == ""
     assert err == (f"digraphlab: refused: the family's r=3 differs from the pattern's "
                    f"edge count {edges}\n")
+
+
+def test_verify_family_refuses_a_family_on_another_n(capsys, tmp_path, monkeypatch):
+    fam_file = tmp_path / "fam.txt"
+    rc, _, _ = run_doc(capsys, [
+        "containers", "--pattern", "c3", "--N", "4", "--eps", "1/10", "--export", str(fam_file),
+    ])
+    assert rc == 0
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+    monkeypatch.setattr(digraphlab.cli, "build_hypergraph", no_work)
+    monkeypatch.setattr(digraphlab.cli, "verify_family", no_work)
+    rc, out, err = run(capsys, [
+        "verify-family", "--pattern", "c3", "--N", "5", "--family", str(fam_file),
+    ])
+    assert rc == 2 and out == ""
+    assert err == "digraphlab: refused: family and hypergraph live on different [N]\n"
 
 
 @pytest.mark.parametrize("n_range, why", [

@@ -38,7 +38,7 @@ from digraphlab.errors import (
 )
 from digraphlab.extremal import iter_free_edge_masks
 from digraphlab.pairhypergraph import PairHypergraph, PairUniverse, tau_for
-from oracles import naive_build_containers
+from oracles import naive_build_containers, naive_export_text, naive_read_family
 
 
 def small_family(pat, N, eps=Fraction(1, 10), tau=None):
@@ -506,6 +506,13 @@ def test_verify_refuses_before_sparsity(c3, monkeypatch):
 _C3_N4 = build_containers(build_hypergraph(4, PatternDigraph.from_text("n=3; 0 1; 1 2; 2 0")),
                           0.5, Fraction(1, 10)).export_text()
 _NOISE = "0123456789abcdefABx+-,./_ \n"
+_PAIRS_FROM = 1 + int(_C3_N4.split(maxsplit=5)[4])     # the first fingerprint line
+
+
+def _big_number(draw):
+    # 20 digits: past 2^64, or a small value behind leading zeros
+    return draw(st.one_of(st.integers(10 ** 19, 10 ** 20 - 1).map(str),
+                          st.integers(0, 120).map(lambda v: f"{v:020d}")))
 
 
 @st.composite
@@ -513,7 +520,21 @@ def mutated_exports(draw):
     lines = _C3_N4.splitlines()
     for _ in range(draw(st.integers(1, 4))):
         k = draw(st.integers(0, len(lines) - 1))
-        op = draw(st.sampled_from(["char", "drop", "dup", "swap", "header"]))
+        op = draw(st.sampled_from(["char", "drop", "dup", "swap", "header", "shuffle", "big",
+                                   "upper"]))
+        if op == "upper":
+            lines[k] = lines[k].upper()
+            continue
+        if op == "shuffle":
+            lines[_PAIRS_FROM:] = draw(st.permutations(lines[_PAIRS_FROM:]))
+            continue
+        if op == "big":
+            parts = lines[k].split()
+            if len(parts) == 2 and draw(st.booleans()):
+                lines[k] = f"{parts[0]} {_big_number(draw)}"
+            elif len(parts) == 2 and parts[0][:1].isdigit():
+                lines[k] = f"{_big_number(draw)}{parts[0].lstrip('0123456789')} {parts[1]}"
+            continue
         if op == "char":
             ln = lines[k]
             i = draw(st.integers(0, len(ln)))
@@ -527,7 +548,7 @@ def mutated_exports(draw):
             j = draw(st.integers(0, len(lines) - 1))
             lines[k], lines[j] = lines[j], lines[k]
         else:
-            head = lines[0].split()
+            head = lines[0].split() or [""]      # an earlier edit may have blanked line 1
             head[draw(st.integers(0, len(head) - 1))] = draw(st.one_of(
                 st.text(_NOISE, max_size=4),
                 st.builds(lambda a, b: f"{a}" if b is None else f"{a}/{b}",
@@ -553,3 +574,74 @@ def test_reader_fuzz_fails_only_with_package_errors(c3, text):
     if fam.N == 4:
         hg = build_hypergraph(4, c3)
         verify_family(hg, fam, c3, mode="exhaustive")
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(mutated_exports())
+def test_reader_matches_the_line_walk_oracle(text):
+    # the same tree, or the same refusal at the same line, as inserting the
+    # paths into a trie one line at a time
+    try:
+        want = naive_export_text(naive_read_family(text))
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            ContainerFamily.from_export_text(text)
+        assert str(got.value) == str(exc)
+        return
+    assert ContainerFamily.from_export_text(text).export_text() == want
+
+
+@pytest.mark.parametrize("key", list(PINNED)[:2], ids=_pinned_id)
+def test_reader_names_the_first_conflict_in_any_line_order(pinned_families, key):
+    # a repeated path, and a pivot changed on one line, among shuffled lines
+    _, fam = pinned_families[key]
+    lines = fam.export_text().splitlines()
+    head, pairs = lines[:1 + len(fam.containers)], lines[1 + len(fam.containers):]
+    rng = random.Random(7)
+    for _ in range(20):
+        bad = list(pairs)
+        k = rng.randrange(len(bad))
+        if rng.random() < 0.5:
+            bad.insert(rng.randrange(len(bad)), bad[k])
+        else:
+            path, idx = bad[k].split()
+            tokens = path.split(",")
+            d = rng.randrange(len(tokens))
+            tokens[d] = f"{(int(tokens[d][:-1]) + 1) % fam.universe.size}{tokens[d][-1]}"
+            bad[k] = f"{','.join(tokens)} {idx}"
+        rng.shuffle(bad)
+        text = "\n".join(head + bad) + "\n"
+        try:
+            want = naive_export_text(naive_read_family(text))
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                ContainerFamily.from_export_text(text)
+            assert str(got.value) == str(exc)
+        else:
+            assert ContainerFamily.from_export_text(text).export_text() == want
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(small_hypergraphs(), st.integers(7, 60), st.integers(1, 10), st.randoms(use_true_random=False))
+def test_writer_matches_the_depth_first_oracle(hg, den, num, rng):
+    eps = Fraction(min(num, den // 6), den)
+    fam = build_containers(hg, 1.0, eps)
+    text = fam.export_text()
+    assert text == naive_export_text(fam)
+    assert ContainerFamily.from_export_text(text).export_text() == text
+    # the leaf lines follow the tree, not the numbering of its nodes
+    nodes = len(fam.pivots)
+    new = list(range(nodes))
+    rng.shuffle(new)
+
+    def renamed(code):
+        return new[code] if code >= 0 else code
+
+    old = [0] * nodes
+    for k, v in enumerate(new):
+        old[v] = k
+    shuffled = replace(
+        fam, root=renamed(fam.root), pivots=[fam.pivots[old[v]] for v in range(nodes)],
+        out_child=[renamed(fam.out_child[old[v]]) for v in range(nodes)],
+        in_child=[renamed(fam.in_child[old[v]]) for v in range(nodes)])
+    assert shuffled.export_text() == text
