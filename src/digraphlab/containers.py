@@ -1107,7 +1107,6 @@ class ContainerRow:
     f2: int
     f1: int
     ea_str: str
-    ea_float: float
     copies_le_eps_edges: bool
     copies_le_eps_Nh: bool
     ea_within_extremal_slack: bool | None
@@ -1171,7 +1170,6 @@ def container_pipeline(
         extremal = extremal_number(N, pattern, weight, mode="canonical")
         note = "exact (canonical search)"
 
-    eps_f = float(eps)
     rows: list[ContainerRow] = []
     copies_ok = True
     ea_ok: bool | None = None if extremal is None else True
@@ -1184,25 +1182,15 @@ def container_pipeline(
                 f"spanned hyperedges {fam.spans[idx]}"
             )
         le_edges = copies * eps.denominator <= eps.numerator * hg.edge_count
-        le_nh = copies <= eps_f * N ** pattern.h
+        le_nh = copies * eps.denominator <= eps.numerator * N ** pattern.h
         copies_ok = copies_ok and le_edges and le_nh
         within = None
         if extremal is not None:
-            # ea(G_C) <= ex + eps*N^2, exact when the weight is rational
-            if weight.is_rational:
-                lhs = weight.ea_fraction(g.f2, g.f1)
-                rhs = extremal.value_fraction + eps * N * N
-                within = lhs <= rhs
-            else:
-                within = weight.ea_float(g.f2, g.f1) <= extremal.value_float + eps_f * N * N
+            # ea(G_C) <= ex + eps*N^2, decided exactly for both weight kinds
+            within = weight.cmp_pairs((g.f2, g.f1 - eps * N * N), extremal.best_pair) <= 0
             ea_ok = ea_ok and within
-        rows.append(
-            ContainerRow(
-                idx, copies, g.f2, g.f1,
-                weight.ea_str(g.f2, g.f1), weight.ea_float(g.f2, g.f1),
-                le_edges, le_nh, within,
-            )
-        )
+        rows.append(ContainerRow(idx, copies, g.f2, g.f1, weight.ea_str(g.f2, g.f1),
+                                 le_edges, le_nh, within))
 
     fam_size = len(fam.containers)
     log2_fam = math.log2(fam_size) if fam_size else float("-inf")

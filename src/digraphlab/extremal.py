@@ -1,19 +1,20 @@
 """Exact extremal numbers, pattern-free counts and supersaturation scans.
 
-Each of the p = n(n-1)/2 pair slots of a labelled digraph on [n] takes one of
-four states (none / forward / backward / double); state index idx keeps slot
-q in bits 2q, 2q+1.  One block walker serves the full scan and the free-mask
-iterator: the low min(p, 5) slots form a block whose states are the bits of
-one Python integer, and per high state the copies of the pattern are added
-into bit-sliced counters, so n=5 (4^10 states) takes a fraction of a second.
-Canonical mode grows graphs one vertex at a time with isomorph rejection.
-The attachment codes that keep a new vertex free are one bitset over the 4^k
-codes, derived from the copy table on [k+1], and the weight bound discards
-whole groups of codes before any digraph is built.  Of each orbit of codes
-under the parent's automorphisms only the smallest is extended, and the
-extensions are deduplicated by canonical key.  It reaches its cap n=7: c3 at
-a=2 took 7.7-8.5 s there per CLI process and 0.33 s at n=6 in-process, on
-one Xeon vCPU.
+compile_copies lists each copy of the pattern in the complete digraph on [n]
+as the sorted tuple of its directed edges.  Each of the p = n(n-1)/2 pair
+slots i < j of a digraph on [n] takes one of four states; state index idx
+keeps slot q in bits 2q (i->j) and 2q+1 (j->i).  One block walker serves the
+full scan and the free-mask iterator: the low min(p, 5) slots form a block
+whose states are the bits of one Python integer, and per high state the
+copies are added into bit-sliced counters, so n=5 (4^10 states) takes a
+fraction of a second.  Canonical mode grows graphs one vertex at a time
+with one walker (_children) and isomorph rejection (_classes).  The
+attachment codes that keep a new vertex free are one bitset over the 4^k
+codes, derived from the copy table on [k+1], and the weight bound keeps a
+heaviest-first prefix of the groups of equally heavy codes before any
+digraph is built.  Of each orbit of codes under the parent's automorphisms
+only the smallest is extended.  It reaches its cap n=7: c3 at a=2 takes
+8-9 s per CLI process on one Xeon vCPU.
 """
 
 from __future__ import annotations
@@ -47,30 +48,20 @@ def pair_slots(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
 
 
-def compile_copies(n: int, pattern: PatternDigraph):
+def compile_copies(n: int, pattern: PatternDigraph) -> list[tuple[tuple[int, int], ...]]:
     """Distinct copies of the pattern inside the complete digraph on [n].
 
-    Each copy is a tuple of (pair_slot, need) constraints where need is the
-    2-bit mask of required directions on that unordered pair.  If n is below
-    the pattern's vertex count there are no copies at all.
+    Each copy is the sorted tuple of its directed edges (u, v), and the list
+    is sorted.  If n is below the pattern's vertex count there are no copies
+    at all.
     """
     if n < pattern.h:
         return []
     core = pattern.core_digraph
-    slot = {p: q for q, p in enumerate(pair_slots(n))}
-    images = set()
-    for img in permutations(range(n), core.n):
-        images.add(frozenset((img[u], img[v]) for u, v in core.edges))
-    copies = []
-    for edge_set in images:
-        need: dict[int, int] = {}
-        for u, v in edge_set:
-            i, j = (u, v) if u < v else (v, u)
-            q = slot[(i, j)]
-            need[q] = need.get(q, 0) | (1 if u < v else 2)
-        copies.append(tuple(sorted(need.items())))
-    copies.sort()
-    return copies
+    return sorted({
+        tuple(sorted((img[u], img[v]) for u, v in core.edges))
+        for img in permutations(range(n), core.n)
+    })
 
 
 def digraph_from_digits(n: int, digits) -> Digraph:
@@ -101,6 +92,14 @@ def _bits(x: int):
         x ^= low
 
 
+def _holding(width: int, req: int) -> int:
+    """Bitset of the states s < 2^width that hold every bit of req."""
+    states = 1
+    for b in range(width):
+        states = states << (1 << b) if req >> b & 1 else states | states << (1 << b)
+    return states
+
+
 def _per_state(slot_values) -> list[int]:
     """table[s] = sum over slots q of slot_values[q][state of slot q in s]."""
     table = [0]
@@ -109,28 +108,33 @@ def _per_state(slot_values) -> list[int]:
     return table
 
 
-def _blocks(p: int, copies, c_max: int):
+def _sizes(width: int) -> tuple[list[int], list[int]]:
+    """The (f2, f1) tables of the 4^width states of width pair slots."""
+    return _per_state([(0, 0, 0, 1)] * width), _per_state([(0, 1, 1, 0)] * width)
+
+
+def _blocks(n: int, pattern: PatternDigraph, c_max: int):
     """Yield (hi, exact) for every high state hi, in index order.
 
     exact[c] is the bitset of the low states lo for which the state
-    hi * 4^L + lo holds exactly c copies, for c = 0..min(c_max, len(copies)).
-    A copy is present in state idx iff idx has every bit of its requirement,
-    the sum of need << 2q over its (q, need) constraints.
+    hi * 4^L + lo holds exactly c copies, for c = 0..c_max at most.  A copy
+    is present in state idx iff idx has every bit of its edges: bit 2q for
+    i->j and bit 2q+1 for j->i, where q is the slot of the pair i < j.
     """
-    low = min(p, _LOW_SLOTS)
-    states = range(4 ** low)
-    lo_full = (1 << len(states)) - 1
-    has_bit = [_bitset([s >> b & 1 for s in states]) for b in range(2 * low)]
-    table = []  # per copy: (high part of the requirement, bitset of its low states)
-    for constraints in copies:
-        req = sum(need << 2 * q for q, need in constraints)
-        lo_bits = lo_full
-        for b in _bits(req & ((1 << 2 * low) - 1)):
-            lo_bits &= has_bit[b]
-        table.append((req >> 2 * low, lo_bits))
+    slots = pair_slots(n)
+    bit = {}
+    for q, (i, j) in enumerate(slots):
+        bit[i, j], bit[j, i] = 2 * q, 2 * q + 1
+    low = min(len(slots), _LOW_SLOTS)
+    lo_full = (1 << 4 ** low) - 1
+    copies = compile_copies(n, pattern)
+    table = []  # per copy: (high part of its edge bits, bitset of its low states)
+    for copy in copies:
+        req = sum(1 << bit[e] for e in copy)
+        table.append((req >> 2 * low, _holding(2 * low, req & ((1 << 2 * low) - 1))))
     c_top = min(c_max, len(copies))
     planes = max(1, c_top.bit_length())
-    for hi in range(4 ** (p - low)):
+    for hi in range(4 ** (len(slots) - low)):
         # saturating counters: `counters` holds the count mod 2^planes, `over`
         # the states whose count reached 2^planes > c_top
         counters = [0] * planes
@@ -152,14 +156,15 @@ def _blocks(p: int, copies, c_max: int):
         yield hi, exact
 
 
-def _tie_groups(weight: WeightParam, f2: list[int], f1: list[int]) -> list[int]:
-    """Bitsets of the low states grouped by equal weighted size, heaviest first."""
+def _tie_groups(weight: WeightParam, f2: list[int], f1: list[int]) -> list[tuple[tuple[int, int], int]]:
+    """The states grouped by equal weighted size, heaviest first: one
+    (pair, bitset) per group, pair being the (f2, f1) of one member."""
     key = cmp_to_key(weight.cmp_pairs)  # equal keys are exact ties
     pairs = list(zip(f2, f1))
     groups = []
     for _, tied in groupby(sorted(set(pairs), key=key, reverse=True), key=key):
         tied = set(tied)
-        groups.append(_bitset([pair in tied for pair in pairs]))
+        groups.append((min(tied), _bitset([pair in tied for pair in pairs])))
     return groups
 
 
@@ -197,19 +202,18 @@ def full_scan(
         raise PreconditionError("k_max must be >= 0 and raw_cap >= 1")
     p = n * (n - 1) // 2
     low = min(p, _LOW_SLOTS)
-    lo_f2, hi_f2 = (_per_state([(0, 0, 0, 1)] * w) for w in (low, p - low))
-    lo_f1, hi_f1 = (_per_state([(0, 1, 1, 0)] * w) for w in (low, p - low))
+    (lo_f2, lo_f1), (hi_f2, hi_f1) = _sizes(low), _sizes(p - low)
     groups = [] if weight is None else _tie_groups(weight, lo_f2, lo_f1)
     free = 0
     best: list[tuple[int, int] | None] = [None] * (k_max + 1)
     wits: list[int] = []
     overflow = False
-    for hi, exact in _blocks(p, compile_copies(n, pattern), 0 if weight is None else k_max):
+    for hi, exact in _blocks(n, pattern, 0 if weight is None else k_max):
         free += exact[0].bit_count()
         for c, mask in enumerate(exact):
             # the heaviest tie group meeting the mask; its lowest bit comes
             # first in index order
-            top = next((x for x in (mask & g for g in groups) if x), 0)
+            top = next((x for x in (mask & codes for _, codes in groups) if x), 0)
             if not top:
                 continue
             lo = (top & -top).bit_length() - 1
@@ -241,7 +245,7 @@ def iter_free_edge_masks(n: int, pattern: PatternDigraph, edge_bit):
     slots = [(1 << edge_bit(i, j), 1 << edge_bit(j, i)) for i, j in pair_slots(n)]
     lo_masks, hi_masks = (_per_state([(0, fw, bw, fw | bw) for fw, bw in part])
                           for part in (slots[:_LOW_SLOTS], slots[_LOW_SLOTS:]))
-    for hi, exact in _blocks(len(slots), compile_copies(n, pattern), 0):
+    for hi, exact in _blocks(n, pattern, 0):
         base = hi_masks[hi]
         for lo in _bits(exact[0]):
             yield base | lo_masks[lo]
@@ -259,26 +263,12 @@ def _attachment_table(k: int, pattern: PatternDigraph) -> list[tuple[frozenset, 
     edges among the old vertices; forbidden is the bitset of the 4^k codes
     that supply all of the copy's edges at k.
     """
-    codes = range(4 ** k)
-    has_bit = [_bitset([c >> b & 1 for c in codes]) for b in range(2 * k)]
-    slots = pair_slots(k + 1)
     table = []
-    for constraints in compile_copies(k + 1, pattern):
-        base, req = [], 0
-        for q, need in constraints:
-            i, j = slots[q]
-            if j == k:
-                req |= need << 2 * i
-            else:
-                if need & 1:
-                    base.append((i, j))
-                if need & 2:
-                    base.append((j, i))
+    for copy in compile_copies(k + 1, pattern):
+        base = frozenset(e for e in copy if k not in e)
+        req = sum(1 << (2 * u if v == k else 2 * v + 1) for u, v in copy if k in (u, v))
         if req:
-            forbidden = (1 << len(codes)) - 1
-            for b in _bits(req):
-                forbidden &= has_bit[b]
-            table.append((frozenset(base), forbidden))
+            table.append((base, _holding(2 * k, req)))
     return table
 
 
@@ -337,18 +327,30 @@ def _orbit_minimal(g: Digraph, codes: int) -> int:
     return keep
 
 
-def _free_extensions(g: Digraph, pattern: PatternDigraph, table):
-    """Pattern-free one-vertex extensions of g (new vertex = g.n), in
-    ascending attachment-code order."""
-    for code in _bits(_free_codes(g, pattern, table)):
-        yield _extension(g, code)
+def _children(reps, pattern: PatternDigraph, table, reach=None):
+    """The one-vertex extensions of each representative by its orbit-minimal
+    free codes, representatives in turn and codes ascending.
+
+    table is _attachment_table(k, pattern) for representatives on [k].
+    reach(g), when given, is the bitset of the codes of g worth extending;
+    it is read when the walk reaches g, and it must be closed under Aut(g).
+    """
+    for g in reps:
+        codes = _free_codes(g, pattern, table)
+        if reach is not None:
+            codes &= reach(g)
+        for code in _bits(_orbit_minimal(g, codes)):
+            yield _extension(g, code)
 
 
-def _size_groups(k: int) -> list[tuple[tuple[int, int], int]]:
-    """The 4^k attachment codes grouped by the (f2, f1) they add to a
-    digraph on [k]: one (pair, bitset of codes) per pair."""
-    pairs = list(zip(_per_state([(0, 0, 0, 1)] * k), _per_state([(0, 1, 1, 0)] * k)))
-    return [(pair, _bitset([p == pair for p in pairs])) for pair in sorted(set(pairs))]
+def _classes(exts) -> dict[bytes, Digraph]:
+    """The first extension of each canonical key, in the order met."""
+    new: dict[bytes, Digraph] = {}
+    for ext in exts:
+        key = canonical_form(ext)
+        if key not in new:
+            new[key] = ext
+    return new
 
 
 def free_classes(n: int, pattern: PatternDigraph) -> dict[bytes, Digraph]:
@@ -364,87 +366,69 @@ def free_classes(n: int, pattern: PatternDigraph) -> dict[bytes, Digraph]:
         raise BudgetError(f"class generation capped at n={COUNT_CLASSES_MAX_N}")
     g1 = Digraph(1, frozenset())
     reps = {canonical_form(g1): g1}
-    for level in range(2, n + 1):
-        table = _attachment_table(level - 1, pattern)
-        new: dict[bytes, Digraph] = {}
-        for g in reps.values():
-            for code in _bits(_orbit_minimal(g, _free_codes(g, pattern, table))):
-                ext = _extension(g, code)
-                key = canonical_form(ext)
-                if key not in new:
-                    new[key] = ext
-        reps = new
+    for k in range(1, n):
+        reps = _classes(_children(reps.values(), pattern, _attachment_table(k, pattern)))
     return reps
-
-
-def _greedy_seed(pattern: PatternDigraph, weight: WeightParam, tables) -> tuple[int, int]:
-    """(f2, f1) of a pattern-free digraph on [len(tables) + 1] grown greedily,
-    heaviest extension first; a lower bound for pruning.
-
-    The greedy path dead-ends when a pattern with isolated vertices meets a
-    core copy on h - 1 vertices; the empty digraph, free because a pattern
-    has at least 2 edges, then gives (0, 0).
-    """
-    g = Digraph(1, frozenset())
-    for table in tables:
-        best = None
-        for ext in _free_extensions(g, pattern, table):
-            if best is None or weight.cmp_pairs((ext.f2, ext.f1), (best.f2, best.f1)) > 0:
-                best = ext
-        if best is None:
-            return (0, 0)
-        g = best
-    return (g.f2, g.f1)
 
 
 def _extremal_canonical(n: int, pattern: PatternDigraph, weight: WeightParam):
     """Branch-and-bound over canonical representatives; exact max + classes.
 
-    Pruning discards a representative only when even turning every remaining
-    pair into a double edge cannot reach the current best, so every class
-    attaining the maximum survives to level n.  A code that an automorphism
-    of its parent maps to a smaller code is skipped: the smaller one came
-    first with the same class and the same (f2, f1), so the winners and
-    their representatives are those of the full walk.
+    The bound starts at a greedy path, heaviest extension first; it
+    dead-ends when a pattern with isolated vertices meets a core copy on
+    h - 1 vertices, and the empty digraph, free because a pattern has at
+    least 2 edges, then gives (0, 0).  Pruning discards a code only when
+    even turning every remaining pair into a double edge cannot reach the
+    current best, so every class attaining the maximum survives to level n.
+    A code that an automorphism of its parent maps to a smaller code is
+    skipped: the smaller one came first with the same class and the same
+    (f2, f1), so the winners and their representatives are those of the
+    full walk.
     """
     if n > CANONICAL_MODE_MAX_N:
         raise BudgetError(f"canonical search capped at n={CANONICAL_MODE_MAX_N}")
-    total_pairs = n * (n - 1) // 2
-    tables = [_attachment_table(k, pattern) for k in range(1, n)]
-    best_pair = _greedy_seed(pattern, weight, tables)
-    winners: dict[bytes, Digraph] = {}
     g1 = Digraph(1, frozenset())
-    reps: dict[bytes, Digraph] = {canonical_form(g1): g1}
     if n == 1:
         return (0, 0), {canonical_form(g1): g1}
-    for level in range(2, n + 1):
-        rem = total_pairs - level * (level - 1) // 2
-        groups = _size_groups(level - 1)
-        new: dict[bytes, Digraph] = {}
-        for g in reps.values():
-            # the codes whose extension can still reach best_pair
-            reach = 0
-            for (f2, f1), codes in groups:
-                if weight.cmp_pairs((g.f2 + f2 + rem, g.f1 + f1), best_pair) >= 0:
-                    reach |= codes
-            for code in _bits(_orbit_minimal(g, _free_codes(g, pattern, tables[level - 2]) & reach)):
-                ext = _extension(g, code)
-                if level == n:
-                    val = weight.cmp_pairs((ext.f2, ext.f1), best_pair)
-                    if val < 0:
-                        continue
-                    key = canonical_form(ext)
-                    if val > 0:
-                        best_pair = (ext.f2, ext.f1)
-                        winners = {key: ext}
-                    else:
-                        winners.setdefault(key, ext)
-                else:
-                    key = canonical_form(ext)
-                    if key not in new:
-                        new[key] = ext
-        if level < n:
-            reps = new
+    tables = [_attachment_table(k, pattern) for k in range(1, n)]
+    weighted = cmp_to_key(weight.cmp_pairs)
+    greedy = g1
+    for table in tables:
+        greedy = max(_children([greedy], pattern, table),
+                     key=lambda ext: weighted((ext.f2, ext.f1)), default=None)
+        if greedy is None:
+            break
+    best_pair = (0, 0) if greedy is None else (greedy.f2, greedy.f1)
+
+    def reach(g: Digraph) -> int:
+        """The codes whose extension of g can still reach best_pair: the
+        groups are heaviest first, so they form a prefix."""
+        codes = 0
+        for (f2, f1), group in groups:
+            if weight.cmp_pairs((g.f2 + f2 + rem, g.f1 + f1), best_pair) < 0:
+                break
+            codes |= group
+        return codes
+
+    reps = [g1]
+    for k, table in enumerate(tables, start=1):
+        rem = n * (n - 1) // 2 - (k + 1) * k // 2
+        groups = _tie_groups(weight, *_sizes(k))
+        exts = _children(reps, pattern, table, reach)
+        if k < n - 1:
+            reps = _classes(exts).values()
+    # level n: an extension that loses to best_pair is never canonicalised
+    winners: dict[bytes, Digraph] = {}
+    for ext in exts:
+        val = weight.cmp_pairs((ext.f2, ext.f1), best_pair)
+        if val < 0:
+            continue
+        key = canonical_form(ext)
+        if val > 0:
+            best_pair = (ext.f2, ext.f1)
+            winners = {key: ext}
+        else:
+            winners.setdefault(key, ext)
     return best_pair, winners
 
 
@@ -530,21 +514,16 @@ def count_free(n: int, pattern: PatternDigraph) -> int:
     if n <= FULL_MODE_MAX_N:
         return full_scan(n, pattern, None).free_count
     if n == COUNT_CLASSES_MAX_N:
+        # each class on [n-1] has (n-1)!/|Aut| labellings, each extended by
+        # every free code
         base = COUNT_CLASSES_MAX_N - 1
-        reps = free_classes(base, pattern)
         fact = math.factorial(base)
         table = _attachment_table(base, pattern)
-        total = 0
-        for g in reps.values():
-            labelled = fact // automorphism_count(g)
-            total += labelled * _free_extension_count(g, pattern, table)
-        return total
+        return sum(
+            fact // automorphism_count(g) * _free_codes(g, pattern, table).bit_count()
+            for g in free_classes(base, pattern).values()
+        )
     raise BudgetError(f"labelled count capped at n={COUNT_CLASSES_MAX_N}")
-
-
-def _free_extension_count(g: Digraph, pattern: PatternDigraph, table) -> int:
-    """Number of attachment codes of a new vertex keeping g pattern-free."""
-    return _free_codes(g, pattern, table).bit_count()
 
 
 @dataclass(frozen=True)
@@ -560,14 +539,15 @@ def counting_ratio(n: int, pattern: PatternDigraph) -> RatioReport:
     """log2 of the pattern-free count against the a=2 extremal number.
 
     Also asserts the exact spanning lower bound count >= 2**ex2: every edge
-    subset of an extremal witness is pattern-free by monotonicity.
+    subset of an extremal witness is pattern-free by monotonicity.  The
+    count comes first: it refuses an n past its cap before any search runs.
     """
+    count = count_free(n, pattern)
     mode = "full" if n <= FULL_MODE_MAX_N else "canonical"
     ex = extremal_number(n, pattern, WeightParam.from_rational(2), mode=mode)
     if ex.value_fraction.denominator != 1:
         raise VerificationError("a=2 extremal value must be an integer")
     ex2 = int(ex.value_fraction)
-    count = count_free(n, pattern)
     if count < (1 << ex2):
         raise VerificationError(f"spanning lower bound violated: f*={count} < 2^{ex2}")
     log2c = math.log2(count)

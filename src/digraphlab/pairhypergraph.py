@@ -20,7 +20,7 @@ from itertools import combinations
 from .density import degree_lemma_constant, require_usable_m
 from .digraphs import Digraph, PatternDigraph, count_copies, falling
 from .errors import BudgetError, PreconditionError, VerificationError
-from .extremal import compile_copies, pair_slots
+from .extremal import compile_copies
 
 BUILD_INJECTION_BUDGET = 5_000_000
 
@@ -124,11 +124,10 @@ def build_hypergraph(N: int, pattern: PatternDigraph,
                      injection_budget: int = BUILD_INJECTION_BUDGET) -> PairHypergraph:
     """Materialise the auxiliary hypergraph on [N] for the pattern.
 
-    Hyperedges are the copies of ``compile_copies(N, pattern)`` read as sets
-    of pair indices: each (slot, need) constraint names one or both
-    directions of an unordered pair.  The labelled count keeps the raw
-    number of injections (it equals edge count times the automorphism count
-    whenever copies never coincide).
+    Hyperedges are the copies of ``compile_copies(N, pattern)``, each edge
+    (u, v) read as the pair index ``pair_index(u, v)``.  The labelled count
+    keeps the raw number of injections (it equals edge count times the
+    automorphism count whenever copies never coincide).
     """
     if N < pattern.h:
         raise PreconditionError(f"N={N} below pattern vertex count h={pattern.h}")
@@ -136,18 +135,9 @@ def build_hypergraph(N: int, pattern: PatternDigraph,
     if raw > injection_budget:
         raise BudgetError(f"{raw} injections exceed the build budget {injection_budget}")
     uni = PairUniverse(N)
-    slots = pair_slots(N)
-    edges = []
-    for constraints in compile_copies(N, pattern):
-        edge = []
-        for q, need in constraints:
-            i, j = slots[q]
-            if need & 1:
-                edge.append(uni.pair_index(i, j))
-            if need & 2:
-                edge.append(uni.pair_index(j, i))
-        edges.append(tuple(sorted(edge)))
-    edges.sort()
+    edges = sorted(
+        tuple(sorted(uni.pair_index(u, v) for u, v in copy)) for copy in compile_copies(N, pattern)
+    )
     # every injection of the full pattern realises a copy (the host is the
     # complete digraph), so the labelled count is the raw injection count
     hg = PairHypergraph(uni, pattern.r, tuple(edges), raw)

@@ -4,8 +4,9 @@ The weighted size of a digraph is ``a*f2 + f1`` where f2 counts double edges
 (2-cycles) and f1 counts single edges.  The parameter ``a`` is either an exact
 rational or ``log2(k)`` for an integer k that is not a power of two.  In both
 cases every comparison this package performs (density thresholds, extremal
-maxima) is decided by integer arithmetic: ``log2(k) <=> p/q`` reduces to
-``k**q <=> 2**p``.  No verdict ever depends on floating-point rounding.
+maxima) is decided exactly: ``log2(k) <=> p/q`` reduces to ``k**q <=> 2**p``,
+which logarithms settle first only when they stand far beyond their rounding.
+No verdict ever depends on floating-point rounding.
 """
 
 from __future__ import annotations
@@ -39,10 +40,16 @@ def _sign(x: int) -> int:
 
 
 def _cmp_log2_vs_fraction(k: int, q: Fraction) -> int:
-    """Sign of log2(k) - q, decided exactly with big integers."""
+    """Sign of log2(k) - q, decided exactly."""
     num, den = q.numerator, q.denominator  # den > 0
     if num <= 0:
         return 1  # log2(k) >= log2(3) > 0 >= q
+    # k**den costs time and memory that grow with den (a pipeline eps of 1/10^9
+    # gives den near 10^10), so the logarithms of den*log2(k) and num decide
+    # first when their gap is far above the float rounding of each term
+    gap = math.log2(den) + math.log2(math.log2(k)) - math.log2(num)
+    if abs(gap) > 2.0 ** -40 * (1 + math.log2(den) + math.log2(num)):
+        return 1 if gap > 0 else -1
     lhs = k ** den
     rhs = 2 ** num
     return (lhs > rhs) - (lhs < rhs)
@@ -122,7 +129,7 @@ class WeightParam:
         return _cmp_log2_vs_fraction(self.log_arg, q)
 
     def cmp_pairs(self, x: tuple[int, int], y: tuple[int, int]) -> int:
-        """Sign of (a*x2 + x1) - (a*y2 + y1) for pairs (f2, f1)."""
+        """Sign of (a*x2 + x1) - (a*y2 + y1) for pairs (f2, f1); f1 may be a Fraction."""
         d2 = x[0] - y[0]
         d1 = x[1] - y[1]
         if self.rational is not None:

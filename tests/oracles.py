@@ -28,6 +28,14 @@ def naive_count_copies(edges: frozenset, n: int, h_edges: frozenset, h_n: int) -
     return len(naive_copy_images(edges, n, h_edges, h_n))
 
 
+def naive_compiled_copies(n: int, h_edges: frozenset, h_n: int) -> list[tuple]:
+    """The r-edge subsets of the complete digraph on [n] (r = |h_edges|) that
+    hold a copy of the pattern, each as the sorted tuple of its edges, sorted."""
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    return [subset for subset in combinations(arcs, len(h_edges))
+            if naive_count_copies(frozenset(subset), n, h_edges, h_n)]
+
+
 def naive_subsets(h_edges) -> list[tuple[tuple, int, int]]:
     """(subset, e, v) for every edge subset with at least two edges."""
     edges = sorted(h_edges)

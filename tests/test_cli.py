@@ -85,6 +85,17 @@ def test_count_free_and_ratio(capsys):
                               "detail": "exact big-integer comparison: 63 >= 2^5"}]
 
 
+@pytest.mark.parametrize("pattern", ["c3", "t3"])
+def test_ratio_refuses_n7_before_the_search(capsys, monkeypatch, pattern):
+    # the canonical n=7 search used to run in full before the count refused
+    def no_work(*args, **kwargs):
+        raise AssertionError("the extremal search started before the refusal")
+    monkeypatch.setattr(digraphlab.extremal, "extremal_number", no_work)
+    rc, out, err = run(capsys, ["ratio", "--pattern", pattern, "--n", "7"])
+    assert rc == 2 and out == ""
+    assert err == "digraphlab: refused: labelled count capped at n=6\n"
+
+
 def test_supersat_document(capsys):
     rc, doc, _ = run_doc(capsys, [
         "supersat", "--pattern", "dk3", "--n", "3", "--a", "2", "--k-max", "1",

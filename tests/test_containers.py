@@ -290,6 +290,25 @@ def test_pipeline_n4(c3, a2):
     assert rep.reference_curve > 0
 
 
+def test_pipeline_verdicts_against_integer_powers():
+    # at a = log2(3), a*f2 + f1 <= ex + eps*N^2 iff
+    # 3^f2 * 2^f1 <= 3^ex_f2 * 2^ex_f1 * 2^(eps*N^2); both sides are raised
+    # to eps's denominator so that every power is an integer
+    p4 = load_pattern("p4")[0]
+    N, eps = 5, Fraction(1, 10)
+    rep = container_pipeline(p4, WeightParam.parse("log2(3)"), N, eps)
+    ex_f2, ex_f1 = rep.extremal.best_pair
+    d = eps.denominator
+    outside = 0
+    for row in rep.rows:
+        within = 3 ** (d * row.f2) * 2 ** (d * row.f1) <= \
+            3 ** (d * ex_f2) * 2 ** (d * ex_f1 + eps.numerator * N * N)
+        assert row.ea_within_extremal_slack is within
+        assert row.copies_le_eps_Nh is (Fraction(row.copies) <= eps * N ** p4.h)
+        outside += not within
+    assert outside == 178 and rep.ea_ok is False
+
+
 def test_pipeline_copy_counts_match_decode(c3, a2):
     rep = container_pipeline(c3, a2, 4, Fraction(1, 10))
     hg = build_hypergraph(4, c3)

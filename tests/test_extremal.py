@@ -27,14 +27,22 @@ from digraphlab.cli import BUILTIN_PATTERNS, load_pattern
 from digraphlab.errors import BudgetError, PreconditionError
 from digraphlab.extremal import (
     _attachment_table,
+    _extension,
     _extremal_canonical,
-    _free_extension_count,
-    _free_extensions,
+    _free_codes,
+    compile_copies,
     full_scan,
     iter_free_edge_masks,
 )
 
-from oracles import all_digraph_edge_sets, f_counts, naive_count_copies, naive_extremal, naive_supersat
+from oracles import (
+    all_digraph_edge_sets,
+    f_counts,
+    naive_compiled_copies,
+    naive_count_copies,
+    naive_extremal,
+    naive_supersat,
+)
 
 # frozen by the naive all-digraphs oracle (n <= 4) and by dual full/canonical
 # runs (n = 5); see test_matches_naive_oracle below for the live recomputation
@@ -144,7 +152,7 @@ def test_count_free_n6_extension_route():
             fact = math.factorial(k)
             table = _attachment_table(k, pat)
             total = sum(
-                (fact // automorphism_count(g)) * _free_extension_count(g, pat, table)
+                (fact // automorphism_count(g)) * _free_codes(g, pat, table).bit_count()
                 for g in free_classes(k, pat).values()
             )
             assert total == count_free(k + 1, pat), (name, k)
@@ -309,6 +317,15 @@ def any_pattern(name: str) -> PatternDigraph:
 
 
 @pytest.mark.parametrize("name", BUILTIN_PATTERNS + tuple(ISOLATED))
+def test_compile_copies_against_brute_force(name):
+    # every r-edge subset of the complete digraph that holds a copy; below h
+    # (an isolated vertex included) there is none
+    pat = any_pattern(name)
+    for n in range(1, 5 if name == "dk3" else 6):
+        assert compile_copies(n, pat) == naive_compiled_copies(n, pat.graph.edges, pat.h), n
+
+
+@pytest.mark.parametrize("name", BUILTIN_PATTERNS + tuple(ISOLATED))
 def test_free_extensions_against_brute_force(name):
     # every attachment code of a new vertex, kept iff the embedding search
     # finds no copy in the extension
@@ -324,9 +341,10 @@ def test_free_extensions_against_brute_force(name):
                 ext = Digraph(k + 1, frozenset(edges))
                 if is_pattern_free(ext, pat):
                     expect.add(ext.edges)
-            got = [ext.edges for ext in _free_extensions(g, pat, table)]
+            codes = _free_codes(g, pat, table)
+            got = [_extension(g, code).edges for code in range(4 ** k) if codes >> code & 1]
             assert len(got) == len(set(got)) and set(got) == expect
-            assert _free_extension_count(g, pat, table) == len(expect)
+            assert codes.bit_count() == len(expect)
 
 
 @pytest.mark.parametrize("a", sorted(WEIGHT_KEYS))

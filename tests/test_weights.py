@@ -51,6 +51,18 @@ def test_cmp_to_fraction_log():
             assert s == float_side
 
 
+def test_cmp_to_fraction_log_near_and_huge():
+    # convergents of log2(3) against the big-integer comparison 3^q <=> 2^p;
+    # the last one lies inside the float gap's guard band
+    w = WeightParam.parse("log2(3)")
+    for p, q in [(8, 5), (485, 306), (24727, 15601), (176251, 111202), (301994, 190537)]:
+        assert w.cmp_to_fraction(Fraction(p, q)) == (3 ** q > 2 ** p) - (3 ** q < 2 ** p)
+    # denominators whose big-integer powers would take gigabytes
+    assert w.cmp_to_fraction(Fraction(16 * 10 ** 9 + 1, 10 ** 10)) == -1
+    assert w.cmp_to_fraction(Fraction(15 * 10 ** 9 + 1, 10 ** 10)) == 1
+    assert w.cmp_to_fraction(Fraction(10 ** 400 + 1, 10 ** 400)) == 1
+
+
 def test_cmp_pairs_rational():
     w = WeightParam.from_rational(2)
     assert w.cmp_pairs((1, 0), (0, 2)) == 0  # one double edge = two singles
