@@ -13,12 +13,8 @@ from .digraphs import (
     automorphism_count,
     canonical_form,
     count_copies,
-    count_labelled_copies,
-    enumerate_subpatterns,
-    generate_nonisomorphic_digraphs,
     is_pattern_free,
     parse_digraph,
-    weighted_size,
 )
 from .weights import WeightParam
 from .density import (

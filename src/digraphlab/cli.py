@@ -122,6 +122,15 @@ def _run(args) -> int:
     --witness-dir, which say where output goes.
     """
     pattern, source = load_pattern(args.pattern)
+    # before the handler: the automorphism count refuses a pattern on more
+    # than 10 vertices, and that refusal must come before any work
+    inputs = {"pattern": {
+        "source": source,
+        "n": int_str(pattern.h),
+        "edges": int_str(pattern.r),
+        "aut": int_str(pattern.aut),
+        "edge_list": pattern.graph.to_edge_text(),
+    }}
     results, checks, failure = args.func(args, pattern)
     params = {k: "" if v is None else str(v)
               for k, v in vars(args).items() if k not in _UNRECORDED}
@@ -133,13 +142,7 @@ def _run(args) -> int:
             "seed": args.seed,
             "params": params,
         },
-        "inputs": {"pattern": {
-            "source": source,
-            "n": int_str(pattern.h),
-            "edges": int_str(pattern.r),
-            "aut": int_str(pattern.aut),
-            "edge_list": pattern.graph.to_edge_text(),
-        }},
+        "inputs": inputs,
         "results": results,
         "checks": checks,
     }

@@ -63,9 +63,10 @@ from .weights import WeightParam
 
 DEAD = -1  # child code: branch handles no independent set
 _WORD_MASK = (1 << 64) - 1
-_F32_EXACT = 1 << 24     # float32 holds every integer below this exactly
 # hyperedges x universe: the size of the builder's float32 incidence matrix
-# and the multiply-adds of one node's degrees
+# and the multiply-adds of one node's degrees.  The universe has at least 2
+# pairs, so under this cap every degree is at most 2^20, and the float32
+# sums of 0/1 terms that make the degrees stay exact
 _INCIDENCE_CELLS = 1 << 21
 # Frontier rows per step: enough to cover numpy's per-call cost (at least
 # _MIN_ROWS), and few enough that rows x hyperedges stays under _STEP_CELLS.
@@ -108,7 +109,6 @@ class ContainerFamily:
     r: int
     eps: Fraction
     tau: float
-    total_edges: int
     containers: list[int]           # universe bitmasks
     spans: list[int]                # builder's spanned-hyperedge counts
     root: int                       # node index or leaf code
@@ -170,7 +170,7 @@ class ContainerFamily:
         if bad:
             raise bad
         return cls(
-            N=N, r=r, eps=eps, tau=tau, total_edges=-1, containers=containers, spans=[],
+            N=N, r=r, eps=eps, tau=tau, containers=containers, spans=[],
             root=root, pivots=tree[0], out_child=tree[1], in_child=tree[2],
         )
 
@@ -739,9 +739,6 @@ def build_containers(
         raise PreconditionError(f"tau={tau} outside (0, 1]")
     n_u = hg.universe.size
     total = hg.edge_count
-    if total >= _F32_EXACT:
-        # degrees are float32 sums of 0/1 terms, exact only below 2^24
-        raise PreconditionError(f"{total} hyperedges: the container builder takes fewer than 2^24")
     if total * n_u > _INCIDENCE_CELLS:
         raise PreconditionError(
             f"{total} hyperedges on {n_u} pairs: the container builder's incidence matrix "
@@ -751,7 +748,7 @@ def build_containers(
     r = max(hg.r, 2)
     depth_cap = 4 * r * math.ceil(1 / eps)
     fp_budget = max(1, math.ceil(4 * r * tau * n_u))
-    common = dict(N=hg.universe.N, r=hg.r, eps=eps, tau=tau, total_edges=total)
+    common = dict(N=hg.universe.N, r=hg.r, eps=eps, tau=tau)
     if total <= threshold:
         # no hyperedge at all: the whole universe is the only container
         return ContainerFamily(
@@ -962,17 +959,6 @@ class VerifyReport:
     @property
     def ok(self) -> bool:
         return self.coverage_ok and self.sparsity_ok
-
-    def raise_on_failure(self) -> None:
-        if not self.coverage_ok:
-            raise VerificationError(
-                "coverage miss: a pattern-free digraph escaped every container",
-                witness=self.miss_witness,
-            )
-        if not self.sparsity_ok:
-            raise VerificationError(
-                f"sparsity violated: a container spans {self.max_span} hyperedges"
-            )
 
 
 def _check_sparsity(hg: PairHypergraph, fam: ContainerFamily) -> tuple[bool, int]:

@@ -10,9 +10,8 @@ all operations are safe to call concurrently.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 
 from .errors import BudgetError, ParseError, PreconditionError
 
@@ -33,62 +32,43 @@ def falling(n: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class Digraph:
-    """Immutable labelled digraph on [n] = {0, ..., n-1}."""
+    """Immutable labelled digraph on [n] = {0, ..., n-1}.
+
+    out_mask[u] has bit v set iff the edge u->v is present, in_mask[u] bit v
+    iff v->u is; f2 counts the pairs joined both ways (2-cycles) and f1 the
+    pairs joined by one directed edge.  All four are filled by the pass that
+    checks the edges.
+    """
 
     n: int
     edges: frozenset[tuple[int, int]]
+    out_mask: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    in_mask: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    f2: int = field(init=False, repr=False, compare=False)
+    f1: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise PreconditionError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
+        n = self.n
+        if not 1 <= n <= MAX_VERTICES:
+            raise PreconditionError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+        out = [0] * n
+        inn = [0] * n
         for u, v in self.edges:
             if u == v:
                 raise PreconditionError(f"loop edge ({u},{v}) is not allowed")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise PreconditionError(f"edge ({u},{v}) outside vertex range 0..{self.n - 1}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise PreconditionError(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
+            out[u] |= 1 << v
+            inn[v] |= 1 << u
+        f2 = sum((o & i).bit_count() for o, i in zip(out, inn)) // 2
+        object.__setattr__(self, "out_mask", tuple(out))
+        object.__setattr__(self, "in_mask", tuple(inn))
+        object.__setattr__(self, "f2", f2)
+        object.__setattr__(self, "f1", len(self.edges) - 2 * f2)
 
-    # -- cached structure ----------------------------------------------------
-
-    @cached_property
+    @property
     def edge_list(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edges))
-
-    @cached_property
-    def out_mask(self) -> tuple[int, ...]:
-        """out_mask[u] has bit v set iff the edge u->v is present."""
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-        return tuple(masks)
-
-    @cached_property
-    def in_mask(self) -> tuple[int, ...]:
-        """in_mask[u] has bit v set iff the edge v->u is present."""
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[v] |= 1 << u
-        return tuple(masks)
-
-    @cached_property
-    def f2(self) -> int:
-        """Number of unordered pairs joined in both directions (2-cycles)."""
-        return sum(1 for u, v in self.edges if u < v and (v, u) in self.edges)
-
-    @cached_property
-    def f1(self) -> int:
-        """Number of unordered pairs joined by exactly one directed edge."""
-        return len(self.edges) - 2 * self.f2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges
-
-    @cached_property
-    def nonisolated(self) -> tuple[int, ...]:
-        seen = set()
-        for u, v in self.edges:
-            seen.add(u)
-            seen.add(v)
-        return tuple(sorted(seen))
 
     # -- manipulation --------------------------------------------------------
 
@@ -149,11 +129,6 @@ def parse_digraph(text: str) -> Digraph:
     return Digraph(n, frozenset(edges))
 
 
-def weighted_size(g: Digraph, weight) -> float:
-    """a*f2(G) + f1(G) as a float; exact forms live on WeightParam."""
-    return weight.ea_float(g.f2, g.f1)
-
-
 # ---------------------------------------------------------------------------
 # Embeddings
 # ---------------------------------------------------------------------------
@@ -165,7 +140,8 @@ def _embedding_plan(core: Digraph) -> list[tuple[list[int], list[int]]]:
     send an edge to / receive an edge from the vertex placed at slot i.
     """
     n = core.n
-    deg = [bin(core.out_mask[v]).count("1") + bin(core.in_mask[v]).count("1") for v in range(n)]
+    out_m, in_m = core.out_mask, core.in_mask
+    deg = [bin(out_m[v]).count("1") + bin(in_m[v]).count("1") for v in range(n)]
     order: list[int] = []
     placed: set[int] = set()
     while len(order) < n:
@@ -174,7 +150,7 @@ def _embedding_plan(core: Digraph) -> list[tuple[list[int], list[int]]]:
         for v in range(n):
             if v in placed:
                 continue
-            links = sum(1 for u in placed if core.has_edge(u, v) or core.has_edge(v, u))
+            links = sum(1 for u in placed if (out_m[u] | in_m[u]) >> v & 1)
             key = (links, deg[v], -v)
             if best_key is None or key > best_key:
                 best, best_key = v, key
@@ -183,8 +159,8 @@ def _embedding_plan(core: Digraph) -> list[tuple[list[int], list[int]]]:
     slot_of = {v: i for i, v in enumerate(order)}
     plan = []
     for i, v in enumerate(order):
-        need_out = [slot_of[u] for u in order[:i] if core.has_edge(u, v)]
-        need_in = [slot_of[u] for u in order[:i] if core.has_edge(v, u)]
+        need_out = [slot_of[u] for u in order[:i] if out_m[u] >> v & 1]
+        need_in = [slot_of[u] for u in order[:i] if in_m[u] >> v & 1]
         plan.append((need_out, need_in))
     return plan
 
@@ -241,10 +217,6 @@ class PatternDigraph:
             raise PreconditionError("pattern needs at least 2 edges")
 
     @classmethod
-    def from_digraph(cls, g: Digraph) -> "PatternDigraph":
-        return cls(g)
-
-    @classmethod
     def from_text(cls, text: str) -> "PatternDigraph":
         return cls(parse_digraph(text))
 
@@ -294,14 +266,6 @@ def count_copies(g: Digraph, pattern: PatternDigraph) -> int:
     return emb // pattern.core_aut
 
 
-def count_labelled_copies(g: Digraph, pattern: PatternDigraph) -> int:
-    """Number of injective vertex maps realising the pattern inside g."""
-    if g.n < pattern.h:
-        return 0
-    emb = _embed_search(g, pattern.core_digraph, pattern.embedding_plan, count_all=True)
-    return emb * falling(g.n - pattern.core_digraph.n, pattern.isolated_count)
-
-
 def is_pattern_free(g: Digraph, pattern: PatternDigraph) -> bool:
     if g.n < pattern.h:
         return True
@@ -336,11 +300,6 @@ def iter_subpatterns(pattern: PatternDigraph, min_edges: int = 2):
             vm |= endpoint_mask[b.bit_length() - 1]
         subset = tuple(edges[i] for i in range(r) if mask >> i & 1)
         yield subset, vm.bit_count()
-
-
-def enumerate_subpatterns(pattern: PatternDigraph) -> list[tuple[int, int]]:
-    """(v, e) per edge subset with more than one edge, one entry per subset."""
-    return [(span, len(subset)) for subset, span in iter_subpatterns(pattern)]
 
 
 # ---------------------------------------------------------------------------
@@ -515,32 +474,3 @@ def automorphisms(g: Digraph) -> list[tuple[int, ...]]:
 def automorphism_count(g: Digraph) -> int:
     """|Aut(G)|, counted over the colour-respecting bijections (n <= 10)."""
     return len(automorphisms(g))
-
-
-def generate_nonisomorphic_digraphs(n: int, spanning: bool = False) -> list[Digraph]:
-    """All digraphs on [n] up to isomorphism, by canonical-key dedup.
-
-    With spanning=True only digraphs without isolated vertices are kept.
-    Desk scale: n <= 4 (4^6 labelled states).
-    """
-    if n > 4:
-        raise BudgetError("exhaustive isomorphism-class generation capped at n=4")
-    pairs = list(combinations(range(n), 2))
-    reps: dict[bytes, Digraph] = {}
-    for state in range(4 ** len(pairs)):
-        edges = []
-        s = state
-        for i, j in pairs:
-            t = s & 3
-            s >>= 2
-            if t & 1:
-                edges.append((i, j))
-            if t & 2:
-                edges.append((j, i))
-        g = Digraph(n, frozenset(edges))
-        if spanning and len(g.nonisolated) != n:
-            continue
-        key = canonical_form(g)
-        if key not in reps:
-            reps[key] = g
-    return [reps[k] for k in sorted(reps)]

@@ -56,14 +56,6 @@ class PairUniverse:
             edges.append(self.index_pair(b.bit_length() - 1))
         return Digraph(self.N, frozenset(edges))
 
-    def mask_from_digraph(self, g: Digraph) -> int:
-        if g.n != self.N:
-            raise PreconditionError(f"digraph on {g.n} vertices does not live on [N]={self.N}")
-        mask = 0
-        for u, v in g.edges:
-            mask |= 1 << self.pair_index(u, v)
-        return mask
-
 
 @dataclass(frozen=True)
 class PairHypergraph:
@@ -104,14 +96,6 @@ class PairHypergraph:
         if self.universe.size == 0:
             raise PreconditionError("empty universe")
         return Fraction(self.r * self.edge_count, self.universe.size)
-
-    def independent_set_check(self, g: Digraph) -> bool:
-        """True iff g's edge set spans no hyperedge (g is pattern-free)."""
-        mask = self.universe.mask_from_digraph(g)
-        for em in self.edge_masks:
-            if em & ~mask == 0:
-                return False
-        return True
 
     def export_text(self) -> str:
         lines = [f"N={self.universe.N} r={self.r} edges={self.edge_count}"]

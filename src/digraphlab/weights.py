@@ -105,10 +105,6 @@ class WeightParam:
     # -- basic views --------------------------------------------------------
 
     @property
-    def is_rational(self) -> bool:
-        return self.rational is not None
-
-    @property
     def a_float(self) -> float:
         if self.rational is not None:
             return float(self.rational)

@@ -96,6 +96,19 @@ def test_ratio_refuses_n7_before_the_search(capsys, monkeypatch, pattern):
     assert err == "digraphlab: refused: labelled count capped at n=6\n"
 
 
+def test_pattern_past_ten_vertices_refused_before_the_handler(capsys, monkeypatch, tmp_path):
+    # the automorphism count of the inputs block used to run after the count
+    path = tmp_path / "p11.dg"
+    path.write_text("n=11\n" + "".join(f"{i} {i + 1}\n" for i in range(10)))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the count started before the refusal")
+    monkeypatch.setattr(digraphlab.cli, "count_free", no_work)
+    rc, out, err = run(capsys, ["count-free", "--pattern", str(path), "--n", "6"])
+    assert rc == 2 and out == ""
+    assert err == "digraphlab: refused: automorphism search over 11! permutations refused\n"
+
+
 def test_supersat_document(capsys):
     rc, doc, _ = run_doc(capsys, [
         "supersat", "--pattern", "dk3", "--n", "3", "--a", "2", "--k-max", "1",

@@ -299,7 +299,7 @@ def test_full_scan_against_oracles(name, a, k_max):
             assert scan.best_pairs == expect_best
             assert scan.witness_digits == attaining[:raw_cap]
             assert scan.witness_overflow == (len(attaining) > raw_cap)
-        if weight.is_rational:
+        if weight.rational is not None:
             value, free, count = naive_extremal(n, pat.graph.edges, pat.h, weight.rational)
             assert (free, count) == (scan.free_count, len(attaining))
             assert weight.ea_fraction(*scan.best_pairs[0]) == value

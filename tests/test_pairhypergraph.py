@@ -40,10 +40,14 @@ def test_universe_codec_roundtrip():
         assert len(seen) == uni.size
 
 
+def edge_mask(uni: PairUniverse, g: Digraph) -> int:
+    return sum(1 << uni.pair_index(u, v) for u, v in g.edges)
+
+
 def test_universe_mask_roundtrip():
     uni = PairUniverse(4)
     g = Digraph(4, frozenset({(0, 1), (1, 0), (2, 3), (3, 1)}))
-    assert uni.digraph_from_mask(uni.mask_from_digraph(g)) == g
+    assert uni.digraph_from_mask(edge_mask(uni, g)) == g
 
 
 def test_build_examples(c3, t3):
@@ -107,13 +111,18 @@ def test_hyperedges_decode_to_single_copies(c3, dk3):
 
 
 def test_independent_set_check_matches_copy_count(c3, t3):
-    # exhaustive on [4], sampled on [5]
+    # the verifier's test: an edge set is independent iff it holds no
+    # hyperedge's mask whole.  Exhaustive on [4], sampled on [5]
+    def independent(hg, g):
+        mask = edge_mask(hg.universe, g)
+        return all(em & ~mask for em in hg.edge_masks)
+
     for pat in (c3, t3):
         hg = build_hypergraph(4, pat)
         free = 0
         for mask in iter_free_edge_masks(4, pat, hg.universe.pair_index):
             free += 1
-            assert hg.independent_set_check(hg.universe.digraph_from_mask(mask))
+            assert independent(hg, hg.universe.digraph_from_mask(mask))
         rng = random.Random(9)
         agree = 0
         hg5 = build_hypergraph(5, pat)
@@ -123,7 +132,7 @@ def test_independent_set_check_matches_copy_count(c3, t3):
                 if u != v and rng.random() < 0.45
             )
             g = Digraph(5, edges)
-            assert hg5.independent_set_check(g) == (count_copies(g, pat) == 0)
+            assert independent(hg5, g) == (count_copies(g, pat) == 0)
             agree += 1
         assert agree == 400
 

@@ -19,7 +19,7 @@ def test_parse_forms():
     assert WeightParam.parse("7/2").rational == Fraction(7, 2)
     assert WeightParam.parse("1.5").rational == Fraction(3, 2)
     w = WeightParam.parse("log2(3)")
-    assert not w.is_rational and w.exact_str == "log2(3)"
+    assert w.rational is None and w.exact_str == "log2(3)"
 
 
 def test_parse_rejects():
