@@ -525,6 +525,9 @@ def main(argv=None) -> int:
             value = getattr(args, flag, least)
             if value < least:
                 raise PreconditionError(f"--{flag.replace('_', '-')} must be >= {least}, got {value}")
+        if not 0 <= args.seed < 1 << 32:
+            # the sampled verifier's RNG takes a 32-bit seed
+            raise PreconditionError(f"--seed must be in 0..{(1 << 32) - 1}, got {args.seed}")
         return _run(args)
     except UsageError as exc:
         print(f"digraphlab: error: {exc}", file=sys.stderr)

@@ -4,15 +4,18 @@ compile_copies lists each copy of the pattern in the complete digraph on [n]
 as the sorted tuple of its directed edges.  Each of the p = n(n-1)/2 pair
 slots i < j of a digraph on [n] takes one of four states; state index idx
 keeps slot q in bits 2q (i->j) and 2q+1 (j->i).  One block walker serves the
-full scan and the free-mask iterator: the low min(p, 5) slots form a block
-whose states are the bits of one Python integer, and per high state the
-copies are added into bit-sliced counters, so n=5 (4^10 states) takes a
-fraction of a second.  Canonical mode grows graphs one vertex at a time
-with one walker (_children) and isomorph rejection (_classes).  The
-attachment codes that keep a new vertex free are one bitset over the 4^k
-codes, derived from the copy table on [k+1], and the weight bound keeps a
-heaviest-first prefix of the groups of equally heavy codes before any
-digraph is built.  Of each orbit of codes under the parent's automorphisms
+full scan, the free-mask iterator and the container verifier: the low
+min(p, 5) slots form a block whose states are the bits of one Python
+integer, and per high state the copies are added into bit-sliced counters,
+so n=5 (4^10 states) takes a fraction of a second.  The verifier unpacks
+the free-state bitsets of a chunk of blocks with numpy (its exhaustive sets,
+and the window table of its sampled sieve); iter_free_edge_masks yields the
+same masks one at a time and is kept as its reference.  Canonical mode
+grows graphs one vertex at a time with one walker (_children) and isomorph
+rejection (_classes).  The attachment codes that keep a new vertex free are
+one bitset over the 4^k codes, derived from the copy table on [k+1], and the
+weight bound keeps a heaviest-first prefix of the groups of equally heavy
+codes before any digraph is built.  Of each orbit of codes under the parent's automorphisms
 only the smallest is extended.  It reaches its cap n=7: c3 at a=2 takes
 8-9 s per CLI process on one Xeon vCPU.
 """
@@ -235,16 +238,28 @@ def full_scan(
     return ScanResult(n, 4 ** p, free, best, digits, overflow)
 
 
+def _state_masks(n: int, edge_bit) -> tuple[list[int], list[int]]:
+    """The edge bitmask of every low state and of every high state.
+
+    edge_bit(u, v) gives the bit position of the directed edge u->v; the
+    state hi * 4^L + lo has the mask hi_masks[hi] | lo_masks[lo].
+    """
+    slots = [(1 << edge_bit(i, j), 1 << edge_bit(j, i)) for i, j in pair_slots(n)]
+    lo_masks, hi_masks = (_per_state([(0, fw, bw, fw | bw) for fw, bw in part])
+                          for part in (slots[:_LOW_SLOTS], slots[_LOW_SLOTS:]))
+    return lo_masks, hi_masks
+
+
 def iter_free_edge_masks(n: int, pattern: PatternDigraph, edge_bit):
     """Yield one bitmask per pattern-free digraph on [n] (all of them), in
     state-index order.
 
     edge_bit(u, v) gives the bit position of the directed edge u->v, so the
-    caller controls the indexing (e.g. the pair-universe codec).
+    caller controls the indexing (e.g. the pair-universe codec).  The
+    verifier decodes the same blocks in bulk (``containers._free_masks``);
+    this generator is its reference.
     """
-    slots = [(1 << edge_bit(i, j), 1 << edge_bit(j, i)) for i, j in pair_slots(n)]
-    lo_masks, hi_masks = (_per_state([(0, fw, bw, fw | bw) for fw, bw in part])
-                          for part in (slots[:_LOW_SLOTS], slots[_LOW_SLOTS:]))
+    lo_masks, hi_masks = _state_masks(n, edge_bit)
     for hi, exact in _blocks(n, pattern, 0):
         base = hi_masks[hi]
         for lo in _bits(exact[0]):

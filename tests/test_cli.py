@@ -347,6 +347,29 @@ def test_out_of_contract_budgets_exit_2(capsys, argv, why):
     assert err == f"digraphlab: refused: {why}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-family", "--pattern", "c3", "--N", "4", "--eps", "1/10", "--mode", "sampled",
+     "--samples", "10"],
+    ["pipeline", "--pattern", "c3", "--a", "2", "--N", "4", "--eps", "1/10"],
+    ["count-free", "--pattern", "c3", "--n", "3"],
+])
+def test_seed_outside_32_bits_refused_before_work(capsys, monkeypatch, argv):
+    # numpy's RNG takes a 32-bit seed: a sampled run used to build the family
+    # first and then end in numpy's ValueError traceback
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+    for module in (digraphlab.cli, digraphlab.containers):
+        monkeypatch.setattr(module, "build_containers", no_work)
+    monkeypatch.setattr(digraphlab.cli, "count_free", no_work)
+    for seed in ("-1", "4294967296"):
+        rc, out, err = run(capsys, [*argv, "--seed", seed])
+        assert rc == 2 and out == ""
+        assert err == f"digraphlab: refused: --seed must be in 0..4294967295, got {seed}\n"
+    monkeypatch.undo()
+    rc, doc, _ = run_doc(capsys, [*argv, "--seed", "4294967295"])
+    assert rc == 0 and doc["manifest"]["seed"] == 4294967295
+
+
 def test_workers_flag_is_a_usage_error(capsys):
     # every scan is serial; the flag that chose a worker count is gone
     rc, out, err = run(capsys, ["count-free", "--pattern", "c3", "--n", "4", "--workers", "2"])
@@ -581,6 +604,10 @@ _PINNED = [
     (["verify-family", "--pattern", "c3", "--N", "6", "--eps", "1/10",
       "--mode", "sampled", "--samples", "2000", "--seed", "11"],
      0, "e90b17f91b528a36e17f69a13a5760eb8af7b86065e225afa033296a1d22656a", ""),
+    # sampled draws whose copies cross the sampled verifier's vertex windows
+    (["verify-family", "--pattern", "t3", "--N", "7", "--eps", "1/3",
+      "--mode", "sampled", "--samples", "1000", "--seed", "5"],
+     0, "96985b635b4ad8aa9d348f31c936849949534b39111042c0c19641bf7ef895b4", ""),
     (["pipeline", "--pattern", "c3", "--a", "2", "--N", "4", "--eps", "1/10"],
      0, "60afaa5e3742aa6123bcf01d080fcdefe799c594c3f10bea870217534a274017", ""),
     (["ex", "--pattern", "c3", "--n", "4", "--witness-dir", "wits"],

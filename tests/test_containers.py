@@ -26,8 +26,8 @@ from digraphlab import (
     count_free,
     verify_family,
 )
-from digraphlab.cli import load_pattern
-from digraphlab.containers import _check_sparsity
+from digraphlab.cli import BUILTIN_PATTERNS, load_pattern
+from digraphlab.containers import _WindowSieve, _check_sparsity, _free_masks
 from digraphlab.density import require_usable_m
 from digraphlab.errors import (
     ContainerBuildError,
@@ -262,6 +262,84 @@ def test_batched_sampled_routing_matches_route(c3, c3_n5):
     attempts.clear()
     want = _first_miss_per_mask(hg, bad, _sampled_masks(hg, 7, attempts))
     assert (rep.checked, rep.miss_witness, rep.miss_container) == want
+    assert rep.attempts == sum(attempts) > 65_536
+
+
+@pytest.mark.parametrize("name", BUILTIN_PATTERNS)
+def test_free_mask_decoder_matches_the_generator(name):
+    pat, _ = load_pattern(name)
+    for N in range(2, 6):
+        edge_bit = PairUniverse(N).pair_index
+        got = np.concatenate(list(_free_masks(N, pat, edge_bit))).tolist()
+        assert got == list(iter_free_edge_masks(N, pat, edge_bit)), N
+        if pat.h > N:
+            # every state is free; on [2] the 4 states fill half a byte
+            assert len(got) == 4 ** (N * (N - 1) // 2)
+
+
+# a 5-cycle, and a triangle with one and with two isolated vertices: a window
+# of 4 vertices can hold a triangle but never a copy of the last pattern
+_MORE = {name: PatternDigraph.from_text(text) for name, text in (
+    ("c5", "n=5; 0 1; 1 2; 2 3; 3 4; 4 0"),
+    ("c3+1", "n=4; 0 1; 1 2; 2 0"),
+    ("c3+2", "n=5; 0 1; 1 2; 2 0"),
+)}
+
+
+def _filtered(hg, draws):
+    """The draws that hold no hyperedge, in draw order, one hyperedge at a time."""
+    free = draws
+    for em in hg.edge_masks:
+        em = np.uint64(em)
+        free = free[(free & em) != em]
+    return free
+
+
+@pytest.mark.parametrize("name", ["c3", "t3", "p3", "p4", "twocycle", "dk3", *_MORE])
+def test_window_sieve_matches_the_hyperedge_filter(name):
+    pat = _MORE[name] if name in _MORE else load_pattern(name)[0]
+    rng = np.random.RandomState(3)
+    for N in range(max(2, pat.h), 9):
+        hg = build_hypergraph(N, pat)
+        sieve = _WindowSieve(hg, pat)
+        for _ in range(2):
+            draws = rng.randint(0, 1 << hg.universe.size, size=65_536, dtype=np.uint64)
+            assert sieve(draws).tolist() == _filtered(hg, draws).tolist(), N
+        if pat.h > 4:
+            assert sieve.table.all() and len(sieve.rest) == hg.edge_count
+        else:
+            # the hyperedges inside a window of 4 consecutive vertices are left to the table
+            assert len(sieve.rest) < hg.edge_count
+
+
+def test_sampled_routing_on_dk3_with_an_explicit_tau(dk3):
+    # dk3 has no usable m, so no tau of its own: the library takes one
+    hg = build_hypergraph(6, dk3)
+    fam = build_containers(hg, 0.5, Fraction(1, 10))
+    attempts = []
+    sampled = list(islice(_sampled_masks(hg, 3, attempts), 3000))
+    rep = verify_family(hg, fam, dk3, mode="sampled", samples=3000, seed=3)
+    assert (rep.coverage_ok, rep.checked, rep.attempts) == (True, 3000, sum(attempts))
+    bad = _late_fault(fam, sampled, 1000)
+    rep = verify_family(hg, bad, dk3, mode="sampled", samples=3000, seed=3)
+    want = _first_miss_per_mask(hg, bad, sampled)
+    assert (rep.checked, rep.miss_witness, rep.miss_container) == want
+
+
+def test_pooled_sampled_routing_at_low_acceptance(t3):
+    # about 0.03% of the draws on [7] hold no transitive triangle: the 1000
+    # sets come from about 60 draw batches, and are routed together
+    hg = build_hypergraph(7, t3)
+    fam = build_containers(hg, tau_for(7, require_usable_m(t3)), Fraction(1, 3))
+    rep = verify_family(hg, fam, t3, mode="sampled", samples=1000, seed=5)
+    assert (rep.coverage_ok, rep.checked, rep.attempts) == (True, 1000, 59 * 65_536)
+    pieces = digraphlab.containers._sampled_masks(hg, t3, 5, 1000)
+    bad = _late_fault(fam, np.concatenate(list(pieces)).tolist(), 100)
+    rep = verify_family(hg, bad, t3, mode="sampled", samples=1000, seed=5)
+    attempts = []
+    want = _first_miss_per_mask(hg, bad, _sampled_masks(hg, 5, attempts))
+    assert (rep.checked, rep.miss_witness, rep.miss_container) == want
+    # the miss lies in a later draw batch than the first
     assert rep.attempts == sum(attempts) > 65_536
 
 
