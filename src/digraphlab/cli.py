@@ -392,6 +392,21 @@ def cmd_verify_family(args, pattern):
     ], failure
 
 
+def _weighted_size_detail(rep) -> str:
+    """How many containers exceed ex + eps*N^2, and the first of them.  The
+    conclusion is asymptotic, so a breach at desk scale is reported, not
+    asserted."""
+    if rep.extremal is None:
+        return rep.extremal_note
+    above = [row for row in rep.rows if not row.ea_within_extremal_slack]
+    detail = (f"{rep.extremal_note}; reported, not asserted: {len(above)} of {len(rep.rows)} "
+              f"containers above ex + eps*N^2 = {rep.extremal.value_str} + "
+              f"{frac_str(rep.eps * rep.N ** 2)}")
+    if above:
+        detail += f", the first container {above[0].index} at {above[0].ea_str}"
+    return detail
+
+
 def cmd_pipeline(args, pattern):
     weight = WeightParam.parse(args.a)
     eps = parse_fraction(args.eps, "eps")
@@ -431,8 +446,7 @@ def cmd_pipeline(args, pattern):
          "detail": f"{rep.verify.mode}: {rep.verify.checked} independent sets"},
         {"name": "property-b-copy-bounds", "pass": rep.copies_ok,
          "detail": "both eps normalisations (hyperedge count and N^h)"},
-        {"name": "property-b-weighted-size", "pass": bool(rep.ea_ok) if rep.ea_ok is not None else None,
-         "detail": rep.extremal_note},
+        {"name": "property-b-weighted-size", "pass": None, "detail": _weighted_size_detail(rep)},
         {"name": "property-c-family-size", "pass": None,
          "detail": "reported against the reference curve, not asserted"},
     ], None if rep.ok else "verification failed: container pipeline property check"

@@ -25,15 +25,15 @@ and containers are then numbered as a depth-first build (excluded branch
 first) would visit and emit them, and the tree is stored as ``array('i')``.
 
 The verifier makes its sets with array passes and routes them down the tree
-together, one depth step at a time, _ROUTE_BATCH sets per pass.
-Exhaustive mode decodes the extremal block walker a chunk of high states at
-a time: the blocks' free-state bitsets are unpacked to bits, and the set
-bits, in state-index order, index the high and low slot masks.  Sampled mode
-draws uniform batches and sieves them first with one table: a window of 4
-consecutive vertices owns 3 consecutive bits of each of its 4 out-blocks,
-which together are the mask of the window relabelled onto [4], and the table
-says whether that digraph is pattern-free.  Only the hyperedges that no
-window holds are then tested one by one.
+together, one depth step at a time, _ROUTE_BATCH sets per pass.  Exhaustive
+mode takes its sets from the extremal module's free-mask decoder
+(_free_masks), which unpacks the block walker's free-state bitsets a chunk
+of high states at a time.  Sampled mode draws uniform batches and sieves
+them first with one table: a window of 4 consecutive vertices owns 3
+consecutive bits of each of its 4 out-blocks, which together are the mask
+of the window relabelled onto [4], and the table says whether that digraph
+is pattern-free.  Only the hyperedges that no window holds are then tested
+one by one.
 
 The export writes one fingerprint line per container leaf, depth first.
 The writer orders the leaves by the leaf count below each node (bottom-up)
@@ -54,7 +54,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
@@ -64,8 +63,7 @@ from .extremal import (
     FULL_MODE_MAX_N,
     CANONICAL_MODE_MAX_N,
     ExtremalResult,
-    _blocks,
-    _state_masks,
+    _free_masks,
     extremal_number,
 )
 from .pairhypergraph import PairHypergraph, PairUniverse, build_hypergraph, tau_for
@@ -1058,27 +1056,6 @@ def verify_family(
     attempts = None if mode == "exhaustive" else _DRAW_BATCH * len(ends)
     return VerifyReport(mode, checked, witness is None, witness, idx, sp_ok, worst, limit_num,
                         den, attempts, None if attempts is None else seed)
-
-
-def _free_masks(n: int, pattern: PatternDigraph, edge_bit):
-    """Arrays of the bitmasks of the pattern-free digraphs on [n], in
-    state-index order, one chunk of the block walker's high states at a time.
-
-    The masks are those of ``iter_free_edge_masks``.  Each block's free-state
-    bitset becomes bytes; the chunk's bytes are unpacked into one bit per
-    state (and zero bits past the last state, when 4^L is below 8), and the
-    set bits, row by row, are the free states in order.
-    """
-    lo_masks, hi_masks = (np.array(t, dtype=np.uint64) for t in _state_masks(n, edge_bit))
-    width = len(lo_masks)               # 4^L states per block
-    size = -(-width // 8)
-    step = max(1, _ROUTE_BATCH // width)
-    blocks = _blocks(n, pattern, 0)
-    while chunk := list(islice(blocks, step)):
-        raw = b"".join(exact[0].to_bytes(size, "little") for _, exact in chunk)
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        hi, lo = np.nonzero(bits.reshape(len(chunk), 8 * size))
-        yield hi_masks[chunk[0][0] + hi] | lo_masks[lo]
 
 
 class _WindowSieve:

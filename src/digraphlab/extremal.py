@@ -4,13 +4,16 @@ compile_copies lists each copy of the pattern in the complete digraph on [n]
 as the sorted tuple of its directed edges.  Each of the p = n(n-1)/2 pair
 slots i < j of a digraph on [n] takes one of four states; state index idx
 keeps slot q in bits 2q (i->j) and 2q+1 (j->i).  One block walker serves the
-full scan, the free-mask iterator and the container verifier: the low
+full scan, the free-mask decoder and its reference iterator: the low
 min(p, 5) slots form a block whose states are the bits of one Python
 integer, and per high state the copies are added into bit-sliced counters,
-so n=5 (4^10 states) takes a fraction of a second.  The verifier unpacks
-the free-state bitsets of a chunk of blocks with numpy (its exhaustive sets,
-and the window table of its sampled sieve); iter_free_edge_masks yields the
-same masks one at a time and is kept as its reference.  Canonical mode
+so n=5 (4^10 states) takes a fraction of a second.  The decoder
+(_free_masks) unpacks the free-state bitsets of a chunk of blocks with
+numpy.  It gives the container verifier its exhaustive sets and the window
+table of its sampled sieve, and count-free at n=6 the labelled free
+digraphs on [5], from which f*(6) is counted with no canonical form
+(_count_one_vertex_more).  iter_free_edge_masks yields the same masks one
+at a time and is kept as the decoder's reference.  Canonical mode
 grows graphs one vertex at a time with one walker (_children) and isomorph
 rejection (_classes).  The attachment codes that keep a new vertex free are
 one bitset over the 4^k codes, derived from the copy table on [k+1], and the
@@ -26,12 +29,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations, groupby, permutations
+from itertools import combinations, groupby, islice, permutations
 
 from .digraphs import (
     Digraph,
     PatternDigraph,
-    automorphism_count,
     automorphisms,
     canonical_form,
     count_copies,
@@ -43,8 +45,10 @@ from .weights import WeightParam
 FULL_MODE_MAX_N = 5
 CANONICAL_MODE_MAX_N = 7
 COUNT_CLASSES_MAX_N = 6
+COUNT_FREE_MAX_N = FULL_MODE_MAX_N + 1  # one vertex past the scan
 
 _LOW_SLOTS = 5  # one block holds the 4^5 = 1024 states of the low slots
+_DECODE_STATES = 1 << 16  # states the free-mask decoder unpacks together
 
 
 def pair_slots(n: int) -> list[tuple[int, int]]:
@@ -116,18 +120,24 @@ def _sizes(width: int) -> tuple[list[int], list[int]]:
     return _per_state([(0, 0, 0, 1)] * width), _per_state([(0, 1, 1, 0)] * width)
 
 
+def _state_bits(n: int) -> dict[tuple[int, int], int]:
+    """The state bit of every directed edge on [n]: 2q for i->j and 2q+1 for
+    j->i, where q is the slot of the pair i < j."""
+    bit = {}
+    for q, (i, j) in enumerate(pair_slots(n)):
+        bit[i, j], bit[j, i] = 2 * q, 2 * q + 1
+    return bit
+
+
 def _blocks(n: int, pattern: PatternDigraph, c_max: int):
     """Yield (hi, exact) for every high state hi, in index order.
 
     exact[c] is the bitset of the low states lo for which the state
     hi * 4^L + lo holds exactly c copies, for c = 0..c_max at most.  A copy
-    is present in state idx iff idx has every bit of its edges: bit 2q for
-    i->j and bit 2q+1 for j->i, where q is the slot of the pair i < j.
+    is present in state idx iff idx has every state bit of its edges.
     """
     slots = pair_slots(n)
-    bit = {}
-    for q, (i, j) in enumerate(slots):
-        bit[i, j], bit[j, i] = 2 * q, 2 * q + 1
+    bit = _state_bits(n)
     low = min(len(slots), _LOW_SLOTS)
     lo_full = (1 << 4 ** low) - 1
     copies = compile_copies(n, pattern)
@@ -256,8 +266,8 @@ def iter_free_edge_masks(n: int, pattern: PatternDigraph, edge_bit):
 
     edge_bit(u, v) gives the bit position of the directed edge u->v, so the
     caller controls the indexing (e.g. the pair-universe codec).  The
-    verifier decodes the same blocks in bulk (``containers._free_masks``);
-    this generator is its reference.
+    verifier and the labelled count decode the same blocks in bulk
+    (_free_masks); this generator is its reference.
     """
     lo_masks, hi_masks = _state_masks(n, edge_bit)
     for hi, exact in _blocks(n, pattern, 0):
@@ -266,25 +276,113 @@ def iter_free_edge_masks(n: int, pattern: PatternDigraph, edge_bit):
             yield base | lo_masks[lo]
 
 
+def _free_masks(n: int, pattern: PatternDigraph, edge_bit):
+    """Arrays of the bitmasks of the pattern-free digraphs on [n], in
+    state-index order, one chunk of the block walker's high states at a time.
+
+    The masks are those of iter_free_edge_masks.  Each block's free-state
+    bitset becomes bytes; the chunk's bytes are unpacked into one bit per
+    state (and zero bits past the last state, when 4^L is below 8), and the
+    set bits, row by row, are the free states in order.
+    """
+    # numpy is imported on first use, not with the module: imported before
+    # containers.py is compiled, it lifts the peak RSS of a process that
+    # runs without a bytecode cache by 2 MiB (the compile's transient heap
+    # lands on top of numpy's)
+    import numpy as np
+
+    lo_masks, hi_masks = (np.array(t, dtype=np.uint64) for t in _state_masks(n, edge_bit))
+    width = len(lo_masks)               # 4^L states per block
+    size = -(-width // 8)
+    step = max(1, _DECODE_STATES // width)
+    blocks = _blocks(n, pattern, 0)
+    while chunk := list(islice(blocks, step)):
+        raw = b"".join(exact[0].to_bytes(size, "little") for _, exact in chunk)
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+        hi, lo = np.nonzero(bits.reshape(len(chunk), 8 * size))
+        yield hi_masks[chunk[0][0] + hi] | lo_masks[lo]
+
+
+# ---------------------------------------------------------------------------
+# Labelled counts one vertex past the scan
+# ---------------------------------------------------------------------------
+
+def _split_copies(k: int, pattern: PatternDigraph) -> list[tuple[tuple, int]]:
+    """One entry (base, requirement) per copy of the pattern on [k+1].
+
+    An attachment code of the new vertex k has 2 bits per old vertex u: bit
+    2u is the edge u->k and bit 2u+1 the edge k->u.  base holds the copy's
+    edges among the old vertices, and the requirement is the code of its
+    edges at k (0 when it has none).
+    """
+    return [(tuple(e for e in copy if k not in e),
+             sum(1 << (2 * u if v == k else 2 * v + 1) for u, v in copy if k in (u, v)))
+            for copy in compile_copies(k + 1, pattern)]
+
+
+def _count_one_vertex_more(k: int, pattern: PatternDigraph) -> int:
+    """The number of labelled pattern-free digraphs on [k+1], counted from
+    the free digraphs on [k] with no canonical form.
+
+    A digraph on [k+1] is a digraph G on [k] plus an attachment code x of
+    vertex k, and it is free iff G is free and no copy has its base inside G
+    and its requirement inside x.  So f*(k+1) is the sum over the 4^k codes
+    x of F - |U_x|, F the number of free G and U_x those holding the base of
+    a copy whose requirement lies inside x.  Each distinct base is one
+    bitset over the free list, in state-index order.  The codes are walked
+    depth first over their 2k bits, and a copy's bitset joins U when the
+    walk sets the highest bit of its requirement.  A copy with requirement 0
+    is a core copy on [k] whose isolated vertices lacked only the room the
+    new vertex gives; it seeds the walk.
+    """
+    import numpy as np  # on first use, as in _free_masks
+
+    bit = _state_bits(k)
+    copies = [(req, sum(1 << bit[e] for e in base)) for base, req in _split_copies(k, pattern)]
+    holders = {base: 0 for _, base in copies}  # base -> bitset of the free G holding it
+    free = 0
+    for masks in _free_masks(k, pattern, lambda u, v: bit[u, v]):
+        for base in holders:
+            b = np.uint64(base)
+            held = np.packbits((masks & b) == b, bitorder="little").tobytes()
+            holders[base] |= int.from_bytes(held, "little") << free
+        free += len(masks)
+    seed = 0
+    by_top = [[] for _ in range(2 * k)]  # copies by the highest bit of their requirement
+    for req, base in copies:
+        if req:
+            by_top[req.bit_length() - 1].append((req, holders[base]))
+        else:
+            seed |= holders[base]
+
+    def walk(d: int, code: int, hit: int, left: int) -> int:
+        """The sum of F - |U_x| over the codes x that agree with code below
+        bit d; hit is U of code's bits below d, and left is F - |hit|."""
+        if d == 2 * k:
+            return left
+        total = walk(d + 1, code, hit, left)
+        code |= 1 << d
+        met = [held for req, held in by_top[d] if code & req == req]
+        for held in met:
+            hit |= held
+        if met:
+            left = free - hit.bit_count()
+        return total + walk(d + 1, code, hit, left)
+
+    return walk(0, 0, seed, free - seed.bit_count())
+
+
 # ---------------------------------------------------------------------------
 # One-vertex growth: canonical-key dedup and Aut-orbit pruning
 # ---------------------------------------------------------------------------
 
 def _attachment_table(k: int, pattern: PatternDigraph) -> list[tuple[frozenset, int]]:
-    """One entry (base, forbidden) per copy of the pattern on [k+1] through vertex k.
-
-    An attachment code of the new vertex k has 2 bits per old vertex u: bit
-    2u is the edge u->k and bit 2u+1 the edge k->u.  base holds the copy's
-    edges among the old vertices; forbidden is the bitset of the 4^k codes
-    that supply all of the copy's edges at k.
-    """
-    table = []
-    for copy in compile_copies(k + 1, pattern):
-        base = frozenset(e for e in copy if k not in e)
-        req = sum(1 << (2 * u if v == k else 2 * v + 1) for u, v in copy if k in (u, v))
-        if req:
-            table.append((base, _holding(2 * k, req)))
-    return table
+    """One entry (base, forbidden) per copy of the pattern on [k+1] through
+    vertex k: base holds the copy's edges among the old vertices, and
+    forbidden is the bitset of the 4^k attachment codes that hold its
+    requirement (see _split_copies)."""
+    return [(frozenset(base), _holding(2 * k, req))
+            for base, req in _split_copies(k, pattern) if req]
 
 
 def _free_codes(g: Digraph, pattern: PatternDigraph, table) -> int:
@@ -528,17 +626,9 @@ def count_free(n: int, pattern: PatternDigraph) -> int:
         raise PreconditionError("n must be >= 1")
     if n <= FULL_MODE_MAX_N:
         return full_scan(n, pattern, None).free_count
-    if n == COUNT_CLASSES_MAX_N:
-        # each class on [n-1] has (n-1)!/|Aut| labellings, each extended by
-        # every free code
-        base = COUNT_CLASSES_MAX_N - 1
-        fact = math.factorial(base)
-        table = _attachment_table(base, pattern)
-        return sum(
-            fact // automorphism_count(g) * _free_codes(g, pattern, table).bit_count()
-            for g in free_classes(base, pattern).values()
-        )
-    raise BudgetError(f"labelled count capped at n={COUNT_CLASSES_MAX_N}")
+    if n == COUNT_FREE_MAX_N:
+        return _count_one_vertex_more(n - 1, pattern)
+    raise BudgetError(f"labelled count capped at n={COUNT_FREE_MAX_N}")
 
 
 @dataclass(frozen=True)

@@ -176,6 +176,23 @@ def naive_automorphism_count(n: int, edges: frozenset) -> int:
     )
 
 
+def class_route_count(k: int, pattern) -> int:
+    """The number of labelled pattern-free digraphs on [k+1], by classes.
+
+    Each free class g on [k] has k!/|Aut g| labellings, and each of them is
+    extended by every attachment code that keeps it free.  It goes through
+    canonical growth and automorphism counts, which ``count_free`` does not
+    touch, so it is a second route for f*(6).
+    """
+    from digraphlab import automorphism_count, free_classes
+    from digraphlab.extremal import _attachment_table, _free_codes
+
+    fact = math.factorial(k)
+    table = _attachment_table(k, pattern)
+    return sum(fact // automorphism_count(g) * _free_codes(g, pattern, table).bit_count()
+               for g in free_classes(k, pattern).values())
+
+
 def sorted_signature_colours(n: int, edges: frozenset) -> list[int]:
     """Iterated directed colour refinement with sorted tuple signatures.
 

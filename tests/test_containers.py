@@ -27,7 +27,7 @@ from digraphlab import (
     verify_family,
 )
 from digraphlab.cli import BUILTIN_PATTERNS, load_pattern
-from digraphlab.containers import _WindowSieve, _check_sparsity, _free_masks
+from digraphlab.containers import _WindowSieve, _check_sparsity
 from digraphlab.density import require_usable_m
 from digraphlab.errors import (
     ContainerBuildError,
@@ -35,7 +35,7 @@ from digraphlab.errors import (
     ParseError,
     PreconditionError,
 )
-from digraphlab.extremal import iter_free_edge_masks
+from digraphlab.extremal import _free_masks, iter_free_edge_masks
 from digraphlab.pairhypergraph import PairHypergraph, PairUniverse, tau_for
 from oracles import naive_build_containers, naive_export_text, naive_read_family
 

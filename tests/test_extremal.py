@@ -27,6 +27,7 @@ from digraphlab.cli import BUILTIN_PATTERNS, load_pattern
 from digraphlab.errors import BudgetError, PreconditionError
 from digraphlab.extremal import (
     _attachment_table,
+    _count_one_vertex_more,
     _extension,
     _extremal_canonical,
     _free_codes,
@@ -37,6 +38,7 @@ from digraphlab.extremal import (
 
 from oracles import (
     all_digraph_edge_sets,
+    class_route_count,
     f_counts,
     naive_compiled_copies,
     naive_count_copies,
@@ -144,25 +146,54 @@ def test_count_free_orbit_route_matches_scan(c3, t3):
 
 
 def test_count_free_n6_extension_route():
-    # the n=6 path sums exact extension counts over level-5 classes; check the
-    # same machinery against the direct scan at levels 3 and 4
+    # the class route, the n=6 oracle, sums exact extension counts over
+    # classes; check it against the direct scan at levels 3 and 4
     for name in BUILTIN_PATTERNS:
         pat = load_pattern(name)[0]
         for k in (3, 4):
-            fact = math.factorial(k)
-            table = _attachment_table(k, pat)
-            total = sum(
-                (fact // automorphism_count(g)) * _free_codes(g, pat, table).bit_count()
-                for g in free_classes(k, pat).values()
-            )
-            assert total == count_free(k + 1, pat), (name, k)
+            assert class_route_count(k, pat) == count_free(k + 1, pat), (name, k)
+
+
+# a triangle with 1, 2 and 4 isolated vertices (h = k+1 and h > k+1 leave the
+# new vertex to supply room) and a directed 5-cycle
+MORE_COUNTED = {name: PatternDigraph.from_text(text) for name, text in (
+    ("c3+1", "n=4; 0 1; 1 2; 2 0"),
+    ("c3+2", "n=5; 0 1; 1 2; 2 0"),
+    ("c3+4", "n=7; 0 1; 1 2; 2 0"),
+    ("c5", "n=5; 0 1; 1 2; 2 3; 3 4; 4 0"),
+)}
+
+
+def counted_pattern(name: str) -> PatternDigraph:
+    return MORE_COUNTED[name] if name in MORE_COUNTED else load_pattern(name)[0]
+
+
+@pytest.mark.parametrize("name", BUILTIN_PATTERNS + tuple(MORE_COUNTED))
+def test_labelled_one_vertex_count_matches_the_scan(name):
+    pat = counted_pattern(name)
+    for k in (1, 2, 3, 4):
+        assert _count_one_vertex_more(k, pat) == full_scan(k + 1, pat, None).free_count, k
+
+
+@pytest.mark.parametrize("name", BUILTIN_PATTERNS + ("c3+1", "c3+2", "c5"))
+def test_count_free_n6_matches_the_class_route(name):
+    pat = counted_pattern(name)
+    assert count_free(6, pat) == class_route_count(5, pat)
 
 
 def test_count_free_n6_pinned(c3, dk3):
-    # made anew by labelled one-vertex extensions of a numpy brute-force
-    # table of the free digraphs on [5], sharing no code with count_free
+    # c3 and dk3 made anew by labelled one-vertex extensions of a numpy
+    # brute-force table of the free digraphs on [5], sharing no code with
+    # count_free; the others agree with the class route
     assert count_free(6, c3) == 36_686_047
     assert count_free(6, dk3) == 823_931_109
+    assert count_free(6, load_pattern("t3")[0]) == 5_205_915
+    assert count_free(6, load_pattern("p4")[0]) == 606_054
+    assert count_free(6, load_pattern("p3")[0]) == 13_098
+    # a digraph holds no 2-cycle iff each of the 15 pairs takes one of its
+    # 3 other states; a copy of c3+4 needs 7 vertices
+    assert count_free(6, load_pattern("twocycle")[0]) == 3 ** 15
+    assert count_free(6, MORE_COUNTED["c3+4"]) == 4 ** 15
 
 
 def test_counting_ratio(patterns):
