@@ -69,8 +69,8 @@ def load_pattern(spec: str) -> tuple[PatternDigraph, str]:
     path = Path(spec)
     if path.exists():
         try:
-            text = path.read_text()
-        except OSError as exc:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"unreadable graph file {spec!r}: {exc}") from None
         return PatternDigraph.from_text(text), spec
     name = spec[:-3] if spec.endswith(".dg") else spec
@@ -352,8 +352,8 @@ def cmd_verify_family(args, pattern):
     eps = parse_fraction(args.eps, "eps")
     if args.family:
         try:
-            fam = ContainerFamily.from_export_text(Path(args.family).read_text())
-        except OSError as exc:
+            fam = ContainerFamily.from_export_text(Path(args.family).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"unreadable family file {args.family!r}: {exc}") from None
         # sparsity is checked against the family's own eps
         if fam.eps != eps:
@@ -553,6 +553,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         print("digraphlab: error: standard output closed", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an output path (--out, --export, --witness-dir) not writable
+        print(f"digraphlab: error: {exc}", file=sys.stderr)
         return 1
     except ParseError as exc:
         print(f"digraphlab: parse error: {exc}", file=sys.stderr)

@@ -244,10 +244,6 @@ class PatternDigraph:
         return automorphism_count(self.core_digraph)
 
     @cached_property
-    def isolated_count(self) -> int:
-        return self.h - self.core_digraph.n
-
-    @cached_property
     def embedding_plan(self):
         return _embedding_plan(self.core_digraph)
 
@@ -276,8 +272,8 @@ def is_pattern_free(g: Digraph, pattern: PatternDigraph) -> bool:
 # Subpattern enumeration
 # ---------------------------------------------------------------------------
 
-def iter_subpatterns(pattern: PatternDigraph, min_edges: int = 2):
-    """Yield (edge_subset, span) over all edge subsets with >= min_edges edges.
+def iter_subpatterns(pattern: PatternDigraph):
+    """Yield (edge_subset, span) over all edge subsets with >= 2 edges.
 
     span counts only the vertices covered by the chosen edges.  Subset order
     follows the bitmask counter over the sorted edge list, so it is
@@ -289,8 +285,7 @@ def iter_subpatterns(pattern: PatternDigraph, min_edges: int = 2):
         raise BudgetError(f"subpattern scan over 2^{r} subsets refused")
     endpoint_mask = [(1 << u) | (1 << v) for u, v in edges]
     for mask in range(1, 1 << r):
-        e = bin(mask).count("1")
-        if e < min_edges:
+        if mask.bit_count() < 2:
             continue
         vm = 0
         m = mask

@@ -10,17 +10,21 @@ integer, and per high state the copies are added into bit-sliced counters,
 so n=5 (4^10 states) takes a fraction of a second.  The decoder
 (_free_masks) unpacks the free-state bitsets of a chunk of blocks with
 numpy.  It gives the container verifier its exhaustive sets and the window
-table of its sampled sieve, and count-free at n=6 the labelled free
-digraphs on [5], from which f*(6) is counted with no canonical form
-(_count_one_vertex_more).  iter_free_edge_masks yields the same masks one
-at a time and is kept as the decoder's reference.  Canonical mode
-grows graphs one vertex at a time with one walker (_children) and isomorph
+table of its sampled sieve, and count-free the labelled free digraphs on
+[n-1], from which f*(n) is counted with no canonical form for every
+n <= 6 (_count_one_vertex_more).  iter_free_edge_masks yields the same
+masks one at a time and is kept as the decoder's reference.
+
+Both the count and canonical mode see a digraph on [k+1] as one on [k] plus
+an attachment code of vertex k, and both read which codes make a copy off
+one split of the copies on [k+1] (_split_copies).  Canonical mode grows
+graphs one vertex at a time with one walker (_children) and isomorph
 rejection (_classes).  The attachment codes that keep a new vertex free are
-one bitset over the 4^k codes, derived from the copy table on [k+1], and the
+one bitset over the 4^k codes, a lookup in the attachment table, and the
 weight bound keeps a heaviest-first prefix of the groups of equally heavy
-codes before any digraph is built.  Of each orbit of codes under the parent's automorphisms
-only the smallest is extended.  It reaches its cap n=7: c3 at a=2 takes
-8-9 s per CLI process on one Xeon vCPU.
+codes before any digraph is built.  Of each orbit of codes under the
+parent's automorphisms only the smallest is extended.  It reaches its cap
+n=7: c3 at a=2 takes 8-9 s per CLI process on one Xeon vCPU.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from .digraphs import (
     automorphisms,
     canonical_form,
     count_copies,
-    is_pattern_free,
 )
 from .errors import BudgetError, PreconditionError, VerificationError
 from .weights import WeightParam
@@ -45,7 +48,7 @@ from .weights import WeightParam
 FULL_MODE_MAX_N = 5
 CANONICAL_MODE_MAX_N = 7
 COUNT_CLASSES_MAX_N = 6
-COUNT_FREE_MAX_N = FULL_MODE_MAX_N + 1  # one vertex past the scan
+COUNT_FREE_MAX_N = 6  # f*(n) decodes the 4^((n-1)(n-2)/2) states on [n-1]
 
 _LOW_SLOTS = 5  # one block holds the 4^5 = 1024 states of the low slots
 _DECODE_STATES = 1 << 16  # states the free-mask decoder unpacks together
@@ -185,7 +188,6 @@ def _tie_groups(weight: WeightParam, f2: list[int], f1: list[int]) -> list[tuple
 class ScanResult:
     n: int
     states: int
-    free_count: int
     best_pairs: list[tuple[int, int] | None]  # index = exact copy count
     witness_digits: list[tuple[int, ...]]
     witness_overflow: bool
@@ -194,7 +196,7 @@ class ScanResult:
 def full_scan(
     n: int,
     pattern: PatternDigraph,
-    weight: WeightParam | None,
+    weight: WeightParam,
     k_max: int = 0,
     collect_witnesses: bool = False,
     raw_cap: int = 50_000,
@@ -216,13 +218,11 @@ def full_scan(
     p = n * (n - 1) // 2
     low = min(p, _LOW_SLOTS)
     (lo_f2, lo_f1), (hi_f2, hi_f1) = _sizes(low), _sizes(p - low)
-    groups = [] if weight is None else _tie_groups(weight, lo_f2, lo_f1)
-    free = 0
+    groups = _tie_groups(weight, lo_f2, lo_f1)
     best: list[tuple[int, int] | None] = [None] * (k_max + 1)
     wits: list[int] = []
     overflow = False
-    for hi, exact in _blocks(n, pattern, 0 if weight is None else k_max):
-        free += exact[0].bit_count()
+    for hi, exact in _blocks(n, pattern, k_max):
         for c, mask in enumerate(exact):
             # the heaviest tie group meeting the mask; its lowest bit comes
             # first in index order
@@ -245,7 +245,7 @@ def full_scan(
                         break
                     wits.append((hi << 2 * low) | s)
     digits = [tuple((idx >> 2 * q) & 3 for q in range(p)) for idx in wits]
-    return ScanResult(n, 4 ** p, free, best, digits, overflow)
+    return ScanResult(n, 4 ** p, best, digits, overflow)
 
 
 def _state_masks(n: int, edge_bit) -> tuple[list[int], list[int]]:
@@ -304,20 +304,28 @@ def _free_masks(n: int, pattern: PatternDigraph, edge_bit):
 
 
 # ---------------------------------------------------------------------------
-# Labelled counts one vertex past the scan
+# Labelled counts from the free digraphs one vertex smaller
 # ---------------------------------------------------------------------------
 
 def _split_copies(k: int, pattern: PatternDigraph) -> list[tuple[tuple, int]]:
-    """One entry (base, requirement) per copy of the pattern on [k+1].
+    """One entry (base, requirement) per copy of the pattern on [k+1] whose
+    base can lie inside a pattern-free digraph on [k].
 
     An attachment code of the new vertex k has 2 bits per old vertex u: bit
     2u is the edge u->k and bit 2u+1 the edge k->u.  base holds the copy's
     edges among the old vertices, and the requirement is the code of its
     edges at k (0 when it has none).
     """
-    return [(tuple(e for e in copy if k not in e),
-             sum(1 << (2 * u if v == k else 2 * v + 1) for u, v in copy if k in (u, v)))
-            for copy in compile_copies(k + 1, pattern)]
+    entries = []
+    for copy in compile_copies(k + 1, pattern):
+        req = sum(1 << (2 * u if v == k else 2 * v + 1) for u, v in copy if k in (u, v))
+        # a copy with requirement 0 lies on [k].  A free digraph on [k] can
+        # hold it only at k = h - 1: the core is there, and the new vertex is
+        # the room its isolated vertices lacked.  At k >= h it would be a
+        # copy on [k] itself.
+        if req or k + 1 == pattern.h:
+            entries.append((tuple(e for e in copy if k not in e), req))
+    return entries
 
 
 def _count_one_vertex_more(k: int, pattern: PatternDigraph) -> int:
@@ -332,8 +340,7 @@ def _count_one_vertex_more(k: int, pattern: PatternDigraph) -> int:
     bitset over the free list, in state-index order.  The codes are walked
     depth first over their 2k bits, and a copy's bitset joins U when the
     walk sets the highest bit of its requirement.  A copy with requirement 0
-    is a core copy on [k] whose isolated vertices lacked only the room the
-    new vertex gives; it seeds the walk.
+    (see _split_copies) is met by every code; it seeds the walk.
     """
     import numpy as np  # on first use, as in _free_masks
 
@@ -377,34 +384,25 @@ def _count_one_vertex_more(k: int, pattern: PatternDigraph) -> int:
 # ---------------------------------------------------------------------------
 
 def _attachment_table(k: int, pattern: PatternDigraph) -> list[tuple[frozenset, int]]:
-    """One entry (base, forbidden) per copy of the pattern on [k+1] through
-    vertex k: base holds the copy's edges among the old vertices, and
-    forbidden is the bitset of the 4^k attachment codes that hold its
-    requirement (see _split_copies)."""
-    return [(frozenset(base), _holding(2 * k, req))
-            for base, req in _split_copies(k, pattern) if req]
+    """One entry (base, forbidden) per copy of _split_copies(k, pattern):
+    base holds the copy's edges among the old vertices, and forbidden is the
+    bitset of the 4^k attachment codes that hold its requirement.  A copy
+    with requirement 0 (see _split_copies) forbids every code."""
+    return [(frozenset(base), _holding(2 * k, req)) for base, req in _split_copies(k, pattern)]
 
 
-def _free_codes(g: Digraph, pattern: PatternDigraph, table) -> int:
+def _free_codes(g: Digraph, table) -> int:
     """Bitset of the attachment codes that keep the pattern-free g free.
 
-    table is _attachment_table(g.n, pattern).  A copy through the new vertex
-    appears iff its base lies inside g and the code holds its edges at the
-    new vertex.
+    table is _attachment_table(g.n, pattern).  A copy on [g.n + 1] appears
+    iff its base lies inside g and the code holds its edges at the new
+    vertex.
     """
-    k = g.n
-    full = (1 << 4 ** k) - 1
-    if pattern.h > k + 1:
-        return full
-    if pattern.isolated_count and not is_pattern_free(Digraph(k + 1, g.edges), pattern):
-        # the base already hosts the core; the new vertex supplies the room
-        # its isolated vertices were missing, so no extension stays free
-        return 0
     forbidden = 0
     for base, codes in table:
         if base <= g.edges:
             forbidden |= codes
-    return full & ~forbidden
+    return ((1 << 4 ** g.n) - 1) & ~forbidden
 
 
 def _extension(g: Digraph, code: int) -> Digraph:
@@ -440,7 +438,7 @@ def _orbit_minimal(g: Digraph, codes: int) -> int:
     return keep
 
 
-def _children(reps, pattern: PatternDigraph, table, reach=None):
+def _children(reps, table, reach=None):
     """The one-vertex extensions of each representative by its orbit-minimal
     free codes, representatives in turn and codes ascending.
 
@@ -449,7 +447,7 @@ def _children(reps, pattern: PatternDigraph, table, reach=None):
     it is read when the walk reaches g, and it must be closed under Aut(g).
     """
     for g in reps:
-        codes = _free_codes(g, pattern, table)
+        codes = _free_codes(g, table)
         if reach is not None:
             codes &= reach(g)
         for code in _bits(_orbit_minimal(g, codes)):
@@ -480,7 +478,7 @@ def free_classes(n: int, pattern: PatternDigraph) -> dict[bytes, Digraph]:
     g1 = Digraph(1, frozenset())
     reps = {canonical_form(g1): g1}
     for k in range(1, n):
-        reps = _classes(_children(reps.values(), pattern, _attachment_table(k, pattern)))
+        reps = _classes(_children(reps.values(), _attachment_table(k, pattern)))
     return reps
 
 
@@ -489,10 +487,11 @@ def _extremal_canonical(n: int, pattern: PatternDigraph, weight: WeightParam):
 
     The bound starts at a greedy path, heaviest extension first; it
     dead-ends when a pattern with isolated vertices meets a core copy on
-    h - 1 vertices, and the empty digraph, free because a pattern has at
-    least 2 edges, then gives (0, 0).  Pruning discards a code only when
-    even turning every remaining pair into a double edge cannot reach the
-    current best, so every class attaining the maximum survives to level n.
+    h - 1 vertices (that copy's attachment table entry forbids every code),
+    and the empty digraph, free because a pattern has at least 2 edges,
+    then gives (0, 0).  Pruning discards a code only when even turning
+    every remaining pair into a double edge cannot reach the current best,
+    so every class attaining the maximum survives to level n.
     A code that an automorphism of its parent maps to a smaller code is
     skipped: the smaller one came first with the same class and the same
     (f2, f1), so the winners and their representatives are those of the
@@ -507,7 +506,7 @@ def _extremal_canonical(n: int, pattern: PatternDigraph, weight: WeightParam):
     weighted = cmp_to_key(weight.cmp_pairs)
     greedy = g1
     for table in tables:
-        greedy = max(_children([greedy], pattern, table),
+        greedy = max(_children([greedy], table),
                      key=lambda ext: weighted((ext.f2, ext.f1)), default=None)
         if greedy is None:
             break
@@ -527,7 +526,7 @@ def _extremal_canonical(n: int, pattern: PatternDigraph, weight: WeightParam):
     for k, table in enumerate(tables, start=1):
         rem = n * (n - 1) // 2 - (k + 1) * k // 2
         groups = _tie_groups(weight, *_sizes(k))
-        exts = _children(reps, pattern, table, reach)
+        exts = _children(reps, table, reach)
         if k < n - 1:
             reps = _classes(exts).values()
     # level n: an extension that loses to best_pair is never canonicalised
@@ -624,11 +623,9 @@ def count_free(n: int, pattern: PatternDigraph) -> int:
     """Exact number of labelled pattern-free digraphs on [n]."""
     if n < 1:
         raise PreconditionError("n must be >= 1")
-    if n <= FULL_MODE_MAX_N:
-        return full_scan(n, pattern, None).free_count
-    if n == COUNT_FREE_MAX_N:
-        return _count_one_vertex_more(n - 1, pattern)
-    raise BudgetError(f"labelled count capped at n={COUNT_FREE_MAX_N}")
+    if n > COUNT_FREE_MAX_N:
+        raise BudgetError(f"labelled count capped at n={COUNT_FREE_MAX_N}")
+    return _count_one_vertex_more(n - 1, pattern)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ def int_str(x: int) -> str:
     return str(int(x))
 
 
-def float_field(value: float, note: str = FLOAT_PRECISION) -> dict:
-    return {"value": value, "precision": note}
+def float_field(value: float) -> dict:
+    return {"value": value, "precision": FLOAT_PRECISION}
 
 
 def render_document(doc: dict) -> str:

@@ -189,7 +189,7 @@ def class_route_count(k: int, pattern) -> int:
 
     fact = math.factorial(k)
     table = _attachment_table(k, pattern)
-    return sum(fact // automorphism_count(g) * _free_codes(g, pattern, table).bit_count()
+    return sum(fact // automorphism_count(g) * _free_codes(g, table).bit_count()
                for g in free_classes(k, pattern).values())
 
 

@@ -497,6 +497,36 @@ def test_closed_stdout_is_one_line_exit_1():
     assert proc.stderr == "digraphlab: error: standard output closed\n"
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["count-free", "--n", "3", "--pattern"], "graph"),
+    (["verify-family", "--pattern", "c3", "--N", "4", "--family"], "family"),
+])
+def test_non_utf8_input_file_is_one_line_exit_1(capsys, tmp_path, argv, what):
+    bad = tmp_path / "bad.dg"
+    bad.write_bytes(b"\xff\xfe")
+    rc, out, err = run(capsys, [*argv, str(bad)])
+    assert rc == 1 and out == ""
+    assert err == (f"digraphlab: error: unreadable {what} file {str(bad)!r}: 'utf-8' codec "
+                   "can't decode byte 0xff in position 0: invalid start byte\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["count-free", "--pattern", "c3", "--n", "3", "--out", "MISSING/x.json"],
+    ["hypergraph", "--pattern", "c3", "--N", "3", "--export", "MISSING/x"],
+    ["containers", "--pattern", "c3", "--N", "4", "--eps", "1/10", "--export", "MISSING/x"],
+    ["ex", "--pattern", "c3", "--n", "3", "--witness-dir", "FILE"],
+])
+def test_unwritable_output_is_one_line_exit_1(capsys, tmp_path, argv):
+    # MISSING is a directory that does not exist, FILE a file where a
+    # directory is wanted
+    (tmp_path / "FILE").write_text("")
+    rc, out, err = run(capsys, [str(tmp_path / a) if a.startswith(("MISSING", "FILE")) else a
+                                for a in argv])
+    assert rc == 1 and out == ""
+    assert err.startswith("digraphlab: error: [Errno ") and err.count("\n") == 1
+    assert str(tmp_path) in err
+
+
 def test_pipeline_refusal_exit_2(capsys):
     rc, out, err = run(capsys, [
         "pipeline", "--pattern", "dk3", "--a", "2", "--N", "5", "--eps", "1/10",

@@ -170,9 +170,12 @@ def counted_pattern(name: str) -> PatternDigraph:
 
 @pytest.mark.parametrize("name", BUILTIN_PATTERNS + tuple(MORE_COUNTED))
 def test_labelled_one_vertex_count_matches_the_scan(name):
+    # the reference counts the block walker's free masks, found from
+    # compile_copies and not from _split_copies; k = 0 is f*(1) = 1
     pat = counted_pattern(name)
-    for k in (1, 2, 3, 4):
-        assert _count_one_vertex_more(k, pat) == full_scan(k + 1, pat, None).free_count, k
+    for k in (0, 1, 2, 3, 4):
+        free = sum(1 for _ in iter_free_edge_masks(k + 1, pat, lambda u, v: (k + 1) * u + v))
+        assert _count_one_vertex_more(k, pat) == free, k
 
 
 @pytest.mark.parametrize("name", BUILTIN_PATTERNS + ("c3+1", "c3+2", "c5"))
@@ -326,13 +329,12 @@ def test_full_scan_against_oracles(name, a, k_max):
         for raw_cap in (1, 7):
             scan = full_scan(n, pat, weight, k_max=k_max, collect_witnesses=True, raw_cap=raw_cap)
             assert scan.states == len(rows) == 4 ** (n * (n - 1) // 2)
-            assert scan.free_count == sum(1 for _, _, cc, _ in rows if cc == 0)
             assert scan.best_pairs == expect_best
             assert scan.witness_digits == attaining[:raw_cap]
             assert scan.witness_overflow == (len(attaining) > raw_cap)
         if weight.rational is not None:
             value, free, count = naive_extremal(n, pat.graph.edges, pat.h, weight.rational)
-            assert (free, count) == (scan.free_count, len(attaining))
+            assert (free, count) == (count_free(n, pat), len(attaining))
             assert weight.ea_fraction(*scan.best_pairs[0]) == value
             points = supersat_scan(n, pat, weight, k_max)
             expect = naive_supersat(n, pat.graph.edges, pat.h, weight.rational, k_max)
@@ -372,7 +374,7 @@ def test_free_extensions_against_brute_force(name):
                 ext = Digraph(k + 1, frozenset(edges))
                 if is_pattern_free(ext, pat):
                     expect.add(ext.edges)
-            codes = _free_codes(g, pat, table)
+            codes = _free_codes(g, table)
             got = [_extension(g, code).edges for code in range(4 ** k) if codes >> code & 1]
             assert len(got) == len(set(got)) and set(got) == expect
             assert codes.bit_count() == len(expect)
