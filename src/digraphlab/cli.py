@@ -351,6 +351,9 @@ def cmd_verify_family(args, pattern):
     require_verifiable(args.N, args.mode)
     eps = parse_fraction(args.eps, "eps")
     if args.family:
+        # the family carries its own tau, but an explicit one must still be valid
+        if args.tau != "auto":
+            _parse_tau(args, pattern)
         try:
             fam = ContainerFamily.from_export_text(Path(args.family).read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError) as exc:

@@ -25,7 +25,11 @@ and containers are then numbered as a depth-first build (excluded branch
 first) would visit and emit them, and the tree is stored as ``array('i')``.
 
 The verifier makes its sets with array passes and routes them down the tree
-together, one depth step at a time, _ROUTE_BATCH sets per pass.  Exhaustive
+together, one depth step at a time, _ROUTE_BATCH sets per pass.  The sets
+still descending are one compacted working set of (position, mask, node):
+a step takes each next node from one interleaved child table, and only a
+step at which some set reaches a leaf or DEAD writes their codes out and
+compresses the working set.  Exhaustive
 mode takes its sets from the extremal module's free-mask decoder
 (_free_masks), which unpacks the block walker's free-state bitsets a chunk
 of high states at a time.  Sampled mode draws uniform batches and sieves
@@ -1032,7 +1036,11 @@ def verify_family(
     limit_num = num * hg.edge_count
 
     conts = np.fromiter(fam.containers, dtype=np.uint64, count=len(fam.containers))
-    tree = tuple(np.asarray(x, dtype=np.intc) for x in (fam.pivots, fam.out_child, fam.in_child))
+    pivots = np.asarray(fam.pivots, dtype=np.uint64)
+    # node c's excluded child at 2c, its included child at 2c + 1
+    child = np.empty(2 * len(pivots), dtype=np.intc)
+    child[0::2] = fam.out_child
+    child[1::2] = fam.in_child
 
     if mode == "exhaustive":
         pieces = _free_masks(N, pattern, hg.universe.pair_index)
@@ -1042,7 +1050,7 @@ def verify_family(
     checked = 0
     witness = idx = None
     for sets in _pooled(pieces, ends):
-        miss = _first_miss(fam.root, tree, conts, sets)
+        miss = _first_miss(fam.root, pivots, child, conts, sets)
         if miss is not None:
             k, code = miss
             checked += k + 1
@@ -1139,21 +1147,30 @@ def _pooled(pieces, ends: list[int]):
         yield np.concatenate(pool)
 
 
-def _first_miss(root: int, tree: tuple[np.ndarray, ...], conts: np.ndarray,
+def _first_miss(root: int, pivots: np.ndarray, child: np.ndarray, conts: np.ndarray,
                 masks: np.ndarray) -> tuple[int, int] | None:
     """(position, leaf code) of the first mask its routed container misses.
 
-    Every mask descends the tree together, one depth step per round; a mask
-    that ends on a DEAD branch is missed too.
+    The masks still descending travel as one working set of (position, mask,
+    node), one depth step per round: each reads its pivot bit and takes the
+    next node from the interleaved ``child`` table (``child[2 * node + bit]``).
+    At a step where some reach a leaf or DEAD, those write their code once and
+    the working set is compressed.  A mask that ends on a DEAD branch is
+    missed too.
     """
-    pivots, out_child, in_child = tree
     code = np.full(len(masks), root, dtype=np.intc)
-    live = np.flatnonzero(code >= 0)
-    while len(live):
-        c = code[live]
-        bit = (masks[live] >> pivots[c].astype(np.uint64)) & np.uint64(1)
-        code[live] = np.where(bit != 0, in_child[c], out_child[c])
-        live = live[code[live] >= 0]
+    live = len(masks) if root >= 0 else 0
+    pos, m, node = np.arange(live, dtype=np.intc), masks[:live], code[:live].copy()
+    one = np.uint64(1)
+    while len(pos):
+        # a uint64 bit added to intc codes would promote them to float64
+        bit = ((m >> pivots.take(node)) & one).astype(np.intc)
+        node = child.take(2 * node + bit)
+        done = node < 0
+        if done.any():
+            code[pos.compress(done)] = node.compress(done)
+            keep = ~done
+            pos, m, node = pos.compress(keep), m.compress(keep), node.compress(keep)
     held = np.zeros(len(masks), dtype=bool)
     leaf = np.flatnonzero(code != DEAD)
     held[leaf] = (masks[leaf] & ~conts[_leaf_index(code[leaf])]) == 0

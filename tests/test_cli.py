@@ -316,6 +316,8 @@ def test_verify_family_malformed_export_exit_1(capsys, tmp_path, edit, line, why
      "sampled verification needs a <=63-bit universe"),
     (["pipeline", "--pattern", "c3", "--a", "2", "--N", "9", "--eps", "1/10"],
      "sampled verification needs a <=63-bit universe"),
+    (["verify-family", "--pattern", "c3", "--N", "4", "--tau", "7",
+      "--family", "no-such-family.txt"], "tau=7 outside (0, 1]"),
 ])
 def test_out_of_cap_verification_refused_before_work(capsys, monkeypatch, argv, why):
     def no_work(*args, **kwargs):
@@ -417,6 +419,8 @@ def test_number_flag_integer_eps_is_parsed_then_refused(capsys):
     (["density", "--pattern", "c3", "--a", "inf"], "weight", "inf"),
     (["pipeline", "--pattern", "c3", "--N", "4", "--eps", ".1"], "eps", ".1"),
     (["pipeline", "--pattern", "c3", "--N", "4", "--eps", "1/10", "--a", "2/"], "weight", "2/"),
+    (["verify-family", "--pattern", "c3", "--N", "4", "--tau", "abc",
+      "--family", "no-such-family.txt"], "tau", "abc"),
 ])
 def test_malformed_number_flags_exit_1(capsys, argv, what, text):
     rc, out, err = run(capsys, argv)

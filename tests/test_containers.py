@@ -54,6 +54,20 @@ def test_empty_hypergraph_single_full_container(c3):
     fam = build_containers(empty, 0.5, Fraction(1, 10))
     assert len(fam.containers) == 1
     assert fam.containers[0] == (1 << hg.universe.size) - 1
+    # the root is the leaf: the sets are checked without a depth step; the
+    # second family's container lacks one element
+    assert fam.root == -2
+    free = list(iter_free_edge_masks(3, c3, hg.universe.pair_index))
+    for f in (fam, replace(fam, containers=[fam.containers[0] & ~2])):
+        rep = verify_family(empty, f, c3, mode="exhaustive")
+        assert (rep.checked, rep.miss_witness, rep.miss_container) == \
+            _first_miss_per_mask(hg, f, free)
+        rep = verify_family(empty, f, c3, mode="sampled", samples=500, seed=3)
+        attempts = []
+        want = _first_miss_per_mask(hg, f, islice(_sampled_masks(hg, 3, attempts), 500))
+        assert (rep.checked, rep.miss_witness, rep.miss_container, rep.attempts) == \
+            (*want, sum(attempts))
+    assert rep.miss_container == 0
 
 
 def test_single_hyperedge_each_container_misses_an_element(c3):
@@ -169,7 +183,17 @@ def test_empty_family_on_nonempty_hypergraph_fails(c3):
         N=3, r=3, eps=Fraction(1, 10), tau=0.5,
         containers=[], spans=[], root=-1, pivots=[], out_child=[], in_child=[],
     )
+    # the root is DEAD: the first set is missed without a depth step
     rep = verify_family(hg, empty_fam, c3, mode="exhaustive")
+    assert not rep.coverage_ok
+    free = iter_free_edge_masks(3, c3, hg.universe.pair_index)
+    assert (rep.checked, rep.miss_witness, rep.miss_container) == \
+        _first_miss_per_mask(hg, empty_fam, free) == (1, "n=3\n", None)
+    rep = verify_family(hg, empty_fam, c3, mode="sampled", samples=500, seed=3)
+    attempts = []
+    want = _first_miss_per_mask(hg, empty_fam, _sampled_masks(hg, 3, attempts))
+    assert (rep.checked, rep.miss_witness, rep.miss_container, rep.attempts) == \
+        (*want, sum(attempts))
     assert not rep.coverage_ok
 
 
@@ -238,16 +262,19 @@ def _late_fault(fam, masks, after):
 def test_batched_exhaustive_routing_matches_route(c3, c3_n5):
     hg, fam, free = c3_n5
     late = _late_fault(fam, free, 70_000)
+    later = _late_fault(fam, free, 131_072)
     # a DEAD branch where free sets arrive: the first node with an internal in-child
     dead = replace(fam, in_child=fam.in_child[:])
     dead.in_child[next(n for n, c in enumerate(fam.in_child) if c >= 0)] = -1
-    for bad in (late, dead):
+    for bad in (late, later, dead):
         rep = verify_family(hg, bad, c3, mode="exhaustive")
         want = _first_miss_per_mask(hg, bad, free)
         assert (rep.checked, rep.miss_witness, rep.miss_container) == want
         assert not rep.coverage_ok
-    # the late miss lies past the first batch; the DEAD one has no container
+    # the late misses lie in the second and the third (partial) batch; the
+    # DEAD one has no container
     assert _first_miss_per_mask(hg, late, free)[0] > 65_536
+    assert _first_miss_per_mask(hg, later, free)[0] > 131_072
     assert _first_miss_per_mask(hg, dead, free)[2] is None
 
 
