@@ -351,9 +351,8 @@ def cmd_verify_family(args, pattern):
     require_verifiable(args.N, args.mode)
     eps = parse_fraction(args.eps, "eps")
     if args.family:
-        # the family carries its own tau, but an explicit one must still be valid
-        if args.tau != "auto":
-            _parse_tau(args, pattern)
+        # the family carries its own tau; an explicit one must be valid and the same
+        tau = None if args.tau == "auto" else _parse_tau(args, pattern)
         try:
             fam = ContainerFamily.from_export_text(Path(args.family).read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError) as exc:
@@ -361,6 +360,8 @@ def cmd_verify_family(args, pattern):
         # sparsity is checked against the family's own eps
         if fam.eps != eps:
             raise PreconditionError(f"--eps {eps} differs from the family's eps {fam.eps}")
+        if tau is not None and tau != fam.tau:
+            raise PreconditionError(f"--tau {args.tau} differs from the family's tau {fam.tau!r}")
         # a hyperedge has one element per pattern edge
         if fam.r != pattern.r:
             raise PreconditionError(f"the family's r={fam.r} differs from the pattern's "

@@ -39,14 +39,13 @@ of the window relabelled onto [4], and the table says whether that digraph
 is pattern-free.  Only the hyperedges that no window holds are then tested
 one by one.
 
-The export writes one fingerprint line per container leaf, depth first.
-The writer orders the leaves by the leaf count below each node (bottom-up)
-and each node's first-leaf rank (top-down), then turns blocks of token rows
-into bytes through a table of per-token cells.  The reader scans the text a
-block at a time for words and commas, parses the tokens in bulk, puts the
-paths in depth-first order if they are not, and numbers the nodes each path
-adds below the one it shares with the path before it.  A refused file's
-first bad line is found by bisection over its line prefixes.
+The export writer walks the tree depth first with an explicit stack that
+carries each pending path as text, and writes one line per container leaf.
+The reader scans the text a block at a time for words and commas, parses
+the tokens in bulk, puts the paths in depth-first order if they are not,
+and numbers the nodes each path adds below the one it shares with the path
+before it.  A refused file's first bad line is found by bisection over its
+line prefixes.
 """
 
 from __future__ import annotations
@@ -102,8 +101,10 @@ _WINDOW = 4
 # passes took 0.041 s and 0.034 s this way, and 0.070 s each on whole
 # batches (one Xeon vCPU)
 _SIEVE_ROWS = 16_384
-# bytes of fingerprint lines the export writer renders together
-_RENDER_CELLS = 1 << 20
+# fingerprint lines the export writer joins into one string: joined only at
+# the end, the half-million line strings of the c3 N=7 eps=2/5 export raised
+# its peak RSS by 135 MiB, against 62 MiB this way
+_JOIN_LINES = 1 << 14
 # characters of text, and token comparisons, the export reader handles together
 _BLOCK_CHARS = 1 << 18
 _COMPARE_CELLS = 1 << 16
@@ -163,7 +164,8 @@ class ContainerFamily:
         """
         head = f"{self.N} {self.r} {self.eps} {self.tau!r} {len(self.containers)}\n"
         return "".join([head, _hex_lines(self.containers, self.universe.size),
-                        *_leaf_lines(self.root, self.pivots, self.out_child, self.in_child)])
+                        *_leaf_lines(self.root, self.pivots, self.out_child, self.in_child,
+                                     len(self.containers))])
 
     @classmethod
     def from_export_text(cls, text: str) -> "ContainerFamily":
@@ -204,20 +206,6 @@ class ContainerFamily:
 # Family export: writer
 # ---------------------------------------------------------------------------
 
-def _decimal_digits(values) -> tuple[np.ndarray, np.ndarray]:
-    """Non-negative integers as right-aligned ASCII decimal digits, and the
-    mask of the digits each one uses."""
-    values = np.asarray(values, dtype=np.int64)
-    width = len(str(int(values.max(initial=0))))
-    digits = np.empty((len(values), width), dtype=np.uint8)
-    rest = values.copy()
-    for j in range(width - 1, -1, -1):
-        digits[:, j] = rest % 10 + ord("0")
-        rest //= 10
-    used = values[:, None] >= np.r_[10 ** np.arange(width - 1, 0, -1, dtype=np.int64), 0]
-    return digits, used
-
-
 def _hex_lines(masks: list[int], n_u: int) -> str:
     """The masks as zero-padded hex numbers of the universe's width, one per line."""
     if not masks:
@@ -232,102 +220,46 @@ def _hex_lines(masks: list[int], n_u: int) -> str:
     return text.tobytes().decode("ascii")
 
 
-def _leaf_lines(root: int, pivots, out_child, in_child):
-    """The fingerprint lines of a routing tree, depth first, a block of leaves at a time."""
+def _leaf_lines(root: int, pivots, out_child, in_child, count: int):
+    """The fingerprint lines of a routing tree, depth first, joined in blocks.
+
+    The walk goes down each excluded branch in a loop and keeps every pending
+    included subtree on a stack with the text of its path.  A leaf's line is
+    finished when its parent is visited; an included leaf's line waits on the
+    stack, so that it comes out after its sibling's subtree.
+    """
     if root == DEAD:
         return
     if root < 0:
         yield f". {_leaf_index(root)}\n"
         return
-    pivots, out_child, in_child = (np.asarray(x, dtype=np.intc) for x in (pivots, out_child, in_child))
-    parent, edge, leaves = _depth_first_leaves(root, pivots, out_child, in_child)
-    if not leaves.shape[1]:
-        return
-    # cells "<v>-," and "<v>+," per token code 2v and 2v+1, then an empty pad cell
-    digits, used = _decimal_digits(np.arange(int(pivots.max()) + 1))
-    codes, width = 2 * len(digits) + 1, digits.shape[1] + 2
-    cells = np.zeros((codes, width), dtype=np.uint8)
-    cell_used = np.zeros((codes, width), dtype=bool)
-    cells[:-1, :-2] = np.repeat(digits, 2, axis=0)
-    cells[:-1, -2] = np.tile(np.frombuffer(b"-+", dtype=np.uint8), len(digits))
-    cells[:-1, -1] = ord(",")
-    cell_used[:-1, :-2] = np.repeat(used, 2, axis=0)
-    cell_used[:-1, -2:] = True
-    # the walk up from a leaf stays at the root, on the pad cell
-    parent[root], edge[root] = root, codes - 1
-    step = max(1, _RENDER_CELLS // (int(leaves[3].max()) * width))
-    for a in range(0, leaves.shape[1], step):
-        yield _render_leaves(parent, edge, cells, cell_used, *leaves[:, a:a + step])
-
-
-def _depth_first_leaves(root: int, pivots: np.ndarray, out_child: np.ndarray,
-                        in_child: np.ndarray):
-    """Parent and edge token code of every node, and (parent, edge token code,
-    container index, depth) of every leaf, the leaves in depth-first order.
-
-    The order comes from the leaf count below each node (bottom-up) and the
-    rank of each node's first leaf (top-down), a depth level at a time.
-    """
-    levels = []                 # per depth: the nodes, and their out- and in-child codes
-    frontier = np.array([root], dtype=np.intc)
-    while len(frontier):
-        kids = out_child[frontier], in_child[frontier]
-        levels.append((frontier, kids))
-        frontier = np.concatenate(kids)
-        frontier = frontier[frontier >= 0]
-    nodes = len(pivots)
-    below = np.zeros(nodes + 1, dtype=np.int64)     # code -1 (DEAD) reads the trailing 0
-
-    def leaves_below(codes):
-        return np.where(codes >= 0, below[np.maximum(codes, -1)], codes <= -2)
-
-    for level, (out, in_) in reversed(levels):
-        below[level] = leaves_below(out) + leaves_below(in_)
-    parent = np.zeros(nodes, dtype=np.intc)
-    edge = np.zeros(nodes, dtype=np.intc)
-    rank = np.zeros(nodes, dtype=np.int64)          # the depth-first rank of a node's first leaf
-    leaves = np.empty((4, int(below[root])), dtype=np.intc)
-    for depth, (level, kids) in enumerate(levels, start=1):
-        first = rank[level]
-        token = 2 * pivots[level]
-        for c in kids:              # the out-child's subtree comes first
-            node = c >= 0
-            kid = c[node]
-            parent[kid], edge[kid], rank[kid] = level[node], token[node], first[node]
-            leaf = c <= -2
-            at = first[leaf]
-            leaves[:3, at] = level[leaf], token[leaf], _leaf_index(c[leaf])
-            leaves[3, at] = depth
-            first = first + leaves_below(c)
-            token = token + 1
-    return parent, edge, leaves
-
-
-def _render_leaves(parent, edge, cells, cell_used, leaf_parent, leaf_edge, leaf_index,
-                   leaf_depth) -> str:
-    """The fingerprint lines of a block of leaves.
-
-    The token rows are right-aligned: the last column holds each leaf's edge,
-    and each step up the tree fills the column to its left.  Every token code
-    then becomes its cell of bytes.
-    """
-    count, depth = len(leaf_index), int(leaf_depth.max())
-    tokens = np.empty((count, depth), dtype=np.intc)
-    tokens[:, -1] = leaf_edge
-    node = leaf_parent
-    for j in range(depth - 2, -1, -1):
-        tokens[:, j] = edge[node]
-        node = parent[node]
-    cell = np.dtype((np.void, cells.shape[1]))
-    text = cells.view(cell).ravel()[tokens].view(np.uint8).reshape(count, -1)
-    used = cell_used.view(cell).ravel()[tokens].view(bool).reshape(count, -1)
-    used[:, -1] = False                 # no comma after a path's last token
-    digits, digit_used = _decimal_digits(leaf_index)
-    one = np.ones((count, 1), dtype=bool)
-    text = np.concatenate([text, np.full((count, 1), ord(" "), np.uint8), digits,
-                           np.full((count, 1), ord("\n"), np.uint8)], axis=1)
-    used = np.concatenate([used, one, digit_used, one], axis=1)
-    return text[used].tobytes().decode("ascii")
+    values = range(max(pivots) + 1)
+    out_token, in_token = [f"{v}-," for v in values], [f"{v}+," for v in values]
+    out_last, in_last = [f"{v}- " for v in values], [f"{v}+ " for v in values]
+    index = [f"{i}\n" for i in range(count)]    # leaf code c ends its line with index[-2 - c]
+    lines = []
+    stack = [(root, "")]        # a node and its path, or DEAD and a finished line
+    while stack:
+        if len(lines) >= _JOIN_LINES:
+            yield "".join(lines)
+            lines = []
+        node, path = stack.pop()
+        if node == DEAD:
+            lines.append(path)
+            continue
+        while True:
+            v, out, in_ = pivots[node], out_child[node], in_child[node]
+            if in_ >= 0:
+                stack.append((in_, path + in_token[v]))
+            elif in_ != DEAD:
+                stack.append((DEAD, path + in_last[v] + index[-2 - in_]))
+            if out < 0:
+                if out != DEAD:
+                    lines.append(path + out_last[v] + index[-2 - out])
+                break
+            path += out_token[v]
+            node = out
+    yield "".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -104,8 +104,7 @@ class PairHypergraph:
         return "\n".join(lines) + "\n"
 
 
-def build_hypergraph(N: int, pattern: PatternDigraph,
-                     injection_budget: int = BUILD_INJECTION_BUDGET) -> PairHypergraph:
+def build_hypergraph(N: int, pattern: PatternDigraph) -> PairHypergraph:
     """Materialise the auxiliary hypergraph on [N] for the pattern.
 
     Hyperedges are the copies of ``compile_copies(N, pattern)``, each edge
@@ -116,8 +115,8 @@ def build_hypergraph(N: int, pattern: PatternDigraph,
     if N < pattern.h:
         raise PreconditionError(f"N={N} below pattern vertex count h={pattern.h}")
     raw = falling(N, pattern.h)
-    if raw > injection_budget:
-        raise BudgetError(f"{raw} injections exceed the build budget {injection_budget}")
+    if raw > BUILD_INJECTION_BUDGET:
+        raise BudgetError(f"{raw} injections exceed the build budget {BUILD_INJECTION_BUDGET}")
     uni = PairUniverse(N)
     edges = sorted(
         tuple(sorted(uni.pair_index(u, v) for u, v in copy)) for copy in compile_copies(N, pattern)

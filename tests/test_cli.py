@@ -752,6 +752,34 @@ def test_verify_family_refuses_a_family_on_another_n(capsys, tmp_path, monkeypat
     assert err == "digraphlab: refused: family and hypergraph live on different [N]\n"
 
 
+def test_verify_family_tau_must_match_the_export(capsys, tmp_path, monkeypatch):
+    # the family was built at its header's tau; a different --tau would be
+    # recorded in the manifest but never used
+    fam_file = tmp_path / "fam.txt"
+    rc, _, _ = run_doc(capsys, [
+        "containers", "--pattern", "c3", "--N", "4", "--eps", "1/10", "--tau", "0.5",
+        "--export", str(fam_file),
+    ])
+    assert rc == 0
+    for tau in ("0.5", "1/2"):
+        rc, doc, _ = run_doc(capsys, [
+            "verify-family", "--pattern", "c3", "--N", "4", "--eps", "1/10", "--tau", tau,
+            "--family", str(fam_file),
+        ])
+        assert rc == 0 and doc["results"]["coverage_ok"] is True
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+    monkeypatch.setattr(digraphlab.cli, "build_hypergraph", no_work)
+    monkeypatch.setattr(digraphlab.cli, "verify_family", no_work)
+    rc, out, err = run(capsys, [
+        "verify-family", "--pattern", "c3", "--N", "4", "--eps", "1/10", "--tau", "0.9",
+        "--family", str(fam_file),
+    ])
+    assert rc == 2 and out == ""
+    assert err == "digraphlab: refused: --tau 0.9 differs from the family's tau 0.5\n"
+
+
 @pytest.mark.parametrize("n_range, why", [
     ("9..6", "--N-range '9..6' is empty"),
     (",", "--N-range ',' is empty"),

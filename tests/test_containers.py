@@ -767,3 +767,23 @@ def test_writer_matches_the_depth_first_oracle(hg, den, num, rng):
         out_child=[renamed(fam.out_child[old[v]]) for v in range(nodes)],
         in_child=[renamed(fam.in_child[old[v]]) for v in range(nodes)])
     assert shuffled.export_text() == text
+
+
+@pytest.mark.parametrize("N, paths", [
+    (3, ["0-,1+ 0", "0+ 1"]),
+    (3, ["0+ 0"]),
+    (3, ["0- 0"]),
+    (3, [". 0"]),
+    (3, []),
+    (56, [",".join(f"{v}{'-+'[v % 2]}" for v in range(3000)) + " 0"]),
+], ids=["in-leaf-under-a-node", "dead-out-child", "dead-in-child", "root-leaf", "empty-tree",
+        "3000-tokens-deep"])
+def test_writer_writes_back_trees_the_builder_never_makes(N, paths):
+    # builder trees have no included leaves; a file may also hold a path
+    # deeper than Python's recursion limit
+    width = (N * N - N + 3) // 4
+    text = "".join([f"{N} 3 1/10 0.5 2\n", f"{1:0{width}x}\n", f"{2:0{width}x}\n",
+                    *(f"{p}\n" for p in paths)])
+    fam = ContainerFamily.from_export_text(text)
+    assert fam.export_text() == text
+    assert naive_export_text(fam) == text

@@ -81,7 +81,7 @@ def test_build_preconditions(c3):
     with pytest.raises(PreconditionError):
         build_hypergraph(2, c3)  # N < h
     with pytest.raises(BudgetError):
-        build_hypergraph(40, c3, injection_budget=1000)
+        build_hypergraph(200, c3)  # 7,880,400 injections, refused before any work
 
 
 def test_labelled_count_is_edges_times_aut(c3, t3, dk3, twocycle):
