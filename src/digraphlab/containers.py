@@ -129,7 +129,8 @@ def _leaf_index(code: int) -> int:
 
 @dataclass
 class ContainerFamily:
-    """Decision tree plus the deduplicated list of containers it emits."""
+    """Decision tree plus the containers its leaves name: one per leaf in a
+    built family, while the leaves of a family read from an export may share one."""
 
     N: int
     r: int
@@ -233,9 +234,9 @@ def _leaf_lines(root: int, pivots, out_child, in_child, count: int):
     if root < 0:
         yield f". {_leaf_index(root)}\n"
         return
-    values = range(max(pivots) + 1)
-    out_token, in_token = [f"{v}-," for v in values], [f"{v}+," for v in values]
-    out_last, in_last = [f"{v}- " for v in values], [f"{v}+ " for v in values]
+    values = set(pivots)        # token tables over the pivots in use, not up to the largest
+    out_token, in_token = ({v: f"{v}{sign}," for v in values} for sign in "-+")
+    out_last, in_last = ({v: f"{v}{sign} " for v in values} for sign in "-+")
     index = [f"{i}\n" for i in range(count)]    # leaf code c ends its line with index[-2 - c]
     lines = []
     stack = [(root, "")]        # a node and its path, or DEAD and a finished line
@@ -321,7 +322,8 @@ _HEX_VALUES = _digit_values(b"0123456789abcdefABCDEF", [*range(16), *range(10, 1
 def _decimals(data: np.ndarray, start: np.ndarray, end: np.ndarray):
     """Values of the runs ``data[start:end]``, and whether each is all decimal digits.
 
-    Runs past 18 digits are read by ``int`` and capped at 2^63 - 1.
+    Runs past 18 digits lose their leading zeros, and are then capped at
+    2^63 - 1 if still that long, else read by ``int``.
     """
     size = end - start
     value = np.zeros(len(start), dtype=np.int64)
@@ -335,7 +337,8 @@ def _decimals(data: np.ndarray, start: np.ndarray, end: np.ndarray):
     for i in np.flatnonzero(size > 18):
         run = data[start[i]:end[i]].tobytes()
         digits[i] = run.isdigit()
-        value[i] = min(int(run), _INT64_MAX) if digits[i] else 0
+        run = run.lstrip(b"0")
+        value[i] = 0 if not digits[i] else _INT64_MAX if len(run) > 18 else int(run or b"0")
     return value, digits
 
 
@@ -447,7 +450,7 @@ class _Lines:
         elif len(bad_token) and token_line[bad_token[0]] == bad:
             t = bad_token[0]
             if formed[t]:
-                value = int(self.data[starts[t]:ends[t] - 1].tobytes())
+                value = self.data[starts[t]:ends[t] - 1].tobytes().lstrip(b"0").decode()
                 why = f"fingerprint pivot {value} not in 0..{n_u - 1}"
             else:
                 why = f"bad fingerprint token {self.data[starts[t]:ends[t]].tobytes().decode()!r}"
@@ -686,8 +689,8 @@ def build_containers(
     its out-set (the out-pivots on its path) and its fingerprint (the
     in-pivots); it spans the hyperedges that miss its out-set.  Nodes are
     then numbered in the preorder of a depth-first build that descends the
-    excluded branch first, and containers in the order that build first
-    emits them.
+    excluded branch first, and containers, one per out-leaf, in the order
+    that build emits them.
     """
     eps = Fraction(eps)
     if not Fraction(0) < eps < Fraction(1, 2):
@@ -877,22 +880,17 @@ def _number_nodes(levels: list, nodes: int):
 
 def _number_containers(out_child: np.ndarray, parent: np.ndarray, masks: np.ndarray,
                        spans: np.ndarray) -> tuple[list[int], list[int]]:
-    """Containers and spans in the order the depth-first build emits them.
+    """Containers and spans in the order the depth-first build emits them:
+    one per out-leaf, in its parent's preorder.  Writes every out-leaf's
+    code into ``out_child``.
 
-    A node emits its out-leaf when it is visited, so each distinct mask
-    takes its place from its first leaf parent in preorder.  Writes every
-    out-leaf's code into ``out_child``.
+    No two out-leaves share a mask.  Take the pivot v of their lowest common
+    ancestor: v is in the out-set of the leaf on its excluded side (or of its
+    own out-leaf), and in the fingerprint, so never in the out-set, of the other.
     """
-    by_mask = np.argsort(masks[:, 0]) if masks.shape[1] == 1 else np.lexsort(masks.T)
-    sorted_masks = masks[by_mask]
-    new = np.r_[True, (sorted_masks[1:] != sorted_masks[:-1]).any(axis=1)]
-    starts = np.flatnonzero(new)
-    emitted = np.argsort(np.minimum.reduceat(parent[by_mask], starts))
-    rank = np.empty(len(starts), dtype=np.intc)
-    rank[emitted] = np.arange(len(starts), dtype=np.intc)
-    out_child[parent[by_mask]] = _leaf_code(rank[np.cumsum(new, dtype=np.intc) - 1])
-    first = by_mask[starts[emitted]]
-    return _ints(masks[first]), spans[first].tolist()
+    order = np.argsort(parent)
+    out_child[parent[order]] = _leaf_code(np.arange(len(order), dtype=np.intc))
+    return _ints(masks[order]), spans[order].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -918,18 +916,17 @@ class VerifyReport:
         return self.coverage_ok and self.sparsity_ok
 
 
-def _check_sparsity(hg: PairHypergraph, fam: ContainerFamily) -> tuple[bool, int]:
+def _check_sparsity(hg: PairHypergraph, conts: np.ndarray, eps: Fraction) -> tuple[bool, int]:
     """Re-count spanned hyperedges per container from the hyperedge store.
 
     Needs a universe of at most 63 pairs (``require_verifiable``).
     """
-    conts = np.array(fam.containers, dtype=np.uint64)
     span = np.zeros(len(conts), dtype=np.int64)
     for em in hg.edge_masks:
         em = np.uint64(em)
         span += (conts & em) == em
     worst = int(span.max()) if len(conts) else 0
-    return worst * fam.eps.denominator <= fam.eps.numerator * hg.edge_count, worst
+    return worst * eps.denominator <= eps.numerator * hg.edge_count, worst
 
 
 def require_verifiable(N: int, mode: str) -> None:
@@ -963,11 +960,11 @@ def verify_family(
     if fam.N != N:
         raise PreconditionError("family and hypergraph live on different [N]")
     require_verifiable(N, mode)
-    sp_ok, worst = _check_sparsity(hg, fam)
+    conts = np.fromiter(fam.containers, dtype=np.uint64, count=len(fam.containers))
+    sp_ok, worst = _check_sparsity(hg, conts, fam.eps)
     num, den = fam.eps.numerator, fam.eps.denominator
     limit_num = num * hg.edge_count
 
-    conts = np.fromiter(fam.containers, dtype=np.uint64, count=len(fam.containers))
     pivots = np.asarray(fam.pivots, dtype=np.uint64)
     # node c's excluded child at 2c, its included child at 2c + 1
     child = np.empty(2 * len(pivots), dtype=np.intc)

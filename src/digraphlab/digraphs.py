@@ -165,45 +165,31 @@ def _embedding_plan(core: Digraph) -> list[tuple[list[int], list[int]]]:
     return plan
 
 
-def _embed_search(g: Digraph, core: Digraph, plan, count_all: bool) -> int:
-    """Count injective embeddings of core into g (or stop at the first one)."""
+def _embed_search(g: Digraph, core: Digraph, plan) -> int:
+    """Count injective embeddings of core into g."""
     k = core.n
-    if k > g.n:
-        return 0
-    out_m = g.out_mask
-    in_m = g.in_mask
+    out_m, in_m = g.out_mask, g.in_mask
     full = (1 << g.n) - 1
     images = [0] * k
-    total = 0
 
     def extend(i: int, used: int) -> int:
-        nonlocal total
         need_out, need_in = plan[i]
         cand = full & ~used
         for s in need_out:
             cand &= out_m[images[s]]
-            if not cand:
-                return 0
         for s in need_in:
             cand &= in_m[images[s]]
-            if not cand:
-                return 0
+        if i + 1 == k:
+            return cand.bit_count()
+        total = 0
         while cand:
             bit = cand & -cand
             cand ^= bit
-            v = bit.bit_length() - 1
-            images[i] = v
-            if i + 1 == k:
-                total += 1
-                if not count_all:
-                    return 1
-            else:
-                if extend(i + 1, used | bit) and not count_all:
-                    return 1
-        return 0
+            images[i] = bit.bit_length() - 1
+            total += extend(i + 1, used | bit)
+        return total
 
-    extend(0, 0)
-    return total
+    return extend(0, 0)
 
 
 @dataclass(frozen=True)
@@ -258,14 +244,12 @@ def count_copies(g: Digraph, pattern: PatternDigraph) -> int:
     """
     if g.n < pattern.h:
         return 0
-    emb = _embed_search(g, pattern.core_digraph, pattern.embedding_plan, count_all=True)
+    emb = _embed_search(g, pattern.core_digraph, pattern.embedding_plan)
     return emb // pattern.core_aut
 
 
 def is_pattern_free(g: Digraph, pattern: PatternDigraph) -> bool:
-    if g.n < pattern.h:
-        return True
-    return _embed_search(g, pattern.core_digraph, pattern.embedding_plan, count_all=False) == 0
+    return count_copies(g, pattern) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ COUNT_FREE_MAX_N = 6  # f*(n) decodes the 4^((n-1)(n-2)/2) states on [n-1]
 
 _LOW_SLOTS = 5  # one block holds the 4^5 = 1024 states of the low slots
 _DECODE_STATES = 1 << 16  # states the free-mask decoder unpacks together
+_RAW_WITNESSES = 50_000  # free states the full scan keeps as witnesses
 
 
 def pair_slots(n: int) -> list[tuple[int, int]]:
@@ -72,17 +73,6 @@ def compile_copies(n: int, pattern: PatternDigraph) -> list[tuple[tuple[int, int
         tuple(sorted((img[u], img[v]) for u, v in core.edges))
         for img in permutations(range(n), core.n)
     })
-
-
-def digraph_from_digits(n: int, digits) -> Digraph:
-    edges = []
-    for q, (i, j) in enumerate(pair_slots(n)):
-        t = digits[q]
-        if t & 1:
-            edges.append((i, j))
-        if t & 2:
-            edges.append((j, i))
-    return Digraph(n, frozenset(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +179,7 @@ class ScanResult:
     n: int
     states: int
     best_pairs: list[tuple[int, int] | None]  # index = exact copy count
-    witness_digits: list[tuple[int, ...]]
+    witness_states: list[int]
     witness_overflow: bool
 
 
@@ -199,13 +189,12 @@ def full_scan(
     weight: WeightParam,
     k_max: int = 0,
     collect_witnesses: bool = False,
-    raw_cap: int = 50_000,
 ) -> ScanResult:
     """Exhaustive scan of all 4^(n(n-1)/2) digraphs on [n], exact reduce.
 
     best_pairs[c] is the pair of the first state in index order attaining
-    the maximum among states with exactly c copies; witnesses are the free
-    states attaining best_pairs[0], in index order, at most raw_cap.
+    the maximum among states with exactly c copies; witness_states are the
+    free states attaining best_pairs[0], in index order, at most _RAW_WITNESSES.
     """
     if n > FULL_MODE_MAX_N:
         raise BudgetError(
@@ -213,8 +202,8 @@ def full_scan(
         )
     if n < 1:
         raise PreconditionError("n must be >= 1")
-    if k_max < 0 or raw_cap < 1:
-        raise PreconditionError("k_max must be >= 0 and raw_cap >= 1")
+    if k_max < 0:
+        raise PreconditionError("k_max must be >= 0")
     p = n * (n - 1) // 2
     low = min(p, _LOW_SLOTS)
     (lo_f2, lo_f1), (hi_f2, hi_f1) = _sizes(low), _sizes(p - low)
@@ -236,16 +225,15 @@ def full_scan(
                 best[c] = pair
             if c == 0 and collect_witnesses and cmp >= 0:
                 # a strictly better pair replaces the witnesses, a tie appends
-                # them; past raw_cap they only set overflow
+                # them; past _RAW_WITNESSES they only set overflow
                 if cmp > 0:
                     wits, overflow = [], False
                 for s in _bits(top):
-                    if len(wits) == raw_cap:
+                    if len(wits) == _RAW_WITNESSES:
                         overflow = True
                         break
                     wits.append((hi << 2 * low) | s)
-    digits = [tuple((idx >> 2 * q) & 3 for q in range(p)) for idx in wits]
-    return ScanResult(n, 4 ** p, best, digits, overflow)
+    return ScanResult(n, 4 ** p, best, wits, overflow)
 
 
 def _state_masks(n: int, edge_bit) -> tuple[list[int], list[int]]:
@@ -604,8 +592,9 @@ def extremal_number(
         scan = full_scan(n, pattern, weight, k_max=0, collect_witnesses=True)
         best_pair = scan.best_pairs[0]
         class_map: dict[bytes, Digraph] = {}
-        for digits in scan.witness_digits:
-            g = digraph_from_digits(n, digits)
+        bits = _state_bits(n).items()
+        for state in scan.witness_states:
+            g = Digraph(n, frozenset(e for e, b in bits if state >> b & 1))
             class_map.setdefault(canonical_form(g), g)
         return _assemble_result(
             n, pattern, weight, mode, best_pair, class_map, scan.witness_overflow,

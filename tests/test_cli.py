@@ -307,6 +307,21 @@ def test_verify_family_malformed_export_exit_1(capsys, tmp_path, edit, line, why
     assert err == f"digraphlab: parse error: line {line or len(lines)}: {why}\n"
 
 
+@pytest.mark.parametrize("pair, why", [
+    ("9" * 5000 + "+ 0", f"fingerprint pivot {'9' * 5000} not in 0..5"),
+    ("0+ " + "9" * 5000, f"container index '{'9' * 5000}' not in 0..0"),
+], ids=["pivot", "index"])
+def test_verify_family_long_decimal_runs_exit_1(capsys, tmp_path, pair, why):
+    # past Python's 4300-digit limit on int(), a number is still refused in one line
+    fam_file = tmp_path / "big.txt"
+    fam_file.write_text(f"3 3 1/10 0.5 1\n3f\n{pair}\n")
+    rc, out, err = run(capsys, [
+        "verify-family", "--pattern", "c3", "--N", "3", "--family", str(fam_file),
+    ])
+    assert rc == 1 and out == ""
+    assert err == f"digraphlab: parse error: line 3: {why}\n"
+
+
 @pytest.mark.parametrize("argv, why", [
     (["verify-family", "--pattern", "c3", "--N", "6", "--eps", "1/10", "--mode", "exhaustive"],
      "exhaustive verification capped at N=5"),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
@@ -27,7 +28,7 @@ from digraphlab import (
     verify_family,
 )
 from digraphlab.cli import BUILTIN_PATTERNS, load_pattern
-from digraphlab.containers import _WindowSieve, _check_sparsity
+from digraphlab.containers import DEAD, _WindowSieve, _check_sparsity
 from digraphlab.density import require_usable_m
 from digraphlab.errors import (
     ContainerBuildError,
@@ -453,6 +454,15 @@ def pinned_families():
     return fams
 
 
+def assert_one_container_per_leaf(fam):
+    """A built family's leaves are its out-leaves, coded 0..containers-1 once
+    each, and no two containers are equal."""
+    assert all(code >= DEAD for code in fam.in_child)
+    leaves = [code for code in [fam.root, *fam.out_child] if code < DEAD]
+    assert sorted(-code - 2 for code in leaves) == list(range(len(fam.containers)))
+    assert len(set(fam.containers)) == len(fam.containers)
+
+
 @pytest.mark.parametrize("key", list(PINNED), ids=_pinned_id)
 def test_pinned_families(pinned_families, key):
     _, fam = pinned_families[key]
@@ -460,6 +470,7 @@ def test_pinned_families(pinned_families, key):
     assert len(fam.containers) == containers
     assert len(fam.pivots) == nodes
     assert hashlib.sha256(fam.export_text().encode()).hexdigest() == digest
+    assert_one_container_per_leaf(fam)
 
 
 def naive_sparsity(hg, fam):
@@ -468,13 +479,17 @@ def naive_sparsity(hg, fam):
     return all(s * fam.eps.denominator <= fam.eps.numerator * hg.edge_count for s in spans), worst
 
 
+def _recount(hg, fam):
+    return _check_sparsity(hg, np.array(fam.containers, dtype=np.uint64), fam.eps)
+
+
 @pytest.mark.parametrize("key", list(PINNED), ids=_pinned_id)
 def test_sparsity_recount_against_naive(pinned_families, key):
     hg, fam = pinned_families[key]
-    assert _check_sparsity(hg, fam) == naive_sparsity(hg, fam) == (True, max(fam.spans))
+    assert _recount(hg, fam) == naive_sparsity(hg, fam) == (True, max(fam.spans))
     # a container holding the whole universe spans every hyperedge
     full = replace(fam, containers=fam.containers + [(1 << hg.universe.size) - 1])
-    assert _check_sparsity(hg, full) == naive_sparsity(hg, full) == (False, hg.edge_count)
+    assert _recount(hg, full) == naive_sparsity(hg, full) == (False, hg.edge_count)
 
 
 def test_sparsity_recount_empty_family(c3):
@@ -483,7 +498,7 @@ def test_sparsity_recount_empty_family(c3):
         N=4, r=3, eps=Fraction(1, 10), tau=0.5,
         containers=[], spans=[], root=-1, pivots=[], out_child=[], in_child=[],
     )
-    assert _check_sparsity(hg, empty) == (True, 0)
+    assert _recount(hg, empty) == (True, 0)
 
 
 @pytest.mark.parametrize("key", list(PINNED), ids=_pinned_id)
@@ -520,6 +535,14 @@ def test_reader_refuses_conflicting_paths(pairs, line, why):
         ContainerFamily.from_export_text(text)
 
 
+def test_reader_reads_long_zero_padded_numbers():
+    # leading zeros past Python's 4300-digit limit on int() are read as zeros
+    text = f"3 3 1/10 0.5 1\n3f\n{'0' * 5000}1+ {'0' * 5000}\n"
+    fam = ContainerFamily.from_export_text(text)
+    assert (fam.root, list(fam.pivots), list(fam.out_child), list(fam.in_child)) == (0, [1], [DEAD], [-2])
+    assert fam.export_text() == "3 3 1/10 0.5 1\n3f\n1+ 0\n"
+
+
 def _tree(fam):
     return (fam.root, list(fam.pivots), list(fam.out_child), list(fam.in_child),
             fam.containers, fam.spans)
@@ -534,7 +557,9 @@ def test_builder_matches_recursive_oracle(name):
         cases.append((7, Fraction(1, 3)))
     for N, eps in cases:
         hg = build_hypergraph(N, pat)
-        assert _tree(build_containers(hg, 1.0, eps)) == naive_build_containers(hg, eps), (N, eps)
+        fam = build_containers(hg, 1.0, eps)
+        assert _tree(fam) == naive_build_containers(hg, eps), (N, eps)
+        assert_one_container_per_leaf(fam)
 
 
 @st.composite
@@ -553,7 +578,9 @@ def test_builder_matches_recursive_oracle_on_random_hypergraphs(hg, den, num):
     # eps <= 1/6 keeps the round cap (>= 48) above any depth: at most 48 elements;
     # N >= 9 puts elements past the first 64-bit word
     eps = Fraction(min(num, den // 6), den)
-    assert _tree(build_containers(hg, 1.0, eps)) == naive_build_containers(hg, eps)
+    fam = build_containers(hg, 1.0, eps)
+    assert _tree(fam) == naive_build_containers(hg, eps)
+    assert_one_container_per_leaf(fam)
 
 
 def test_stop_rule_is_exact_for_any_eps(c3):
@@ -776,14 +803,21 @@ def test_writer_matches_the_depth_first_oracle(hg, den, num, rng):
     (3, [". 0"]),
     (3, []),
     (56, [",".join(f"{v}{'-+'[v % 2]}" for v in range(3000)) + " 0"]),
+    (400, ["159599+ 0"]),
 ], ids=["in-leaf-under-a-node", "dead-out-child", "dead-in-child", "root-leaf", "empty-tree",
-        "3000-tokens-deep"])
+        "3000-tokens-deep", "one-pivot-of-159600"])
 def test_writer_writes_back_trees_the_builder_never_makes(N, paths):
     # builder trees have no included leaves; a file may also hold a path
-    # deeper than Python's recursion limit
+    # deeper than Python's recursion limit, or a pivot far past its node count
     width = (N * N - N + 3) // 4
     text = "".join([f"{N} 3 1/10 0.5 2\n", f"{1:0{width}x}\n", f"{2:0{width}x}\n",
                     *(f"{p}\n" for p in paths)])
     fam = ContainerFamily.from_export_text(text)
-    assert fam.export_text() == text
+    tracemalloc.start()
+    try:
+        assert fam.export_text() == text
+        # the writer's tables follow the tree, not the largest pivot
+        assert tracemalloc.get_traced_memory()[1] < 2 << 20
+    finally:
+        tracemalloc.stop()
     assert naive_export_text(fam) == text

@@ -245,9 +245,8 @@ def test_supersat_k0_is_definition(c3, a2):
 
 
 def test_full_scan_refuses_bad_budgets(c3, a2):
-    for kwargs in ({"k_max": -1}, {"raw_cap": 0}):
-        with pytest.raises(PreconditionError):
-            full_scan(3, c3, a2, **kwargs)
+    with pytest.raises(PreconditionError):
+        full_scan(3, c3, a2, k_max=-1)
 
 
 def test_irrational_weight_search(c3):
@@ -314,7 +313,7 @@ WEIGHT_KEYS = {
 @pytest.mark.parametrize("k_max", [0, 3])
 @pytest.mark.parametrize("a", sorted(WEIGHT_KEYS))
 @pytest.mark.parametrize("name", BUILTIN_PATTERNS)
-def test_full_scan_against_oracles(name, a, k_max):
+def test_full_scan_against_oracles(name, a, k_max, monkeypatch):
     pat = load_pattern(name)[0]
     weight = WeightParam.parse(a)
     key = WEIGHT_KEYS[a]
@@ -325,13 +324,14 @@ def test_full_scan_against_oracles(name, a, k_max):
             top = max((key(*pair) for _, _, cc, pair in rows if cc == c), default=None)
             first = next((pair for _, _, cc, pair in rows if cc == c and key(*pair) == top), None)
             expect_best.append(first)
-        attaining = [d for _, d, cc, pair in rows if cc == 0 and key(*pair) == key(*expect_best[0])]
-        for raw_cap in (1, 7):
-            scan = full_scan(n, pat, weight, k_max=k_max, collect_witnesses=True, raw_cap=raw_cap)
+        attaining = [idx for idx, _, cc, pair in rows if cc == 0 and key(*pair) == key(*expect_best[0])]
+        for cap in (1, 7):
+            monkeypatch.setattr(extremal, "_RAW_WITNESSES", cap)
+            scan = full_scan(n, pat, weight, k_max=k_max, collect_witnesses=True)
             assert scan.states == len(rows) == 4 ** (n * (n - 1) // 2)
             assert scan.best_pairs == expect_best
-            assert scan.witness_digits == attaining[:raw_cap]
-            assert scan.witness_overflow == (len(attaining) > raw_cap)
+            assert scan.witness_states == attaining[:cap]
+            assert scan.witness_overflow == (len(attaining) > cap)
         if weight.rational is not None:
             value, free, count = naive_extremal(n, pat.graph.edges, pat.h, weight.rational)
             assert (free, count) == (count_free(n, pat), len(attaining))
