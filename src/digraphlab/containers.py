@@ -46,6 +46,9 @@ the tokens in bulk, puts the paths in depth-first order if they are not,
 and numbers the nodes each path adds below the one it shares with the path
 before it.  A refused file's first bad line is found by bisection over its
 line prefixes.
+
+numpy loads on the first array pass of the builder, verifier, writer or
+reader (lazy.LazyNumpy), not with this module.
 """
 
 from __future__ import annotations
@@ -56,12 +59,11 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-
-import numpy as np
+from functools import cache, cached_property
 
 from .digraphs import PatternDigraph, count_copies
 from .errors import ContainerBuildError, ParseError, PreconditionError, VerificationError
+from .lazy import LazyNumpy
 from .extremal import (
     FULL_MODE_MAX_N,
     CANONICAL_MODE_MAX_N,
@@ -72,6 +74,8 @@ from .extremal import (
 from .pairhypergraph import PairHypergraph, PairUniverse, build_hypergraph, tau_for
 from .density import condition_a, require_usable_m
 from .weights import WeightParam
+
+np = LazyNumpy(globals())
 
 DEAD = -1  # child code: branch handles no independent set
 _WORD_MASK = (1 << 64) - 1
@@ -110,13 +114,13 @@ _BLOCK_CHARS = 1 << 18
 _COMPARE_CELLS = 1 << 16
 _INT64_MAX = (1 << 63) - 1
 _SPACES = re.compile(r"\s+")
-_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 _HEX_RUN = re.compile(rb"[0-9a-fA-F]+")
 # the marks of the export reader's scanner: spaces and breaks end a word
 _COMMA, _SPACE, _BREAK = 1, 2, 3
 # the header eps as the builder writes it; Fraction's exponent forms such as
 # 1e-9999999 would first build a ten-million-digit integer
 _FRACTION = re.compile(r"[0-9]+(/[0-9]+)?")
+_DIGIT_RUN = re.compile(r"([+-]?)0*([0-9]+)")
 
 
 def _leaf_code(container_idx: int) -> int:
@@ -215,9 +219,10 @@ def _hex_lines(masks: list[int], n_u: int) -> str:
     rows = _words(masks, -(-width // 16))
     text = np.empty((len(masks), width + 1), dtype=np.uint8)
     text[:, width] = ord("\n")
+    digits = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
     for k in range(width):      # the k-th digit from the right
         nibble = (rows[:, k // 16] >> np.uint64(4 * (k % 16))) & np.uint64(15)
-        text[:, width - 1 - k] = _HEX_DIGITS[nibble]
+        text[:, width - 1 - k] = digits[nibble]
     return text.tobytes().decode("ascii")
 
 
@@ -267,6 +272,19 @@ def _leaf_lines(root: int, pivots, out_child, in_child, count: int):
 # Family export: reader
 # ---------------------------------------------------------------------------
 
+def _header_int(field: str, name: str) -> int:
+    """A header field as ``int`` reads it, but a run of digits loses its
+    leading zeros first, and one still past int's digit limit is refused by name."""
+    run = _DIGIT_RUN.fullmatch(field)
+    if run is None:
+        return int(field)
+    try:
+        return int(run[1] + run[2])
+    except ValueError:
+        raise ParseError(f"bad family header: {name} has {len(run[2])} digits, too many to read",
+                         1) from None
+
+
 def _parse_header(line: str) -> tuple[int, int, Fraction, float, int]:
     """(N, r, eps, tau, count) of a family header, or a ParseError at line 1."""
     head = line.split()
@@ -275,10 +293,10 @@ def _parse_header(line: str) -> tuple[int, int, Fraction, float, int]:
     if not _FRACTION.fullmatch(head[2]):
         raise ParseError(f"bad family header: eps {head[2]!r} is not a fraction p/q", 1)
     try:
-        N, r = int(head[0]), int(head[1])
-        eps = Fraction(head[2])
+        N, r = _header_int(head[0], "N"), _header_int(head[1], "r")
+        eps = Fraction(*(_header_int(part, "eps") for part in head[2].split("/")))
         tau = float(head[3])
-        count = int(head[4])
+        count = _header_int(head[4], "count")
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad family header: {exc}", 1) from None
     if N < 2:
@@ -308,15 +326,12 @@ def _marks() -> bytes:
 _MARKS = _marks()
 
 
-def _digit_values(digits: bytes, values) -> np.ndarray:
-    """A table from a byte to its value as a digit, 255 for a byte not in ``digits``."""
+@cache
+def _digit_values(digits: bytes) -> np.ndarray:
+    """A table from a byte to its value as a hex digit, 255 for a byte not in ``digits``."""
     table = np.full(256, 255, dtype=np.uint8)
-    table[np.frombuffer(digits, dtype=np.uint8)] = values
+    table[np.frombuffer(digits, dtype=np.uint8)] = [int(chr(d), 16) for d in digits]
     return table
-
-
-_DECIMAL_VALUES = _digit_values(b"0123456789", range(10))
-_HEX_VALUES = _digit_values(b"0123456789abcdefABCDEF", [*range(16), *range(10, 16)])
 
 
 def _decimals(data: np.ndarray, start: np.ndarray, end: np.ndarray):
@@ -329,8 +344,9 @@ def _decimals(data: np.ndarray, start: np.ndarray, end: np.ndarray):
     value = np.zeros(len(start), dtype=np.int64)
     digits = np.ones(len(start), dtype=bool)
     at = end - 1
+    digit_value = _digit_values(b"0123456789")
     for k in range(min(int(size.max(initial=0)), 18)):
-        digit = _DECIMAL_VALUES[data[at]] * (size > k)     # a byte before the run reads as 0
+        digit = digit_value[data[at]] * (size > k)     # a byte before the run reads as 0
         digits &= digit < 10
         value += np.multiply(digit, 10 ** k, dtype=np.int64)
         at -= 1
@@ -379,9 +395,10 @@ class _Lines:
         words = -(-n_u // 64)
         rows = np.zeros((len(w), words), dtype=np.uint64)
         hexed = self.words[lo:hi] == 1
+        digit_value = _digit_values(b"0123456789abcdefABCDEF")
         for k in range(min(int(size.max(initial=0)), 16 * words)):
             inside = size > k
-            nibble = _HEX_VALUES[self.data[end - 1 - k]]
+            nibble = digit_value[self.data[end - 1 - k]]
             hexed &= ~inside | (nibble < 16)
             rows[:, k // 16] |= np.where(inside, nibble, 0).astype(np.uint64) << np.uint64(4 * (k % 16))
         top = n_u - 64 * (words - 1)        # universe bits in the top word

@@ -43,7 +43,10 @@ from .digraphs import (
     count_copies,
 )
 from .errors import BudgetError, PreconditionError, VerificationError
+from .lazy import LazyNumpy
 from .weights import WeightParam
+
+np = LazyNumpy(globals())
 
 FULL_MODE_MAX_N = 5
 CANONICAL_MODE_MAX_N = 7
@@ -273,12 +276,6 @@ def _free_masks(n: int, pattern: PatternDigraph, edge_bit):
     state (and zero bits past the last state, when 4^L is below 8), and the
     set bits, row by row, are the free states in order.
     """
-    # numpy is imported on first use, not with the module: imported before
-    # containers.py is compiled, it lifts the peak RSS of a process that
-    # runs without a bytecode cache by 2 MiB (the compile's transient heap
-    # lands on top of numpy's)
-    import numpy as np
-
     lo_masks, hi_masks = (np.array(t, dtype=np.uint64) for t in _state_masks(n, edge_bit))
     width = len(lo_masks)               # 4^L states per block
     size = -(-width // 8)
@@ -330,8 +327,6 @@ def _count_one_vertex_more(k: int, pattern: PatternDigraph) -> int:
     walk sets the highest bit of its requirement.  A copy with requirement 0
     (see _split_copies) is met by every code; it seeds the walk.
     """
-    import numpy as np  # on first use, as in _free_masks
-
     bit = _state_bits(k)
     copies = [(req, sum(1 << bit[e] for e in base)) for base, req in _split_copies(k, pattern)]
     holders = {base: 0 for _, base in copies}  # base -> bitset of the free G holding it

@@ -322,6 +322,23 @@ def test_verify_family_long_decimal_runs_exit_1(capsys, tmp_path, pair, why):
     assert err == f"digraphlab: parse error: line 3: {why}\n"
 
 
+@pytest.mark.parametrize("head, why", [
+    ("3 3 1/10 0.5 " + "1" * 5000, "count has 5000 digits"),
+    (f"{'0' * 5000}1{'7' * 5000} 3 1/10 0.5 1", "N has 5001 digits"),
+    ("3 3 1/" + "9" * 4400 + " 0.5 1", "eps has 4400 digits"),
+], ids=["count", "N", "eps"])
+def test_verify_family_long_header_field_exit_1(capsys, tmp_path, head, why):
+    # a header field still past int()'s digit limit without its leading zeros
+    # is refused by name (a zero-padded one is read: test_containers.py)
+    fam_file = tmp_path / "big.txt"
+    fam_file.write_text(f"{head}\n3f\n0+ 0\n")
+    rc, out, err = run(capsys, [
+        "verify-family", "--pattern", "c3", "--N", "3", "--family", str(fam_file),
+    ])
+    assert rc == 1 and out == ""
+    assert err == f"digraphlab: parse error: line 1: bad family header: {why}, too many to read\n"
+
+
 @pytest.mark.parametrize("argv, why", [
     (["verify-family", "--pattern", "c3", "--N", "6", "--eps", "1/10", "--mode", "exhaustive"],
      "exhaustive verification capped at N=5"),
@@ -498,6 +515,74 @@ def test_module_entry_point(capsys, module):
     assert proc.returncode == 0, proc.stderr
     rc, out, _ = run(capsys, ["density", "--pattern", "c3"])
     assert rc == 0 and proc.stdout == out
+
+
+# A child interpreter that runs CLI commands (a JSON list of argv lists) one
+# after another.  It prints whether numpy was loaded once digraphlab and its
+# CLI were imported, and each command's exit code (or ImportError message)
+# with whether numpy was loaded after it.  With "block", a meta-path finder
+# refuses every import of numpy first.
+_NUMPY_PROBE = """
+import json, sys
+class NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ImportError("numpy is blocked")
+if sys.argv[1] == "block":
+    sys.meta_path.insert(0, NoNumpy())
+import digraphlab
+import digraphlab.cli
+report = {"import": "numpy" in sys.modules, "runs": []}
+for argv in json.loads(sys.argv[2]):
+    try:
+        code = digraphlab.cli.main(argv)
+    except ImportError as exc:
+        code = str(exc)
+    report["runs"].append([code, "numpy" in sys.modules])
+print(json.dumps(report))
+"""
+
+_NUMPY_FREE = [
+    ["density", "--pattern", "c3"],
+    ["condition-a", "--pattern", "dk3", "--a", "2"],
+    ["ex", "--pattern", "c3", "--n", "5", "--mode", "full"],
+    ["ex", "--pattern", "t3", "--n", "5", "--mode", "canonical"],
+    ["supersat", "--pattern", "c3", "--n", "4", "--k-max", "2"],
+    ["hypergraph", "--pattern", "c3", "--N", "4"],
+    ["codegree", "--pattern", "c3", "--N", "5", "--tau", "0.5"],
+    ["verify-lemma", "--pattern", "c3", "--N-range", "5"],
+]
+
+
+def _probe_numpy(mode: str, argvs: list[list[str]]) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, mode, json.dumps(argvs)],
+        capture_output=True, text=True, env=_module_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_numpy_free_subcommands_run_without_numpy(capsys, tmp_path):
+    # importing the package and its CLI loads no numpy, and neither do the
+    # subcommands that run no array pass; their documents are the same as
+    # those of a process that has numpy
+    argvs = [[*argv, "--out", str(tmp_path / f"{k}.json")] for k, argv in enumerate(_NUMPY_FREE)]
+    assert _probe_numpy("block", argvs) == {"import": False, "runs": [[0, False]] * len(argvs)}
+    for k, argv in enumerate(_NUMPY_FREE):
+        rc, out, _ = run(capsys, argv)
+        assert rc == 0 and (tmp_path / f"{k}.json").read_text() == out, argv
+
+
+def test_array_subcommands_load_numpy(tmp_path):
+    # the block above holds, and the array passes load numpy on first use
+    count_free = ["count-free", "--pattern", "c3", "--n", "4", "--out", str(tmp_path / "f.json")]
+    containers = ["containers", "--pattern", "c3", "--N", "4", "--eps", "1/10",
+                  "--out", str(tmp_path / "c.json")]
+    assert _probe_numpy("block", [count_free]) == {"import": False,
+                                                   "runs": [["numpy is blocked", False]]}
+    for argv in (count_free, containers):
+        assert _probe_numpy("free", [argv]) == {"import": False, "runs": [[0, True]]}
 
 
 def test_closed_stdout_is_one_line_exit_1():

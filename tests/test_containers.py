@@ -541,6 +541,12 @@ def test_reader_reads_long_zero_padded_numbers():
     fam = ContainerFamily.from_export_text(text)
     assert (fam.root, list(fam.pivots), list(fam.out_child), list(fam.in_child)) == (0, [1], [DEAD], [-2])
     assert fam.export_text() == "3 3 1/10 0.5 1\n3f\n1+ 0\n"
+    # and so are the header's integers, eps's two parts included
+    zeros = "0" * 5000
+    head = f"{zeros}3 {zeros}3 {zeros}1/{zeros}10 0.5 {zeros}1"
+    fam = ContainerFamily.from_export_text(f"{head}\n3f\n1+ 0\n")
+    assert (fam.N, fam.r, fam.eps, fam.containers) == (3, 3, Fraction(1, 10), [0x3F])
+    assert fam.export_text() == "3 3 1/10 0.5 1\n3f\n1+ 0\n"
 
 
 def _tree(fam):
