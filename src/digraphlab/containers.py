@@ -19,10 +19,13 @@ the shallowest level's first breach is reported, in the order round cap,
 fingerprint, nodes.
 
 The tree is grown one depth level at a time with numpy: a node is two
-rows of uint64 words (out-set and fingerprint), and the degrees of a chunk
-of nodes are a float32 product with the hyperedge incidence matrix.  Nodes
-and containers are then numbered as a depth-first build (excluded branch
-first) would visit and emit them, and the tree is stored as ``array('i')``.
+rows of uint64 words (out-set and fingerprint) and a row of small-integer
+degrees, which each child takes from its parent's.  An in-child zeroes its
+pivot's degree; an out-child subtracts, for each element, the live
+hyperedges through the pivot that hold it, summed from rows of an integer
+incidence table.  Nodes and containers are then numbered as a depth-first
+build (excluded branch first) would visit and emit them, and the tree is
+stored as ``array('i')``.
 
 The verifier makes its sets with array passes and routes them down the tree
 together, one depth step at a time, _ROUTE_BATCH sets per pass.  The sets
@@ -79,19 +82,14 @@ np = LazyNumpy(globals())
 
 DEAD = -1  # child code: branch handles no independent set
 _WORD_MASK = (1 << 64) - 1
-# hyperedges x universe: the size of the builder's float32 incidence matrix
-# and the multiply-adds of one node's degrees.  The universe has at least 2
-# pairs, so under this cap every degree is at most 2^20, and the float32
-# sums of 0/1 terms that make the degrees stay exact
+# hyperedges x universe: the size of the builder's integer incidence table.
+# The universe has at least 2 pairs, so under this cap every degree is at
+# most 2^20 and fits the widest degree dtype, int32
 _INCIDENCE_CELLS = 1 << 21
-# Frontier rows per step: enough to cover numpy's per-call cost (at least
-# _MIN_ROWS), and few enough that rows x hyperedges stays under _STEP_CELLS.
-# Each degree product keeps rows x hyperedges x universe under _BLAS_CELLS,
-# which OpenBLAS runs on one thread: on a loaded 2-core machine, waking its
-# threads cost milliseconds per call.
-_MIN_ROWS = 64
-_STEP_CELLS = 1 << 20
-_BLAS_CELLS = 1 << 19
+# incidence rows x universe the builder sums per pass (frontier rows x
+# largest degree x universe): 256 KiB at int8.  Over c3 N=6 and N=7, t3
+# N=7 and p4 N=8, 2^19 was no faster and 2^16 up to 1.7x slower
+_GATHER_CELLS = 1 << 18
 # free sets the verifier routes together, in either mode: the sets of its
 # decoded blocks or of its sampled draw batches are pooled, and routed this
 # many at a time
@@ -742,88 +740,50 @@ def build_containers(
     )
 
 
-class _Expander:
-    """Pivot, pivot degree and DEAD in-child of nodes given by their sets.
-
-    A node's out-set and fingerprint are rows of uint64 words, least
-    significant first.  A hyperedge is live iff it misses the out-set, and
-    an element's degree counts the live hyperedges holding it (0 inside the
-    fingerprint).
-    """
-
-    def __init__(self, hg: PairHypergraph):
-        n_u = self.n_u = hg.universe.size
-        total = hg.edge_count
-        self.words = -(-n_u // 64)
-        self.edges = _words(hg.edge_masks, self.words).T.copy()     # word k of every edge
-        self.incidence = np.zeros((total, n_u), dtype=np.float32)
-        for eid, e in enumerate(hg.edges):
-            self.incidence[eid, list(e)] = 1
-        v = np.arange(n_u)
-        self.bits = np.zeros((n_u, self.words), dtype=np.uint64)
-        self.bits[v, v // 64] = np.uint64(1) << (v % 64).astype(np.uint64)
-        # through[v]: the hyperedges holding v, padded by repeating the first
-        # (an element in no hyperedge is never a pivot)
-        width = max(len(eids) for eids in hg.incidence)
-        self.through = np.array([list(eids) + [eids[0] if eids else 0] * (width - len(eids))
-                                 for eids in hg.incidence], dtype=np.intp)
-        self.rows = max(1, min(max(_MIN_ROWS, _BLAS_CELLS // (total * n_u)),
-                               _STEP_CELLS // total))
-        # hyperedges per product, so that rows x edges x universe <= _BLAS_CELLS
-        self.edge_step = max(1, _BLAS_CELLS // (self.rows * n_u))
-
-    def _misses(self, sets: np.ndarray) -> np.ndarray:
-        """[node, edge]: the hyperedge misses the node's set."""
-        out = (sets[:, 0, None] & self.edges[0]) == 0
-        for k in range(1, self.words):
-            out &= (sets[:, k, None] & self.edges[k]) == 0
-        return out
-
-    def __call__(self, out: np.ndarray, fp: np.ndarray):
-        """(pivot, its degree, in-child DEAD) per node; every node spans a hyperedge."""
-        width = len(out)
-        pivot = np.empty(width, dtype=np.min_scalar_type(self.n_u - 1))
-        pivot_deg = np.empty(width, dtype=np.int32)
-        dead = np.empty(width, dtype=bool)
-        for a in range(0, width, self.rows):
-            o, f = out[a:a + self.rows], fp[a:a + self.rows]
-            alive = self._misses(o).astype(np.float32)
-            deg = alive[:, :self.edge_step] @ self.incidence[:self.edge_step]
-            for e in range(self.edge_step, len(self.incidence), self.edge_step):
-                deg += alive[:, e:e + self.edge_step] @ self.incidence[e:e + self.edge_step]
-            in_fp = np.unpackbits(f.astype("<u8", copy=False).view(np.uint8), axis=1,
-                                  count=self.n_u, bitorder="little")
-            deg *= in_fp == 0
-            # a live edge keeps an element outside the fingerprint: max >= 1
-            p = deg.argmax(axis=1)
-            pivot[a:a + self.rows] = p
-            pivot_deg[a:a + self.rows] = deg[np.arange(len(p)), p]
-            # the included branch is DEAD iff a live edge through the pivot
-            # has all its other elements in fp.  Out-pivots are outside fp
-            # plus the pivot, so a dead edge never passes the test
-            ids = self.through[p]
-            rest = ~(f | self.bits[p])
-            held = (self.edges[0][ids] & rest[:, 0, None]) == 0
-            for k in range(1, self.words):
-                held &= (self.edges[k][ids] & rest[:, k, None]) == 0
-            dead[a:a + self.rows] = held.any(axis=1)
-        return pivot, pivot_deg, dead
-
-
 def _grow_levels(hg: PairHypergraph, threshold: int, depth_cap: int, fp_budget: int,
                  max_nodes: int) -> tuple[list, int]:
     """The tree's levels, root first, and its node count.
 
-    Level d lists its nodes in preorder.  It keeps each node's pivot, the
-    rows of its out- and in-child in level d+1 (-1: a leaf or DEAD), and
-    the container mask and span of each out-leaf, in row order.
+    Level d keeps each node's pivot, the rows of its out- and in-child in
+    level d+1 (-1: a leaf or DEAD), and the container mask and span of each
+    out-leaf, in row order.  Level d+1 lists the out-children, then the
+    in-children, each in their parents' order.
+
+    A node is its out-set and fingerprint, rows of uint64 words (least
+    significant first), and its degrees: an element's degree counts the
+    live hyperedges holding it (live: missing the out-set), and is 0 inside
+    the fingerprint.  An in-child keeps its parent's live hyperedges, so
+    only the pivot's degree changes, to 0.  An out-child loses the live
+    hyperedges through the pivot, and each element's degree drops by the
+    number of them that hold it (clipped at 0 inside the fingerprint).
     """
-    expand = _Expander(hg)
-    full_mask = _words([(1 << expand.n_u) - 1], expand.words)[0]
+    n_u = hg.universe.size
+    total = hg.edge_count
+    words = -(-n_u // 64)
+    v = np.arange(n_u)
+    bits = np.zeros((n_u, words), dtype=np.uint64)
+    bits[v, v // 64] = np.uint64(1) << (v % 64).astype(np.uint64)
+    full_mask = _words([(1 << n_u) - 1], words)[0]
+    degree = np.array([len(eids) for eids in hg.incidence])
+    # signed, so that a fingerprint entry may go below 0 before the clip
+    dtype = next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max >= degree.max())
+    # through[:, v]: the hyperedges holding v, padded with hyperedge
+    # `total`, which has no words and holds no element
+    edges = np.zeros((words, total + 1), dtype=np.uint64)      # word k of every edge
+    edges[:, :total] = _words(hg.edge_masks, words).T
+    incidence = np.zeros((total + 1, n_u), dtype=dtype)
+    for eid, e in enumerate(hg.edges):
+        incidence[eid, list(e)] = 1
+    through = np.full((degree.max(), n_u), total, dtype=np.intp)
+    for u, eids in enumerate(hg.incidence):
+        through[:len(eids), u] = eids
+    chunk = max(1, _GATHER_CELLS // through.size)     # frontier rows per pass
+
     # the frontier: one row per node of the current level
-    out = np.zeros((1, expand.words), dtype=np.uint64)
-    fp = np.zeros((1, expand.words), dtype=np.uint64)
-    spanned = np.array([hg.edge_count], dtype=np.int32)
+    out = np.zeros((1, words), dtype=np.uint64)
+    fp = np.zeros((1, words), dtype=np.uint64)
+    deg = degree.astype(dtype)[None]
+    spanned = np.array([total], dtype=np.int32)
     fp_size = np.zeros(1, dtype=np.int32)
 
     levels = []
@@ -837,21 +797,50 @@ def _grow_levels(hg: PairHypergraph, threshold: int, depth_cap: int, fp_budget: 
         nodes += width
         if nodes > max_nodes:
             raise ContainerBuildError(f"decision tree exceeded {max_nodes} nodes")
-        pivot, pivot_deg, dead = expand(out, fp)
-        pbit = expand.bits[pivot]
-        out_spanned = spanned - pivot_deg
+        if levels:
+            # a level's degree rows are made once it has passed the guards;
+            # deg, pivot, go_out and go_in still hold its parent level's
+            nxt = np.empty((width, n_u), dtype=dtype)
+            n_out = len(go_out)
+            for a in range(0, n_out, chunk):
+                c = go_out[a:a + chunk]
+                # the live hyperedges through the pivot; the others become padding
+                ids = through.take(pivot[c], axis=1)
+                for k in range(words):
+                    ids[(edges[k][ids] & parent_out[c, k]) != 0] = total
+                drop = incidence[ids].sum(axis=0, dtype=dtype)
+                np.maximum(deg[c] - drop, 0, out=nxt[a:a + len(c)])
+            np.take(deg, go_in, axis=0, out=nxt[n_out:])
+            nxt[np.arange(n_out, width), pivot[go_in]] = 0
+            deg = nxt
+        # a live edge keeps an element outside the fingerprint: max >= 1
+        pivot = deg.argmax(axis=1).astype(np.min_scalar_type(n_u - 1))
+        out_spanned = spanned - deg[np.arange(width), pivot]
         leaf = out_spanned <= threshold
-        # the next level lists each parent's out-child, then its in-child
-        kids = np.stack([~leaf, ~dead], axis=1).ravel()
-        row = (np.cumsum(kids, dtype=np.int32) - 1).reshape(width, 2)
-        row[~kids.reshape(width, 2)] = -1
+        pbit = bits[pivot]
+        # the included branch is DEAD iff a live edge through the pivot has
+        # all its other elements in fp.  Out-pivots are outside fp plus the
+        # pivot, so a dead edge never passes the test
+        dead = np.empty(width, dtype=bool)
+        for a in range(0, width, chunk):
+            ids = through.take(pivot[a:a + chunk], axis=1)
+            rest = ~(fp[a:a + chunk] | pbit[a:a + chunk])
+            held = ids < total
+            for k in range(words):
+                held &= (edges[k][ids] & rest[:, k]) == 0
+            dead[a:a + chunk] = held.any(axis=0)
+        go_out, go_in = np.flatnonzero(~leaf), np.flatnonzero(~dead)
+        n_out = len(go_out)
+        row = np.full((width, 2), -1, dtype=np.int32)
+        row[go_out, 0] = np.arange(n_out)
+        row[go_in, 1] = np.arange(n_out, n_out + len(go_in))
         levels.append((pivot, row[:, 0], row[:, 1],
                        ~(out[leaf] | pbit[leaf]) & full_mask, out_spanned[leaf]))
+        parent_out = out
         out, fp, spanned, fp_size = (
-            np.stack(pair, axis=1).reshape(2 * width, *pair[0].shape[1:])[kids]
-            for pair in ((out | pbit, out), (fp, fp | pbit),
-                         (out_spanned, spanned), (fp_size, fp_size + 1))
-        )
+            np.concatenate(pair) for pair in (
+                (out[go_out] | pbit[go_out], out[go_in]), (fp[go_out], fp[go_in] | pbit[go_in]),
+                (out_spanned[go_out], spanned[go_in]), (fp_size[go_out], fp_size[go_in] + 1)))
     return levels, nodes
 
 

@@ -7,7 +7,7 @@ import random
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -589,6 +589,42 @@ def test_builder_matches_recursive_oracle_on_random_hypergraphs(hg, den, num):
     assert_one_container_per_leaf(fam)
 
 
+def hub_hypergraph(seed: int, hub_degree: int | None = None) -> PairHypergraph:
+    """Hyperedges on [9] (72 pairs) whose largest degree reaches int8's top.
+
+    Every pair and triple of the hub pairs 64..70 is repeated 3-9 times, so
+    the hubs lie in about 110-160 hyperedges each and the degree rows need
+    int16.  With ``hub_degree``, pair 70 instead lies in exactly that many
+    pair hyperedges with the pairs 64..69.  Random hyperedges of 1-4 pairs
+    below 40, some through one hub, follow.  Pairs 40..63 and 71 are in no
+    hyperedge.
+    """
+    rng = random.Random(seed)
+    hubs = range(64, 71)
+    if hub_degree is None:
+        edges = [e for size in (2, 3) for e in combinations(hubs, size)
+                 for _ in range(rng.randint(3, 9))]
+        edges += [tuple(sorted({rng.choice(hubs), *rng.sample(range(40), rng.randint(0, 2))}))
+                  for _ in range(60)]
+    else:
+        edges = [(64 + i % 6, 70) for i in range(hub_degree)]
+    edges += [tuple(sorted(rng.sample(range(40), rng.randint(1, 4)))) for _ in range(120)]
+    return PairHypergraph(PairUniverse(9), 4, tuple(sorted(edges)), 0)
+
+
+@pytest.mark.parametrize("seed,hub_degree", [(seed, None) for seed in range(6)]
+                         + [(6, 127), (7, 128)])
+def test_builder_matches_recursive_oracle_past_int8_degrees(seed, hub_degree):
+    hg = hub_hypergraph(seed, hub_degree)
+    assert hg.max_degree == hub_degree or hg.max_degree >= 128
+    assert min(map(len, hg.incidence)) == 0
+    assert len(set(hg.edges)) < hg.edge_count
+    for eps in (Fraction(1, 100), Fraction(1, 40), Fraction(1, 16)):
+        fam = build_containers(hg, 1.0, eps)
+        assert _tree(fam) == naive_build_containers(hg, eps)
+        assert_one_container_per_leaf(fam)
+
+
 def test_stop_rule_is_exact_for_any_eps(c3):
     # num * total overflows int64 for these fractions; the stop rule stays exact
     hg = build_hypergraph(4, c3)
@@ -600,8 +636,8 @@ def test_stop_rule_is_exact_for_any_eps(c3):
 
 
 def test_builder_refuses_what_it_cannot_count_exactly(c3):
-    # degrees are float32 sums: 2^24 hyperedges are refused before any is read,
-    # by the incidence cap that keeps every degree below 2^24
+    # 2^24 hyperedges are refused before any is read, by the incidence cap
+    # that keeps every degree at most 2^20, inside the builder's int32 rows
     stub = SimpleNamespace(universe=PairUniverse(4), r=3, edge_count=1 << 24)
     with pytest.raises(PreconditionError, match="capped at 2\\^21 cells"):
         build_containers(stub, 0.5, Fraction(1, 10))
