@@ -6,8 +6,10 @@ slots i < j of a digraph on [n] takes one of four states; state index idx
 keeps slot q in bits 2q (i->j) and 2q+1 (j->i).  One block walker serves the
 full scan, the free-mask decoder and its reference iterator: the low
 min(p, 5) slots form a block whose states are the bits of one Python
-integer, and per high state the copies are added into bit-sliced counters,
-so n=5 (4^10 states) takes a fraction of a second.  The decoder
+integer.  Each copy's block bitset is added into bit-sliced counters at its
+high requirement, and a fast zeta (subset-sum) transform over the high bits
+gives every high state the copies it holds, so the 4^10 states of n=5 take a
+few milliseconds whatever the copy count.  The decoder
 (_free_masks) unpacks the free-state bitsets of a chunk of blocks with
 numpy.  It gives the container verifier its exhaustive sets and the window
 table of its sampled sieve, and count-free the labelled free digraphs on
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, groupby, islice, permutations
+from operator import and_, or_, xor
 
 from .digraphs import (
     Digraph,
@@ -54,6 +57,7 @@ COUNT_CLASSES_MAX_N = 6
 COUNT_FREE_MAX_N = 6  # f*(n) decodes the 4^((n-1)(n-2)/2) states on [n-1]
 
 _LOW_SLOTS = 5  # one block holds the 4^5 = 1024 states of the low slots
+_SPLIT_STATES = 64  # high states whose counters the walker splits into exact bitsets together
 _DECODE_STATES = 1 << 16  # states the free-mask decoder unpacks together
 _RAW_WITNESSES = 50_000  # free states the full scan keeps as witnesses
 
@@ -125,44 +129,93 @@ def _state_bits(n: int) -> dict[tuple[int, int], int]:
     return bit
 
 
+def _zeta_slices(width: int):
+    """(into, frm) slice pairs over the 2^width high states, bit b by bit b:
+    the pairs of bit b pair every state holding b (into) with the same state
+    without b (frm).  A bit below the middle pairs whole strides, one slice
+    per offset; a bit above it pairs runs, one slice per run."""
+    size = 1 << width
+    for b in range(width):
+        step = 1 << b
+        if step * step <= size // 2:
+            yield from ((slice(o + step, size, 2 * step), slice(o, size, 2 * step))
+                        for o in range(step))
+        else:
+            yield from ((slice(s + step, s + 2 * step), slice(s, s + step))
+                        for s in range(0, size, 2 * step))
+
+
 def _blocks(n: int, pattern: PatternDigraph, c_max: int):
-    """Yield (hi, exact) for every high state hi, in index order.
+    """An iterator of (hi, exact) for every high state hi, in index order.
 
     exact[c] is the bitset of the low states lo for which the state
     hi * 4^L + lo holds exactly c copies, for c = 0..c_max at most.  A copy
-    is present in state idx iff idx has every state bit of its edges.
+    is present in state idx iff idx has every state bit of its edges.  Each
+    copy's low-state bitset is added into saturating bit-sliced counters at
+    its exact high requirement; the fast zeta transform then sums, bit by
+    high bit, every high state's counters over its subsets, so hi counts the
+    copies whose high requirement it holds.  All 4^(p-L) high states are
+    held at once, so n is capped at FULL_MODE_MAX_N.
     """
+    if n > FULL_MODE_MAX_N:
+        raise BudgetError(
+            f"the block walker holds 4^{n * (n - 1) // 2 - _LOW_SLOTS} high states at once; "
+            f"capped at n={FULL_MODE_MAX_N}"
+        )
     slots = pair_slots(n)
     bit = _state_bits(n)
     low = min(len(slots), _LOW_SLOTS)
     lo_full = (1 << 4 ** low) - 1
     copies = compile_copies(n, pattern)
-    table = []  # per copy: (high part of its edge bits, bitset of its low states)
+    c_top = min(c_max, len(copies))
+    # saturating counters: planes[j][hi] holds bit j of the count, over[hi]
+    # the states whose count reached 2^len(planes) > c_top
+    size = 4 ** (len(slots) - low)
+    planes = [[0] * size for _ in range(c_top.bit_length())]
+    over = [0] * size
     for copy in copies:
         req = sum(1 << bit[e] for e in copy)
-        table.append((req >> 2 * low, _holding(2 * low, req & ((1 << 2 * low) - 1))))
-    c_top = min(c_max, len(copies))
-    planes = max(1, c_top.bit_length())
-    for hi in range(4 ** (len(slots) - low)):
-        # saturating counters: `counters` holds the count mod 2^planes, `over`
-        # the states whose count reached 2^planes > c_top
-        counters = [0] * planes
-        over = 0
-        for hi_req, carry in table:
-            if hi & hi_req != hi_req:
-                continue
-            for j in range(planes):
-                counters[j], carry = counters[j] ^ carry, counters[j] & carry
-                if not carry:
-                    break
-            over |= carry
-        exact = []
-        for c in range(c_top + 1):
-            mask = lo_full ^ over
-            for j, plane in enumerate(counters):
-                mask &= plane if c >> j & 1 else ~plane
-            exact.append(mask)
-        yield hi, exact
+        hi = req >> 2 * low
+        carry = _holding(2 * low, req & ((1 << 2 * low) - 1))
+        for plane in planes:
+            plane[hi], carry = plane[hi] ^ carry, plane[hi] & carry
+            if not carry:
+                break
+        over[hi] |= carry
+    for into, frm in _zeta_slices(2 * (len(slots) - low)):
+        carry = None  # a ripple carry, plane by plane
+        for plane in planes:
+            x, y = plane[into], plane[frm]
+            total = list(map(xor, x, y))
+            if carry is None:
+                carry = list(map(and_, x, y))
+            else:
+                carry, total = (list(map(or_, map(and_, x, y), map(and_, total, carry))),
+                                list(map(xor, total, carry)))
+            plane[into] = total
+        over[into] = map(or_, over[into], over[frm])
+        if carry is not None:
+            over[into] = map(or_, over[into], carry)
+
+    def rows():
+        """Each high state's exact, _SPLIT_STATES states at a time: the low
+        states that did not saturate, split by each plane's bit, highest
+        plane first, keeping the prefixes that still lead to a count of at
+        most c_top.  The sums are dropped once split."""
+        for a in range(0, size, _SPLIT_STATES):
+            b = min(a + _SPLIT_STATES, size)
+            exact = [[lo_full ^ x for x in over[a:b]]]
+            for j in reversed(range(len(planes))):
+                split = []
+                for part in exact:
+                    held = list(map(and_, part, planes[j][a:b]))
+                    split += [list(map(xor, part, held)), held]
+                exact = split[:(c_top >> j) + 1]
+            for sums in (over, *planes):
+                sums[a:b] = [0] * (b - a)
+            yield from zip(*exact)
+
+    return enumerate(rows())
 
 
 def _tie_groups(weight: WeightParam, f2: list[int], f1: list[int]) -> list[tuple[tuple[int, int], int]]:
@@ -252,19 +305,18 @@ def _state_masks(n: int, edge_bit) -> tuple[list[int], list[int]]:
 
 
 def iter_free_edge_masks(n: int, pattern: PatternDigraph, edge_bit):
-    """Yield one bitmask per pattern-free digraph on [n] (all of them), in
-    state-index order.
+    """An iterator of one bitmask per pattern-free digraph on [n] (all of
+    them), in state-index order; an n past FULL_MODE_MAX_N is refused on the
+    call.
 
     edge_bit(u, v) gives the bit position of the directed edge u->v, so the
     caller controls the indexing (e.g. the pair-universe codec).  The
     verifier and the labelled count decode the same blocks in bulk
     (_free_masks); this generator is its reference.
     """
+    blocks = _blocks(n, pattern, 0)  # refuses an n past FULL_MODE_MAX_N here
     lo_masks, hi_masks = _state_masks(n, edge_bit)
-    for hi, exact in _blocks(n, pattern, 0):
-        base = hi_masks[hi]
-        for lo in _bits(exact[0]):
-            yield base | lo_masks[lo]
+    return (hi_masks[hi] | lo_masks[lo] for hi, exact in blocks for lo in _bits(exact[0]))
 
 
 def _free_masks(n: int, pattern: PatternDigraph, edge_bit):

@@ -193,6 +193,50 @@ def class_route_count(k: int, pattern) -> int:
                for g in free_classes(k, pattern).values())
 
 
+def naive_blocks(n: int, pattern, c_max: int) -> list[tuple[int, list[int]]]:
+    """The (hi, exact) rows of ``extremal._blocks``, one high state at a time.
+
+    Per high state every copy is tested, and each one the state holds adds
+    its low-state bitset into saturating bit-sliced counters.  It shares the
+    copy list and the low-state bitsets with the walker, not the subset sums.
+    """
+    from digraphlab import extremal
+
+    slots = extremal.pair_slots(n)
+    bit = extremal._state_bits(n)
+    low = min(len(slots), extremal._LOW_SLOTS)
+    lo_full = (1 << 4 ** low) - 1
+    copies = extremal.compile_copies(n, pattern)
+    table = []  # per copy: (high part of its edge bits, bitset of its low states)
+    for copy in copies:
+        req = sum(1 << bit[e] for e in copy)
+        table.append((req >> 2 * low, extremal._holding(2 * low, req & ((1 << 2 * low) - 1))))
+    c_top = min(c_max, len(copies))
+    planes = max(1, c_top.bit_length())
+    rows = []
+    for hi in range(4 ** (len(slots) - low)):
+        # `counters` holds the count mod 2^planes, `over` the states whose
+        # count reached 2^planes > c_top
+        counters = [0] * planes
+        over = 0
+        for hi_req, carry in table:
+            if hi & hi_req != hi_req:
+                continue
+            for j in range(planes):
+                counters[j], carry = counters[j] ^ carry, counters[j] & carry
+                if not carry:
+                    break
+            over |= carry
+        exact = []
+        for c in range(c_top + 1):
+            mask = lo_full ^ over
+            for j, plane in enumerate(counters):
+                mask &= plane if c >> j & 1 else ~plane
+            exact.append(mask)
+        rows.append((hi, exact))
+    return rows
+
+
 def sorted_signature_colours(n: int, edges: frozenset) -> list[int]:
     """Iterated directed colour refinement with sorted tuple signatures.
 

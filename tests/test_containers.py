@@ -340,6 +340,21 @@ def test_window_sieve_matches_the_hyperedge_filter(name):
             assert len(sieve.rest) < hg.edge_count
 
 
+@pytest.mark.parametrize("cells", [1, 97])
+def test_window_sieve_splits_its_hyperedge_test(cells, monkeypatch):
+    # a bound below survivors x hyperedges tests the hyperedges in groups,
+    # one at a time at a bound of 1
+    monkeypatch.setattr(digraphlab.containers, "_REST_CELLS", cells)
+    rng = np.random.RandomState(4)
+    for pat, N in ((load_pattern("t3")[0], 7), (_MORE["c5"], 6), (_MORE["c3+2"], 5)):
+        hg = build_hypergraph(N, pat)
+        sieve = _WindowSieve(hg, pat)
+        draws = rng.randint(0, 1 << hg.universe.size, size=20_000, dtype=np.uint64)
+        windowed = sieve._windowed(draws)
+        assert len(windowed) * len(sieve.rest) > 10 * cells
+        assert sieve(draws).tolist() == _filtered(hg, draws).tolist(), N
+
+
 def test_sampled_routing_on_dk3_with_an_explicit_tau(dk3):
     # dk3 has no usable m, so no tau of its own: the library takes one
     hg = build_hypergraph(6, dk3)

@@ -27,6 +27,7 @@ from digraphlab.cli import BUILTIN_PATTERNS, load_pattern
 from digraphlab.errors import BudgetError, PreconditionError
 from digraphlab.extremal import (
     _attachment_table,
+    _blocks,
     _count_one_vertex_more,
     _extension,
     _extremal_canonical,
@@ -40,6 +41,7 @@ from oracles import (
     all_digraph_edge_sets,
     class_route_count,
     f_counts,
+    naive_blocks,
     naive_compiled_copies,
     naive_count_copies,
     naive_extremal,
@@ -133,6 +135,15 @@ def test_budget_errors(c3, a2):
         extremal_number(8, c3, a2, mode="canonical")
     with pytest.raises(BudgetError):
         count_free(7, c3)
+
+
+def test_walker_refuses_n_past_full_mode(c3):
+    # the walker holds every high state at once (4^10 of them on [6]), so it
+    # refuses n = 6 on the call, before it builds any table
+    with pytest.raises(BudgetError, match="capped at n=5"):
+        iter_free_edge_masks(6, c3, lambda u, v: 0)
+    with pytest.raises(BudgetError, match="capped at n=5"):
+        _blocks(6, c3, 0)
 
 
 def test_count_free_orbit_route_matches_scan(c3, t3):
@@ -290,7 +301,7 @@ def oracle_states(name: str, n: int):
     """(state index, digits, copies, (f2, f1)) of every digraph on [n], in
     index order, by the brute-force oracles: slot q of a state is the pair
     combinations(range(n), 2)[q], holding forward + 2 * backward."""
-    pat = load_pattern(name)[0]
+    pat = any_pattern(name)
     slots = list(combinations(range(n), 2))
     rows = []
     for edges in all_digraph_edge_sets(n):
@@ -347,6 +358,34 @@ ISOLATED = {"c3iso": "n=4\n0 1\n1 2\n2 0\n", "p3iso": "n=5\n0 1\n1 2\n"}
 
 def any_pattern(name: str) -> PatternDigraph:
     return PatternDigraph.from_text(ISOLATED[name]) if name in ISOLATED else load_pattern(name)[0]
+
+
+@pytest.mark.parametrize("low", [1, 2, 3])
+@pytest.mark.parametrize("name", BUILTIN_PATTERNS + tuple(ISOLATED))
+def test_block_subset_sums_against_brute_force(name, low, monkeypatch):
+    # with L low slots, the 6 slots of [4] leave 6 - L high slots, so the
+    # subset sums run over 10, 8 and 6 high bits (up to 1024 high states)
+    monkeypatch.setattr(extremal, "_LOW_SLOTS", low)
+    pat = any_pattern(name)
+    rows = oracle_states(name, 4)
+    copies = max(c for _, _, c, _ in rows)
+    assert copies == len(compile_copies(4, pat))
+    for c_max in (0, 1, 2, 3, 7, copies + 1):
+        c_top = min(c_max, copies)
+        expect = [[0] * (c_top + 1) for _ in range(4 ** (6 - low))]
+        for idx, _, c, _ in rows:
+            if c <= c_top:
+                expect[idx >> 2 * low][c] |= 1 << (idx & ((1 << 2 * low) - 1))
+        got = [(hi, list(exact)) for hi, exact in _blocks(4, pat, c_max)]
+        assert got == list(enumerate(expect)), c_max
+
+
+@pytest.mark.parametrize("name", BUILTIN_PATTERNS)
+def test_blocks_match_the_per_copy_walker(name):
+    pat = load_pattern(name)[0]
+    for c_max in (0, 3):
+        got = [(hi, list(exact)) for hi, exact in _blocks(5, pat, c_max)]
+        assert got == naive_blocks(5, pat, c_max), c_max
 
 
 @pytest.mark.parametrize("name", BUILTIN_PATTERNS + tuple(ISOLATED))
