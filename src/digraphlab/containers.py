@@ -1163,7 +1163,6 @@ class PipelineReport:
     rows: list[ContainerRow]
     verify: VerifyReport
     copies_ok: bool
-    ea_ok: bool | None
 
     @property
     def ok(self) -> bool:
@@ -1206,7 +1205,6 @@ def container_pipeline(
 
     rows: list[ContainerRow] = []
     copies_ok = True
-    ea_ok: bool | None = None if extremal is None else True
     for idx, cmask in enumerate(fam.containers):
         g = fam.universe.digraph_from_mask(cmask)
         copies = count_copies(g, pattern)
@@ -1222,7 +1220,6 @@ def container_pipeline(
         if extremal is not None:
             # ea(G_C) <= ex + eps*N^2, decided exactly for both weight kinds
             within = weight.cmp_pairs((g.f2, g.f1 - eps * N * N), extremal.best_pair) <= 0
-            ea_ok = ea_ok and within
         rows.append(ContainerRow(idx, copies, g.f2, g.f1, weight.ea_str(g.f2, g.f1),
                                  le_edges, le_nh, within))
 
@@ -1243,5 +1240,4 @@ def container_pipeline(
         rows=rows,
         verify=verify,
         copies_ok=copies_ok,
-        ea_ok=ea_ok,
     )

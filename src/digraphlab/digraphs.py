@@ -72,10 +72,6 @@ class Digraph:
 
     # -- manipulation --------------------------------------------------------
 
-    def relabel(self, perm) -> "Digraph":
-        """Image under the vertex permutation perm (perm[old] = new)."""
-        return Digraph(self.n, frozenset((perm[u], perm[v]) for u, v in self.edges))
-
     def spanned_subgraph(self, edge_subset) -> "Digraph":
         """Digraph induced by an edge subset, reindexed onto its endpoints."""
         edge_subset = list(edge_subset)
@@ -337,20 +333,16 @@ def _colour_cells(g: Digraph) -> list[list[int]]:
     return cells
 
 
-def canonical_form(g: Digraph) -> bytes:
-    """Canonical key: two digraphs get the same key iff they are isomorphic.
-
-    Exact minimisation of the adjacency bit string over all colour-respecting
-    vertex orders (colour refinement never separates vertices an isomorphism
-    could exchange, so restricting to colour-respecting orders is lossless).
-    The string is read in bordered order: placing vertex k appends the 2k bits
-    (M[0,k], M[k,0], M[1,k], M[k,1], ..., M[k-1,k], M[k,k-1]).  A discrete
-    colouring admits one such order, which is read off without a search.
-    """
+def _canonical_search(g: Digraph, orders: list | None) -> bytes:
+    """The canonical key of g; when orders is a list, every colour-respecting
+    vertex order attaining the least word sequence is appended to it.  A
+    discrete colouring admits one such order, read off without a search."""
     n = g.n
     if n > _CANONICAL_MAX:
         raise BudgetError(f"canonical form over {n}! permutations refused")
     if n == 1:
+        if orders is not None:
+            orders.append((0,))
         return bytes([1])
     out_m = g.out_mask
     cells = _colour_cells(g)
@@ -361,49 +353,82 @@ def canonical_form(g: Digraph) -> bytes:
             row = out_m[v]
             for u in order[:k]:
                 acc = acc << 2 | (out_m[u] >> v & 1) << 1 | (row >> u & 1)
+        if orders is not None:
+            orders.append(tuple(order))
     else:
-        for k, w in enumerate(_minimal_words(out_m, cells)):
+        for k, w in enumerate(_minimal_words(out_m, cells, orders)):
             acc = acc << 2 * k | w
     nbytes = max(1, (n * (n - 1) + 7) // 8)
     return bytes([n]) + acc.to_bytes(nbytes, "big")
 
 
-def _minimal_words(out_m: tuple[int, ...], cells: list[list[int]]) -> list[int]:
+def canonical_form(g: Digraph) -> bytes:
+    """Canonical key: two digraphs get the same key iff they are isomorphic.
+
+    Exact minimisation of the adjacency bit string over all colour-respecting
+    vertex orders (colour refinement never separates vertices an isomorphism
+    could exchange, so restricting to colour-respecting orders is lossless).
+    The string is read in bordered order: placing vertex k appends the 2k bits
+    (M[0,k], M[k,0], M[1,k], M[k,1], ..., M[k-1,k], M[k,k-1]).  The search
+    also meets every automorphism (canonical_form_and_group); this call keeps
+    none of them, so a large group costs it no memory.
+    """
+    return _canonical_search(g, None)
+
+
+def canonical_form_and_group(g: Digraph) -> tuple[bytes, list[tuple[int, ...]]]:
+    """canonical_form(g) and automorphisms(g), from one search.
+
+    The orders attaining the least word sequence give one adjacency matrix,
+    so the map from the first of them to each one is an automorphism
+    (perm[old] = new).  An automorphism keeps the refined colours, so it maps
+    the first order to an optimal one: each automorphism arises exactly once.
+    """
+    orders: list[tuple[int, ...]] = []
+    key = _canonical_search(g, orders)
+    if len(orders) == 1:
+        return key, [tuple(range(g.n))]
+    return key, sorted(tuple(v for _, v in sorted(zip(orders[0], order))) for order in orders)
+
+
+def _minimal_words(out_m: tuple[int, ...], cells: list[list[int]], orders: list | None) -> list[int]:
     """The lexicographically least word sequence over the vertex orders that
-    place the cells one after another; word k is the 2k bits of vertex k."""
+    place the cells one after another; word k is the 2k bits of vertex k.
+    When orders is a list, the vertex orders attaining it are appended."""
     n = len(out_m)
     # pair[u][v]: the 2 bits (u->v, v->u) that u, placed before v, adds to v's word
     pair = [[(out_m[u] >> v & 1) << 1 | (out_m[v] >> u & 1) for v in range(n)] for u in range(n)]
     slot_cell = [cell for cell in cells for _ in cell]
     used = [False] * n
     path = [0] * n
-    best: list[int] | None = None
     inf = 1 << (2 * n + 2)  # larger than any word
+    best = [inf] * n
 
     # words[v] is v's word against the first k placed vertices.  Invariant on
-    # entry to dfs(k): best is None, or the words on the current path equal
-    # best[0..k-1]; a strictly smaller word truncates best in place (the old
-    # deeper suffix is dominated), so the global minimum path is never pruned
-    # and best converges to it
+    # entry to dfs(k): the words of the vertices on path equal best[0..k-1]; a
+    # strictly smaller word truncates best in place (the old deeper suffix is
+    # dominated) and drops the orders recorded against it.  Only strictly
+    # larger words are pruned, so every order attaining the global minimum
+    # reaches a leaf, and none is improved on after the first one did
     def dfs(k: int, words: list[int]):
-        nonlocal best
         if k == n:
-            if best is None:
-                best = path.copy()
+            if orders is not None:
+                orders.append(tuple(path))
             return
         for v in slot_cell[k]:
             if used[v]:
                 continue
             w = words[v]
-            if best is not None:
-                if w > best[k]:
-                    continue
-                if w < best[k]:
-                    best[k] = w
-                    for i in range(k + 1, n):
-                        best[i] = inf
+            if w > best[k]:
+                continue
+            if w < best[k]:
+                best[k] = w
+                for i in range(k + 1, n):
+                    best[i] = inf
+                if orders:
+                    orders.clear()
             used[v] = True
-            path[k] = w
+            path[k] = v
             dfs(k + 1, [x << 2 | b for x, b in zip(words, pair[v])])
             used[v] = False
 
@@ -412,44 +437,14 @@ def _minimal_words(out_m: tuple[int, ...], cells: list[list[int]]) -> list[int]:
 
 
 def automorphisms(g: Digraph) -> list[tuple[int, ...]]:
-    """Every automorphism of g, as perm[old] = new, in lexicographic order.
-
-    Only bijections that keep each refined colour are tried: the refinement
-    is canonical, so every automorphism keeps it.
-    """
-    n = g.n
-    if n > _CANONICAL_MAX:
-        raise BudgetError(f"automorphism search over {n}! permutations refused")
-    cells = _colour_cells(g)
-    if len(cells) == n:
-        return [tuple(range(n))]
-    out_m = g.out_mask
-    same = [0] * n
-    for cell in cells:
-        mask = sum(1 << v for v in cell)
-        for v in cell:
-            same[v] = mask
-    perm = [0] * n
-    found = []
-
-    def extend(v: int, used: int):
-        if v == n:
-            found.append(tuple(perm))
-            return
-        cand = same[v] & ~used
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            w = bit.bit_length() - 1
-            if all(out_m[u] >> v & 1 == out_m[perm[u]] >> w & 1
-                   and out_m[v] >> u & 1 == out_m[w] >> perm[u] & 1 for u in range(v)):
-                perm[v] = w
-                extend(v + 1, used | bit)
-
-    extend(0, 0)
-    return found
+    """Every automorphism of g, as perm[old] = new, in lexicographic order,
+    read off the search that gives the canonical key
+    (canonical_form_and_group).  A discrete colouring gives the identity."""
+    if g.n > _CANONICAL_MAX:
+        raise BudgetError(f"automorphism search over {g.n}! permutations refused")
+    return canonical_form_and_group(g)[1]
 
 
 def automorphism_count(g: Digraph) -> int:
-    """|Aut(G)|, counted over the colour-respecting bijections (n <= 10)."""
+    """|Aut(G)|, the number of orders attaining the least word sequence (n <= 10)."""
     return len(automorphisms(g))

@@ -25,8 +25,9 @@ rejection (_classes).  The attachment codes that keep a new vertex free are
 one bitset over the 4^k codes, a lookup in the attachment table, and the
 weight bound keeps a heaviest-first prefix of the groups of equally heavy
 codes before any digraph is built.  Of each orbit of codes under the
-parent's automorphisms only the smallest is extended.  It reaches its cap
-n=7: c3 at a=2 takes 8-9 s per CLI process on one Xeon vCPU.
+parent's automorphisms, read off the search that keyed the parent, only the
+smallest is extended.  It reaches its cap n=7: c3 at a=2 takes 4.4-6.2 s
+per CLI process on one Xeon vCPU.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .digraphs import (
     PatternDigraph,
     automorphisms,
     canonical_form,
+    canonical_form_and_group,
     count_copies,
 )
 from .errors import BudgetError, PreconditionError, VerificationError
@@ -448,19 +450,20 @@ def _extension(g: Digraph, code: int) -> Digraph:
     return Digraph(k + 1, frozenset(edges))  # sized to fit; frozenset.union over-allocates
 
 
-def _orbit_minimal(g: Digraph, codes: int) -> int:
-    """The codes of the bitset that no automorphism of g maps to a smaller one.
+def _orbit_minimal(auts: list[tuple[int, ...]], codes: int) -> int:
+    """The codes of the bitset that no automorphism of the parent g maps to a
+    smaller one.
 
-    An automorphism pi acts on a code by moving bits 2u, 2u+1 to 2pi(u),
-    2pi(u)+1, and g extended by pi(code) is isomorphic to g extended by code.
-    The bitset must be closed under Aut(g), as the free codes and the codes
-    of one size group are; walking it in ascending order then meets each
-    orbit at its minimum first.
+    auts is Aut(g), read off the search that keyed g (_classes), not searched
+    for again.  An automorphism pi acts on a code by moving bits 2u, 2u+1 to
+    2pi(u), 2pi(u)+1, and g extended by pi(code) is isomorphic to g extended
+    by code.  The bitset must be closed under Aut(g), as the free codes and
+    the codes of one size group are; walking it in ascending order then meets
+    each orbit at its minimum first.
     """
-    auts = automorphisms(g)
     if len(auts) == 1:
         return codes
-    k = g.n
+    k = len(auts[0])
     keep = 0
     seen = set()
     for code in _bits(codes):
@@ -477,25 +480,26 @@ def _children(reps, table, reach=None):
     """The one-vertex extensions of each representative by its orbit-minimal
     free codes, representatives in turn and codes ascending.
 
-    table is _attachment_table(k, pattern) for representatives on [k].
+    reps holds (g, Aut(g)) pairs, and table is _attachment_table(k, pattern)
+    for representatives on [k].
     reach(g), when given, is the bitset of the codes of g worth extending;
     it is read when the walk reaches g, and it must be closed under Aut(g).
     """
-    for g in reps:
+    for g, auts in reps:
         codes = _free_codes(g, table)
         if reach is not None:
             codes &= reach(g)
-        for code in _bits(_orbit_minimal(g, codes)):
+        for code in _bits(_orbit_minimal(auts, codes)):
             yield _extension(g, code)
 
 
-def _classes(exts) -> dict[bytes, Digraph]:
-    """The first extension of each canonical key, in the order met."""
-    new: dict[bytes, Digraph] = {}
+def _classes(exts) -> dict[bytes, tuple[Digraph, list[tuple[int, ...]]]]:
+    """The first extension of each canonical key, in the order met, with its
+    automorphisms, read off the search that keyed it."""
+    new = {}
     for ext in exts:
-        key = canonical_form(ext)
-        if key not in new:
-            new[key] = ext
+        key, auts = canonical_form_and_group(ext)
+        new.setdefault(key, (ext, auts))
     return new
 
 
@@ -510,11 +514,10 @@ def free_classes(n: int, pattern: PatternDigraph) -> dict[bytes, Digraph]:
     """
     if n > COUNT_CLASSES_MAX_N:
         raise BudgetError(f"class generation capped at n={COUNT_CLASSES_MAX_N}")
-    g1 = Digraph(1, frozenset())
-    reps = {canonical_form(g1): g1}
+    reps = _classes([Digraph(1, frozenset())])
     for k in range(1, n):
         reps = _classes(_children(reps.values(), _attachment_table(k, pattern)))
-    return reps
+    return {key: g for key, (g, _) in reps.items()}
 
 
 def _extremal_canonical(n: int, pattern: PatternDigraph, weight: WeightParam):
@@ -541,7 +544,7 @@ def _extremal_canonical(n: int, pattern: PatternDigraph, weight: WeightParam):
     weighted = cmp_to_key(weight.cmp_pairs)
     greedy = g1
     for table in tables:
-        greedy = max(_children([greedy], table),
+        greedy = max(_children([(greedy, automorphisms(greedy))], table),
                      key=lambda ext: weighted((ext.f2, ext.f1)), default=None)
         if greedy is None:
             break
@@ -557,7 +560,7 @@ def _extremal_canonical(n: int, pattern: PatternDigraph, weight: WeightParam):
             codes |= group
         return codes
 
-    reps = [g1]
+    reps = _classes([g1]).values()
     for k, table in enumerate(tables, start=1):
         rem = n * (n - 1) // 2 - (k + 1) * k // 2
         groups = _tie_groups(weight, *_sizes(k))

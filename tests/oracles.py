@@ -168,12 +168,19 @@ def naive_codegree_sums(universe_size: int, edges: list[tuple[int, ...]], r: int
     return sums
 
 
-def naive_automorphism_count(n: int, edges: frozenset) -> int:
-    """Vertex permutations mapping the edge set onto itself, all n! tried."""
-    return sum(
-        1 for perm in permutations(range(n))
-        if frozenset((perm[u], perm[v]) for u, v in edges) == edges
-    )
+def naive_automorphisms(n: int, edges: frozenset) -> list[tuple[int, ...]]:
+    """Vertex permutations (perm[old] = new) mapping the edge set onto itself,
+    all n! tried, in lexicographic order."""
+    return [perm for perm in permutations(range(n))
+            if frozenset((perm[u], perm[v]) for u, v in edges) == edges]
+
+
+def relabel(g, perm):
+    """The image of the digraph g under the vertex permutation perm
+    (perm[old] = new)."""
+    from digraphlab import Digraph
+
+    return Digraph(g.n, frozenset((perm[u], perm[v]) for u, v in g.edges))
 
 
 def class_route_count(k: int, pattern) -> int:

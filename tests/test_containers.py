@@ -400,7 +400,7 @@ def test_pipeline_n4(c3, a2):
     assert rep.verify.coverage_ok
     assert rep.verify.checked == count_free(4, c3)
     assert rep.copies_ok
-    assert rep.ea_ok
+    assert all(row.ea_within_extremal_slack for row in rep.rows)
     for row in rep.rows:
         assert row.copies_le_eps_edges and row.copies_le_eps_Nh
         assert row.copies <= float(rep.eps) * rep.N ** c3.h
@@ -424,7 +424,7 @@ def test_pipeline_verdicts_against_integer_powers():
         assert row.ea_within_extremal_slack is within
         assert row.copies_le_eps_Nh is (Fraction(row.copies) <= eps * N ** p4.h)
         outside += not within
-    assert outside == 178 and rep.ea_ok is False
+    assert outside == 178 and not all(row.ea_within_extremal_slack for row in rep.rows)
 
 
 def test_pipeline_copy_counts_match_decode(c3, a2):

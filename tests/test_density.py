@@ -18,7 +18,7 @@ from digraphlab import (
 from digraphlab.density import require_usable_m
 from digraphlab.errors import PreconditionError
 
-from oracles import naive_condition, naive_m, naive_max_density
+from oracles import naive_condition, naive_m, naive_max_density, relabel
 
 
 def test_m_examples(c3, t3):
@@ -133,7 +133,7 @@ def test_isomorphism_invariance(c3, dk3):
         for _ in range(10):
             perm = list(range(pat.h))
             rng.shuffle(perm)
-            relab = PatternDigraph(pat.graph.relabel(perm))
+            relab = PatternDigraph(relabel(pat.graph, perm))
             assert m_density(relab).value == m_density(pat).value
             assert condition_a(relab, WeightParam.from_rational(2)).ok == \
                 condition_a(pat, WeightParam.from_rational(2)).ok

@@ -22,16 +22,17 @@ from digraphlab import (
     parse_digraph,
 )
 from digraphlab.cli import BUILTIN_PATTERNS, load_pattern
-from digraphlab.digraphs import _colour_refine, iter_subpatterns
+from digraphlab.digraphs import _colour_refine, automorphisms, iter_subpatterns
 from digraphlab.errors import DigraphLabError, PreconditionError
 
 from oracles import (
     all_digraph_edge_sets,
     burnside_digraph_classes,
     f_counts,
-    naive_automorphism_count,
+    naive_automorphisms,
     naive_canonical_key,
     naive_count_copies,
+    relabel,
     sorted_signature_colours,
 )
 
@@ -227,7 +228,7 @@ def test_count_copies_isomorphism_invariant(c3, dk3):
         g = random_digraph(rng, 5)
         perm = list(range(5))
         rng.shuffle(perm)
-        h = g.relabel(perm)
+        h = relabel(g, perm)
         assert count_copies(g, c3) == count_copies(h, c3)
         assert count_copies(g, dk3) == count_copies(h, dk3)
 
@@ -303,15 +304,22 @@ def test_automorphism_count_matches_brute_force():
     builtins = [load_pattern(name)[0].graph for name in BUILTIN_PATTERNS]
     sample = [g for g in key_sample() if g.n <= 6]
     assert len(builtins) == 6 and {5, 6} <= {g.n for g in sample}
-    for g in all_digraphs_on_4() + sample + builtins:
-        assert automorphism_count(g) == naive_automorphism_count(g.n, g.edges), g.edge_list
+    # one colour cell each: the search meets every order of the cell, and
+    # the empty and complete digraphs keep all n! of them
+    regular = [Digraph(n, frozenset(edges)) for n in range(1, 8) for edges in (
+        (), [(u, v) for u in range(n) for v in range(n) if u != v],
+        [(u, (u + 1) % n) for u in range(n) if n > 1])]
+    for g in all_digraphs_on_4() + sample + builtins + regular:
+        expect = naive_automorphisms(g.n, g.edges)
+        assert automorphisms(g) == expect, g.edge_list
+        assert automorphism_count(g) == len(expect), g.edge_list
 
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(relabelled_digraphs())
 def test_key_and_aut_invariant_under_relabelling(case):
     g, perm = case
-    h = g.relabel(perm)
+    h = relabel(g, perm)
     assert canonical_form(h) == canonical_form(g)
     assert automorphism_count(h) == automorphism_count(g)
 
@@ -333,7 +341,7 @@ def test_canonical_respects_relabelling():
         key = canonical_form(g)
         perm = list(range(n))
         rng.shuffle(perm)
-        assert canonical_form(g.relabel(perm)) == key
+        assert canonical_form(relabel(g, perm)) == key
 
 
 def test_canonical_distinguishes(c3, t3):
@@ -361,7 +369,7 @@ def test_canonical_exhaustive_relabel_small():
         for g in isomorphism_classes(n):
             key = canonical_form(g)
             for perm in permutations(range(n)):
-                assert canonical_form(g.relabel(list(perm))) == key
+                assert canonical_form(relabel(g, list(perm))) == key
 
 
 def test_canonical_key_bytes_are_pinned():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -22,8 +23,9 @@ from digraphlab import (
     is_pattern_free,
     supersat_scan,
 )
-from digraphlab import extremal
+from digraphlab import digraphs, extremal
 from digraphlab.cli import BUILTIN_PATTERNS, load_pattern
+from digraphlab.digraphs import automorphisms
 from digraphlab.errors import BudgetError, PreconditionError
 from digraphlab.extremal import (
     _attachment_table,
@@ -432,10 +434,38 @@ def test_modes_agree_isolated_vertices(name, a):
         assert rf.witness_keys == rc.witness_keys
 
 
+@pytest.mark.parametrize("name", BUILTIN_PATTERNS)
+def test_growth_carries_each_class_group(name, monkeypatch):
+    # the group each class carries into the next level is the one the
+    # search that keyed it found, and it is the whole of Aut
+    levels = []
+    classes = extremal._classes
+    monkeypatch.setattr(extremal, "_classes", lambda exts: levels.append(classes(exts)) or levels[-1])
+    reps = free_classes(5, load_pattern(name)[0])
+    assert len(levels) == 5
+    assert [(key, g.edges) for key, (g, _) in levels[-1].items()] == \
+        [(key, g.edges) for key, g in reps.items()]
+    for level in levels:
+        for g, auts in level.values():
+            assert auts == automorphisms(g), g.edge_list
+
+
+def test_growth_refines_each_extension_once(c3, monkeypatch):
+    # keying an extension gives its group too: no kept representative is
+    # refined a second time for its automorphisms
+    calls = Counter()
+    refine, extension = digraphs._colour_refine, extremal._extension
+    monkeypatch.setattr(digraphs, "_colour_refine", lambda g: calls.update(["refine"]) or refine(g))
+    monkeypatch.setattr(extremal, "_extension",
+                        lambda g, code: calls.update(["extension"]) or extension(g, code))
+    free_classes(5, c3)
+    assert calls["refine"] == calls["extension"] > 0
+
+
 def _unpruned(monkeypatch, run):
     """run() with every attachment code extended, not one per Aut-orbit."""
     with monkeypatch.context() as m:
-        m.setattr(extremal, "_orbit_minimal", lambda g, codes: codes)
+        m.setattr(extremal, "_orbit_minimal", lambda auts, codes: codes)
         return run()
 
 
