@@ -11,6 +11,7 @@ output byte for byte.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -169,7 +170,19 @@ def _parse_tau(args, pattern: PatternDigraph) -> float:
     tau = parse_fraction(args.tau, "tau")
     if not 0 < tau <= 1:  # decided exactly: float() of a large value overflows
         raise PreconditionError(f"tau={args.tau} outside (0, 1]")
+    if float(tau) == 0:
+        raise PreconditionError(f"--tau {args.tau} is below the float range")
     return float(tau)
+
+
+def _parse_weight(args) -> WeightParam:
+    """--a for a subcommand that also reports weighted sizes as floats."""
+    weight = WeightParam.parse(args.a)
+    try:
+        weight.a_float
+    except OverflowError:
+        raise PreconditionError(f"--a {args.a} is past the float range") from None
+    return weight
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +220,7 @@ def cmd_condition_a(args, pattern):
 
 
 def cmd_ex(args, pattern):
-    weight = WeightParam.parse(args.a)
+    weight = _parse_weight(args)
     res = extremal_number(
         args.n, pattern, weight, mode=args.mode,
         witness_cap=args.witness_cap,
@@ -254,7 +267,7 @@ def cmd_ratio(args, pattern):
 
 
 def cmd_supersat(args, pattern):
-    weight = WeightParam.parse(args.a)
+    weight = _parse_weight(args)
     if 1 <= args.n <= FULL_MODE_MAX_N:  # larger n is refused by the scan itself
         copies = len(compile_copies(args.n, pattern))
         if args.k_max > copies:
@@ -291,7 +304,12 @@ def cmd_hypergraph(args, pattern):
 
 def cmd_codegree(args, pattern):
     tau = _parse_tau(args, pattern)
+    # delta_j divides by tau^(j-1) for j up to r
+    if tau ** (pattern.r - 1) == 0:
+        raise PreconditionError(f"--tau {args.tau}: tau^{pattern.r - 1} is below the float range")
     prof = codegree_profile(build_hypergraph(args.N, pattern), tau)
+    if not math.isfinite(prof.delta):
+        raise PreconditionError(f"--tau {args.tau}: the co-degree function is past the float range")
     return {
         "tau": float_field(prof.tau),
         "universe_size": int_str(prof.universe_size),
@@ -412,7 +430,7 @@ def _weighted_size_detail(rep) -> str:
 
 
 def cmd_pipeline(args, pattern):
-    weight = WeightParam.parse(args.a)
+    weight = _parse_weight(args)
     eps = parse_fraction(args.eps, "eps")
     rep = container_pipeline(pattern, weight, args.N, eps, samples=args.samples, seed=args.seed)
     ex = rep.extremal

@@ -45,10 +45,9 @@ one by one.
 The export writer walks the tree depth first with an explicit stack that
 carries each pending path as text, and writes one line per container leaf.
 The reader scans the text a block at a time for words and commas, parses
-the tokens in bulk, puts the paths in depth-first order if they are not,
-and numbers the nodes each path adds below the one it shares with the path
-before it.  A refused file's first bad line is found by bisection over its
-line prefixes.
+the tokens in bulk, checks that each path follows the one before it depth
+first, and numbers the nodes each path adds below the one it shares with
+that path.  The first line that does not follow is the one refused.
 
 numpy loads on the first array pass of the builder, verifier, writer or
 reader (lazy.LazyNumpy), not with this module.
@@ -180,7 +179,8 @@ class ContainerFamily:
 
     @classmethod
     def from_export_text(cls, text: str) -> "ContainerFamily":
-        """The family an export describes, its fingerprint lines in any order.
+        """The family an export describes, its fingerprint lines in the order
+        the writer writes them: depth first, excluded branch first.
 
         Refuses what the builder never writes, with the number of the first
         bad line among the non-blank ones.
@@ -545,14 +545,14 @@ class _Cursor:
         return (*(np.concatenate(x) for x in zip(*blocks)), bad)
 
 
-def _shared_prefix(codes: np.ndarray, offsets: np.ndarray, lengths: np.ndarray,
-                   a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The leading tokens rows a[i] and b[i] share, a block of pairs at a time."""
-    most = np.minimum(lengths[a], lengths[b])
+def _shared_prefix(codes: np.ndarray, offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The leading tokens each path shares with the path on the line before
+    it, a block of lines at a time."""
+    most = np.minimum(lengths[:-1], lengths[1:])
     shared = most.copy()
     ends = np.cumsum(most)
     lo = 0
-    while lo < len(a):
+    while lo < len(most):
         hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - most[lo] + _COMPARE_CELLS, "right")))
         m = most[lo:hi]
         total = int(m.sum())
@@ -560,8 +560,8 @@ def _shared_prefix(codes: np.ndarray, offsets: np.ndarray, lengths: np.ndarray,
             pair = np.repeat(np.arange(hi - lo), m)
             step = np.arange(total)
             before = np.cumsum(m) - m
-            differ = np.flatnonzero(codes[(offsets[a[lo:hi]] - before)[pair] + step]
-                                    != codes[(offsets[b[lo:hi]] - before)[pair] + step])
+            differ = np.flatnonzero(codes[(offsets[lo:hi] - before)[pair] + step]
+                                    != codes[(offsets[lo + 1:hi + 1] - before)[pair] + step])
             p = pair[differ]
             first = np.flatnonzero(np.diff(p, prepend=-1))     # each pair's first difference
             shared[lo + p[first]] = differ[first] - before[p[first]]
@@ -569,89 +569,58 @@ def _shared_prefix(codes: np.ndarray, offsets: np.ndarray, lengths: np.ndarray,
     return shared
 
 
-def _token_at(codes: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, rows: np.ndarray,
+def _token_at(codes: np.ndarray, offsets: np.ndarray, lengths: np.ndarray,
               depth: np.ndarray) -> np.ndarray:
-    """Each row's token code at a depth, 0 past its end."""
-    inside = depth < lengths[rows]
-    out = np.zeros(len(rows), dtype=np.int64)
-    out[inside] = codes[offsets[rows[inside]] + depth[inside]]
+    """Each path's token code at a depth, 0 past its end."""
+    inside = depth < lengths
+    out = np.zeros(len(lengths), dtype=np.int64)
+    out[inside] = codes[offsets[inside] + depth[inside]]
     return out
 
 
-def _conflicts(codes, offsets, lengths, a, b, shared) -> np.ndarray:
-    """Per pair of paths next to each other in depth-first order: 0, or 1 if
-    one is a prefix of the other, or 2 if they branch at different pivots."""
-    ta = _token_at(codes, offsets, lengths, a, shared)
-    tb = _token_at(codes, offsets, lengths, b, shared)
-    prefix = (ta == 0) | (tb == 0)
-    return np.where(prefix, 1, np.where((ta + 1) >> 1 != (tb + 1) >> 1, 2, 0))
+_CONFLICTS = ("conflicting fingerprint paths", "fingerprint paths disagree on pivot",
+              "fingerprint paths out of depth-first order")
 
 
-def _depth_first_order(codes, offsets, lengths) -> np.ndarray:
-    """The rows sorted as their paths are met depth first, a path before its extensions."""
-    size = codes.dtype.itemsize
-    raw = codes.astype(codes.dtype.newbyteorder(">")).tobytes()    # bytes compare as codes do
-    keys = [raw[s:e] for s, e in zip((offsets * size).tolist(), ((offsets + lengths) * size).tolist())]
-    return np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)
-
-
-def _first_conflict(codes, offsets, lengths, order, shared) -> tuple[int, str]:
-    """(row, message) of the first row, in file order, that conflicts with the rows before it.
-
-    A bisection over file prefixes: the paths of rows < m stay in depth-first
-    order, and two of them share the least prefix of the paths between them.
-    """
-    between = np.concatenate([[0], shared])
-
-    def why(m: int) -> np.ndarray:
-        at = np.flatnonzero(order < m)
-        if len(at) < 2:
-            return np.zeros(0, dtype=np.int64)
-        sub = np.minimum.reduceat(between[:at[-1] + 1], at[:-1] + 1)
-        return _conflicts(codes, offsets, lengths, order[at[:-1]], order[at[1:]], sub)
-
-    lo, hi = 1, len(order)      # the rows before lo agree, the rows before hi do not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if why(mid).any() else (mid, hi)
-    reason = why(hi)
-    first = reason[reason > 0][0]
-    return hi - 1, "conflicting fingerprint paths" if first == 1 else "fingerprint paths disagree on pivot"
+def _conflicts(codes, offsets, lengths, shared) -> np.ndarray:
+    """Per line after the first, at the token where its path leaves the one
+    before it: 0 if it goes on depth first, or 1 if one path ends there, 2 if
+    the pivots differ, 3 if the earlier path took the included branch."""
+    ta = _token_at(codes, offsets[:-1], lengths[:-1], shared)
+    tb = _token_at(codes, offsets[1:], lengths[1:], shared)
+    return np.select([(ta == 0) | (tb == 0), (ta + 1) >> 1 != (tb + 1) >> 1, ta > tb], [1, 2, 3])
 
 
 def _read_tree(codes: np.ndarray, lengths: np.ndarray, index: np.ndarray, first_line: int):
     """(root, (pivots, out_child, in_child)) of the tree the fingerprint paths
-    describe, nodes in preorder; a ParseError names the first line that conflicts.
+    describe, nodes in preorder; a ParseError names the first line whose path
+    does not follow the one before it depth first.
 
-    Row i's path is ``codes[offsets[i]:offsets[i] + lengths[i]]``.  In
-    depth-first order each path leaves the one before it at a node of depth
-    ``shared``, and adds the nodes below it, in preorder.
+    Row i's path is ``codes[offsets[i]:offsets[i] + lengths[i]]``.  Each path
+    leaves the one before it at a node of depth ``shared``, and adds the
+    nodes below it, in preorder.  When every path follows the one before it,
+    no path conflicts with any earlier one.
     """
     rows = len(lengths)
     empty = array("i"), array("i"), array("i")
     if not rows:
         return DEAD, empty
     offsets = np.cumsum(lengths) - lengths
-    order = np.arange(rows)
-    shared = _shared_prefix(codes, offsets, lengths, order[:-1], order[1:])
-    ta = _token_at(codes, offsets, lengths, order[:-1], shared)
-    tb = _token_at(codes, offsets, lengths, order[1:], shared)
-    if (ta > tb).any():
-        order = _depth_first_order(codes, offsets, lengths)
-        shared = _shared_prefix(codes, offsets, lengths, order[:-1], order[1:])
-    if _conflicts(codes, offsets, lengths, order[:-1], order[1:], shared).any():
-        row, why = _first_conflict(codes, offsets, lengths, order, shared)
-        raise ParseError(why, first_line + row)
-    start, length, leaf = offsets[order], lengths[order], _leaf_code(index[order])
-    if rows == 1 and length[0] == 0:
+    shared = _shared_prefix(codes, offsets, lengths)
+    why = _conflicts(codes, offsets, lengths, shared)
+    if why.any():
+        row = int(np.flatnonzero(why)[0])
+        raise ParseError(_CONFLICTS[why[row] - 1], first_line + row + 1)
+    leaf = _leaf_code(index)
+    if rows == 1 and lengths[0] == 0:
         return int(leaf[0]), empty
     parted = np.concatenate([[-1], shared]).astype(np.int32)   # the depth a path leaves the last one at
-    new = (length - 1 - parted).astype(np.int32)
+    new = (lengths - 1 - parted).astype(np.int32)
     base = np.cumsum(new, dtype=np.int32) - new    # the preorder number of each path's first new node
     nodes = int(base[-1] + new[-1])
     node = np.arange(nodes, dtype=np.int32)
     row = np.repeat(np.arange(rows, dtype=np.int32), new)
-    token = (start + parted + 1 - base)[row] + node         # each node's pivot token
+    token = (offsets + parted + 1 - base)[row] + node       # each node's pivot token
     pivots = (codes[token] - 1) >> 1
     plus = (codes[token - 1] - 1) & 1                       # the branch above each node but the root
     del token
@@ -671,7 +640,7 @@ def _read_tree(codes: np.ndarray, lengths: np.ndarray, index: np.ndarray, first_
     tree[plus[inner], inner - 1] = inner
     opens = np.flatnonzero(new > 0)[1:]     # a path's first node hangs on its branch node
     tree[plus[base[opens]], branch[opens]] = base[opens]
-    leaf_plus = (codes[start + length - 1] - 1) & 1
+    leaf_plus = (codes[offsets + lengths - 1] - 1) & 1
     tree[leaf_plus, np.where(new > 0, base + new - 1, branch)] = leaf
     return 0, (_int_array(pivots), _int_array(tree[0]), _int_array(tree[1]))
 

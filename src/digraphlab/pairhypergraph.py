@@ -196,6 +196,8 @@ def codegree_profile(hg: PairHypergraph, tau: float) -> CodegreeProfile:
         raise PreconditionError(f"tau={tau} outside (0, 1]")
     if hg.edge_count == 0:
         raise PreconditionError("co-degree profile undefined on an empty hypergraph")
+    if hg.r > 20:   # the sums walk 2^(r-1) subsets per incidence: iter_subpatterns' bound
+        raise BudgetError(f"co-degree sums over 2^{hg.r - 1} subsets per incidence refused")
     sums = _codegree_sums(hg)
     r = hg.r
     n_d = hg.r * hg.edge_count  # n * d_avg collapses to r * |edges|

@@ -438,6 +438,7 @@ def naive_read_family(text: str):
 
     pivots, out_child, in_child = [], [], []
     top = [dead]             # the slot holding the root
+    last = None              # the path of the line before
     for line, ln in enumerate(lines[1 + count:], start=2 + count):
         parts = ln.split()
         if len(parts) != 2:
@@ -445,13 +446,24 @@ def naive_read_family(text: str):
         path_s, idx_s = parts
         steps = []
         for tok in ([] if path_s == "." else path_s.split(",")):
-            if not tok or tok[-1] not in "+-" or not tok[:-1].isdecimal():
+            if not tok or tok[-1] not in "+-" or not re.fullmatch("[0-9]+", tok[:-1]):
                 raise ParseError(f"bad fingerprint token {tok!r}", line)
             if int(tok[:-1]) >= n_u:
                 raise ParseError(f"fingerprint pivot {int(tok[:-1])} not in 0..{n_u - 1}", line)
             steps.append((int(tok[:-1]), tok[-1] == "+"))
-        if not (idx_s.isdecimal() and int(idx_s) < count):
+        if not (re.fullmatch("[0-9]+", idx_s) and int(idx_s) < count):
             raise ParseError(f"container index {idx_s!r} not in 0..{count - 1}", line)
+        # the writer's order: at the first step where this path leaves the
+        # last one, both take the same pivot, the last one its excluded branch
+        if last is not None:
+            d = next((d for d, (s, t) in enumerate(zip(last, steps)) if s != t), None)
+            if d is None:
+                raise ParseError("conflicting fingerprint paths", line)
+            if last[d][0] != steps[d][0]:
+                raise ParseError("fingerprint paths disagree on pivot", line)
+            if last[d][1]:
+                raise ParseError("fingerprint paths out of depth-first order", line)
+        last = steps
         kids, at = top, 0    # the walk stands in slot kids[at]
         for piv, plus in steps:
             code = kids[at]

@@ -427,6 +427,8 @@ _CONTAINERS = ["containers", "--pattern", "c3", "--N", "3"]
     (_CONTAINERS + ["--eps", "1/10", "--tau", "1"], "tau", 1.0),
     (_CONTAINERS + ["--eps", "1/10", "--tau", "3/4"], "tau", 0.75),
     (["codegree", "--pattern", "c3", "--N", "4", "--tau", "0.5"], "tau", 0.5),
+    # density reports no float of a, so a weight past the float range is read
+    (["density", "--pattern", "c3", "--a", "9" * 400], "a", "9" * 400),
 ])
 def test_number_flags_accept_p_fraction_and_decimal(capsys, argv, field, value):
     rc, doc, _ = run_doc(capsys, argv)
@@ -466,11 +468,56 @@ def test_malformed_number_flags_exit_1(capsys, argv, what, text):
      f"tau={'1' + '0' * 400} outside (0, 1]"),
     (["verify-lemma", "--pattern", "c3", "--N-range", "6..7", "--gamma", "1/1" + "0" * 400],
      f"gamma=1/1{'0' * 400} puts tau above 1 at N=6"),
+    # 1e-160: tau^2 is a subnormal float, and delta_2 divides by it
+    (["codegree", "--pattern", "t3", "--N", "4", "--tau", "0." + "0" * 159 + "1"],
+     f"--tau 0.{'0' * 159}1: the co-degree function is past the float range"),
 ])
 def test_numbers_past_the_float_range_refused(capsys, argv, why):
     rc, out, err = run(capsys, argv)
     assert rc == 2 and out == ""
     assert err == f"digraphlab: refused: {why}\n"
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the refusal")
+
+
+_TINY = "0." + "0" * 199 + "1"      # 1e-200: its square is below the float range
+_ZERO = "0." + "0" * 330 + "1"      # 1e-331: float() gives 0.0
+_HUGE = "9" * 400
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["codegree", "--pattern", "c3", "--N", "4", "--tau", _TINY],
+     f"--tau {_TINY}: tau^2 is below the float range"),
+    (["codegree", "--pattern", "c3", "--N", "4", "--tau", _ZERO],
+     f"--tau {_ZERO} is below the float range"),
+    (_CONTAINERS + ["--eps", "1/10", "--tau", _ZERO], f"--tau {_ZERO} is below the float range"),
+    (["verify-family", "--pattern", "c3", "--N", "4", "--tau", _ZERO,
+      "--family", "no-such-family.txt"], f"--tau {_ZERO} is below the float range"),
+    (["ex", "--pattern", "c3", "--n", "3", "--a", _HUGE], f"--a {_HUGE} is past the float range"),
+    (["supersat", "--pattern", "c3", "--n", "3", "--k-max", "1", "--a", _HUGE],
+     f"--a {_HUGE} is past the float range"),
+    (["pipeline", "--pattern", "c3", "--N", "4", "--eps", "1/10", "--a", _HUGE],
+     f"--a {_HUGE} is past the float range"),
+])
+def test_numbers_past_the_float_range_refused_before_work(capsys, monkeypatch, argv, why):
+    for name in ("build_hypergraph", "build_containers", "container_pipeline", "extremal_number",
+                 "supersat_scan"):
+        monkeypatch.setattr(digraphlab.cli, name, _no_work)
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert err == f"digraphlab: refused: {why}\n"
+
+
+def test_codegree_refuses_more_than_20_edges_before_the_sums(capsys, monkeypatch, tmp_path):
+    # the complete digraph on [6]: the sums would walk 2^29 subsets per incidence
+    path = tmp_path / "k6.dg"
+    path.write_text("n=6\n" + "".join(f"{u} {v}\n" for u in range(6) for v in range(6) if u != v))
+    monkeypatch.setattr(digraphlab.pairhypergraph, "_codegree_sums", _no_work)
+    rc, out, err = run(capsys, ["codegree", "--pattern", str(path), "--N", "6", "--tau", "1/2"])
+    assert rc == 2 and out == ""
+    assert err == "digraphlab: refused: co-degree sums over 2^29 subsets per incidence refused\n"
 
 
 def test_tiny_eps_builds_independent_containers(capsys):
