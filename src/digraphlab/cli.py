@@ -185,6 +185,12 @@ def _parse_weight(args) -> WeightParam:
     return weight
 
 
+def _refuse_infinite_sizes(args, values) -> None:
+    """Refuse --a when a weighted size the scan found is past the float range."""
+    if not all(map(math.isfinite, values)):
+        raise PreconditionError(f"--a {args.a}: the weighted size is past the float range")
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns (results, checks, failure), where failure
 # is the stderr line of a failed verdict (exit 3) or None
@@ -225,6 +231,7 @@ def cmd_ex(args, pattern):
         args.n, pattern, weight, mode=args.mode,
         witness_cap=args.witness_cap,
     )
+    _refuse_infinite_sizes(args, [res.value_float])
     if args.witness_dir:
         out_dir = Path(args.witness_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -274,6 +281,7 @@ def cmd_supersat(args, pattern):
             raise PreconditionError(f"--k-max {args.k_max} exceeds {copies}, the number of "
                                     f"copies of the pattern in the complete digraph on [{args.n}]")
     points = supersat_scan(args.n, pattern, weight, args.k_max)
+    _refuse_infinite_sizes(args, [p.value_float for p in points])
     return {
         "points": [
             {"k": int_str(p.k), "max_ea": p.value_str,

@@ -19,15 +19,16 @@ masks one at a time and is kept as the decoder's reference.
 
 Both the count and canonical mode see a digraph on [k+1] as one on [k] plus
 an attachment code of vertex k, and both read which codes make a copy off
-one split of the copies on [k+1] (_split_copies).  Canonical mode grows
-graphs one vertex at a time with one walker (_children) and isomorph
-rejection (_classes).  The attachment codes that keep a new vertex free are
-one bitset over the 4^k codes, a lookup in the attachment table, and the
-weight bound keeps a heaviest-first prefix of the groups of equally heavy
-codes before any digraph is built.  Of each orbit of codes under the
-parent's automorphisms, read off the search that keyed the parent, only the
-smallest is extended.  It reaches its cap n=7: c3 at a=2 takes 4.4-6.2 s
-per CLI process on one Xeon vCPU.
+one split of the copies on [k+1] (_split_copies).  One level loop (_grown)
+grows graphs a vertex at a time with isomorph rejection (_classes), for the
+class list and the extremal search alike.  The codes that keep a new vertex
+free are one bitset over the 4^k codes, a lookup in the attachment table.
+Each level's codes are split once into tie groups of equal weight: the
+greedy seed takes the lowest free code of the heaviest group, and the bound
+keeps a prefix of the groups before any digraph is built.  Of each orbit of
+codes under the parent's automorphisms, read off the search that keyed the
+parent, only the smallest is extended.  It reaches its cap n=7: c3 at a=2
+takes 4.4-6.2 s per CLI process on one Xeon vCPU.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from operator import and_, or_, xor
 from .digraphs import (
     Digraph,
     PatternDigraph,
-    automorphisms,
     canonical_form,
     canonical_form_and_group,
     count_copies,
@@ -87,11 +87,6 @@ def compile_copies(n: int, pattern: PatternDigraph) -> list[tuple[tuple[int, int
 # ---------------------------------------------------------------------------
 # The block walker
 # ---------------------------------------------------------------------------
-
-def _bitset(flags) -> int:
-    """The integer whose bit s is set iff flags[s] is true."""
-    return int("".join("1" if f else "0" for f in reversed(flags)), 2)
-
 
 def _bits(x: int):
     """Positions of the set bits of x, ascending."""
@@ -222,14 +217,21 @@ def _blocks(n: int, pattern: PatternDigraph, c_max: int):
 
 def _tie_groups(weight: WeightParam, f2: list[int], f1: list[int]) -> list[tuple[tuple[int, int], int]]:
     """The states grouped by equal weighted size, heaviest first: one
-    (pair, bitset) per group, pair being the (f2, f1) of one member."""
+    (pair, bitset) per group, pair being the least (f2, f1) of its members."""
     key = cmp_to_key(weight.cmp_pairs)  # equal keys are exact ties
-    pairs = list(zip(f2, f1))
+    states: dict[tuple[int, int], int] = {}  # each pair's bitset of states
+    for s, pair in enumerate(zip(f2, f1)):
+        states[pair] = states.get(pair, 0) | 1 << s
     groups = []
-    for _, tied in groupby(sorted(set(pairs), key=key, reverse=True), key=key):
-        tied = set(tied)
-        groups.append((min(tied), _bitset([pair in tied for pair in pairs])))
+    for _, tied in groupby(sorted(states, key=key, reverse=True), key=key):
+        tied = list(tied)
+        groups.append((min(tied), sum(states[pair] for pair in tied)))  # disjoint bitsets
     return groups
+
+
+def _heaviest(groups, mask: int) -> int:
+    """The states of mask in the heaviest tie group that meets it, or 0."""
+    return next((x for x in (mask & codes for _, codes in groups) if x), 0)
 
 
 @dataclass
@@ -271,9 +273,7 @@ def full_scan(
     overflow = False
     for hi, exact in _blocks(n, pattern, k_max):
         for c, mask in enumerate(exact):
-            # the heaviest tie group meeting the mask; its lowest bit comes
-            # first in index order
-            top = next((x for x in (mask & codes for _, codes in groups) if x), 0)
+            top = _heaviest(groups, mask)  # its lowest bit comes first in index order
             if not top:
                 continue
             lo = (top & -top).bit_length() - 1
@@ -429,12 +429,9 @@ def _attachment_table(k: int, pattern: PatternDigraph) -> list[tuple[frozenset, 
 
 
 def _free_codes(g: Digraph, table) -> int:
-    """Bitset of the attachment codes that keep the pattern-free g free.
-
-    table is _attachment_table(g.n, pattern).  A copy on [g.n + 1] appears
-    iff its base lies inside g and the code holds its edges at the new
-    vertex.
-    """
+    """Bitset of the attachment codes that keep the pattern-free g free:
+    table is _attachment_table(g.n, pattern), and a copy on [g.n + 1]
+    appears iff its base lies inside g and the code holds its requirement."""
     forbidden = 0
     for base, codes in table:
         if base <= g.edges:
@@ -454,12 +451,11 @@ def _orbit_minimal(auts: list[tuple[int, ...]], codes: int) -> int:
     """The codes of the bitset that no automorphism of the parent g maps to a
     smaller one.
 
-    auts is Aut(g), read off the search that keyed g (_classes), not searched
-    for again.  An automorphism pi acts on a code by moving bits 2u, 2u+1 to
-    2pi(u), 2pi(u)+1, and g extended by pi(code) is isomorphic to g extended
-    by code.  The bitset must be closed under Aut(g), as the free codes and
-    the codes of one size group are; walking it in ascending order then meets
-    each orbit at its minimum first.
+    auts is Aut(g), read off the search that keyed g (_classes).  An
+    automorphism pi moves a code's bits 2u, 2u+1 to 2pi(u), 2pi(u)+1, and g
+    extended by pi(code) is isomorphic to g extended by code.  The bitset
+    must be closed under Aut(g), as the free codes and each tie group are;
+    walking it in ascending order then meets each orbit at its minimum first.
     """
     if len(auts) == 1:
         return codes
@@ -477,14 +473,11 @@ def _orbit_minimal(auts: list[tuple[int, ...]], codes: int) -> int:
 
 
 def _children(reps, table, reach=None):
-    """The one-vertex extensions of each representative by its orbit-minimal
-    free codes, representatives in turn and codes ascending.
-
-    reps holds (g, Aut(g)) pairs, and table is _attachment_table(k, pattern)
-    for representatives on [k].
-    reach(g), when given, is the bitset of the codes of g worth extending;
-    it is read when the walk reaches g, and it must be closed under Aut(g).
-    """
+    """The one-vertex extensions of each (g, Aut(g)) of reps by its
+    orbit-minimal free codes, reps in turn and codes ascending; table is
+    _attachment_table(g.n, pattern).  reach(g), when given, is the bitset of
+    the codes of g worth extending, read when the walk reaches g and closed
+    under Aut(g)."""
     for g, auts in reps:
         codes = _free_codes(g, table)
         if reach is not None:
@@ -503,6 +496,16 @@ def _classes(exts) -> dict[bytes, tuple[Digraph, list[tuple[int, ...]]]]:
     return new
 
 
+def _grown(tables, reach=None):
+    """The last level's extensions of one-vertex growth from the digraph on
+    [1], unkeyed; each earlier level's are keyed (_classes) and extended by
+    _children with reach.  tables[k - 1] is _attachment_table(k, pattern)."""
+    exts = [Digraph(1, frozenset())]
+    for table in tables:
+        exts = _children(_classes(exts).values(), table, reach)
+    return exts
+
+
 def free_classes(n: int, pattern: PatternDigraph) -> dict[bytes, Digraph]:
     """All pattern-free isomorphism classes on [n], via one-vertex growth.
 
@@ -514,62 +517,58 @@ def free_classes(n: int, pattern: PatternDigraph) -> dict[bytes, Digraph]:
     """
     if n > COUNT_CLASSES_MAX_N:
         raise BudgetError(f"class generation capped at n={COUNT_CLASSES_MAX_N}")
-    reps = _classes([Digraph(1, frozenset())])
-    for k in range(1, n):
-        reps = _classes(_children(reps.values(), _attachment_table(k, pattern)))
+    reps = _classes(_grown([_attachment_table(k, pattern) for k in range(1, n)]))
     return {key: g for key, (g, _) in reps.items()}
+
+
+def _greedy_seed(tables, groups) -> Digraph:
+    """The end of a greedy path from the digraph on [1]: each level adds the
+    lowest free code of the heaviest tie group (groups[k - 1] for level k)
+    that has one.  Free codes and tie groups are closed under Aut(parent),
+    so that code is orbit-minimal and gives the first heaviest extension
+    _children would yield.  A dead end, where a core copy on h - 1 vertices
+    forbids every code, gives the empty digraph, free as a pattern has edges."""
+    g = Digraph(1, frozenset())
+    for table, level in zip(tables, groups):
+        top = _heaviest(level, _free_codes(g, table))
+        if not top:
+            return Digraph(len(tables) + 1, frozenset())
+        g = _extension(g, (top & -top).bit_length() - 1)
+    return g
 
 
 def _extremal_canonical(n: int, pattern: PatternDigraph, weight: WeightParam):
     """Branch-and-bound over canonical representatives; exact max + classes.
 
-    The bound starts at a greedy path, heaviest extension first; it
-    dead-ends when a pattern with isolated vertices meets a core copy on
-    h - 1 vertices (that copy's attachment table entry forbids every code),
-    and the empty digraph, free because a pattern has at least 2 edges,
-    then gives (0, 0).  Pruning discards a code only when even turning
-    every remaining pair into a double edge cannot reach the current best,
-    so every class attaining the maximum survives to level n.
-    A code that an automorphism of its parent maps to a smaller code is
-    skipped: the smaller one came first with the same class and the same
-    (f2, f1), so the winners and their representatives are those of the
-    full walk.
+    The bound starts at _greedy_seed's (f2, f1), heaviest free code first.
+    Pruning discards a code only when even turning every remaining pair into
+    a double edge cannot reach the bound, so every class attaining the
+    maximum survives to level n.  A code that an automorphism of its parent
+    maps to a smaller code is skipped: the smaller one came first with the
+    same class and (f2, f1), so the winners and their representatives are
+    those of the full walk.
     """
     if n > CANONICAL_MODE_MAX_N:
         raise BudgetError(f"canonical search capped at n={CANONICAL_MODE_MAX_N}")
-    g1 = Digraph(1, frozenset())
-    if n == 1:
-        return (0, 0), {canonical_form(g1): g1}
     tables = [_attachment_table(k, pattern) for k in range(1, n)]
-    weighted = cmp_to_key(weight.cmp_pairs)
-    greedy = g1
-    for table in tables:
-        greedy = max(_children([(greedy, automorphisms(greedy))], table),
-                     key=lambda ext: weighted((ext.f2, ext.f1)), default=None)
-        if greedy is None:
-            break
-    best_pair = (0, 0) if greedy is None else (greedy.f2, greedy.f1)
+    groups = [_tie_groups(weight, *_sizes(k)) for k in range(1, n)]
+    seed = _greedy_seed(tables, groups)
+    best_pair, winners = (seed.f2, seed.f1), {}
 
     def reach(g: Digraph) -> int:
-        """The codes whose extension of g can still reach best_pair: the
-        groups are heaviest first, so they form a prefix."""
+        """The codes whose extension of g can still reach best_pair (always
+        attained; a later, higher one prunes more): the groups are heaviest
+        first, so they form a prefix."""
+        rem = n * (n - 1) // 2 - (g.n + 1) * g.n // 2  # pairs not yet placed in g's child
         codes = 0
-        for (f2, f1), group in groups:
+        for (f2, f1), group in groups[g.n - 1]:
             if weight.cmp_pairs((g.f2 + f2 + rem, g.f1 + f1), best_pair) < 0:
                 break
             codes |= group
         return codes
 
-    reps = _classes([g1]).values()
-    for k, table in enumerate(tables, start=1):
-        rem = n * (n - 1) // 2 - (k + 1) * k // 2
-        groups = _tie_groups(weight, *_sizes(k))
-        exts = _children(reps, table, reach)
-        if k < n - 1:
-            reps = _classes(exts).values()
     # level n: an extension that loses to best_pair is never canonicalised
-    winners: dict[bytes, Digraph] = {}
-    for ext in exts:
+    for ext in _grown(tables, reach):
         val = weight.cmp_pairs((ext.f2, ext.f1), best_pair)
         if val < 0:
             continue

@@ -235,7 +235,6 @@ class LemmaRow:
     delta: float
     bound: Fraction
     ok: bool
-    profile: CodegreeProfile
 
 
 @dataclass(frozen=True)
@@ -269,7 +268,7 @@ def verify_degree_lemma(pattern: PatternDigraph, N_values, gamma: Fraction) -> L
             raise PreconditionError(f"gamma={gamma} puts tau above 1 at N={N}") from None
         prof = codegree_profile(hg, tau)
         ok = prof.delta <= float(bound)
-        rows.append(LemmaRow(N, tau, prof.delta, bound, ok, prof))
+        rows.append(LemmaRow(N, tau, prof.delta, bound, ok))
     return LemmaReport(gamma, m, constant, tuple(rows), all(r.ok for r in rows))
 
 

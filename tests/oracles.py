@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from functools import cmp_to_key
+from itertools import combinations, groupby, permutations, product
 
 
 def naive_copy_images(edges: frozenset, n: int, h_edges: frozenset, h_n: int) -> set[frozenset]:
@@ -198,6 +199,40 @@ def class_route_count(k: int, pattern) -> int:
     table = _attachment_table(k, pattern)
     return sum(fact // automorphism_count(g) * _free_codes(g, table).bit_count()
                for g in free_classes(k, pattern).values())
+
+
+def naive_tie_groups(weight, f2: list[int], f1: list[int]) -> list[tuple[tuple[int, int], int]]:
+    """The (pair, bitset) tie groups of ``extremal._tie_groups``, heaviest
+    first, each group's bitset read off one string of flags, one per state."""
+    key = cmp_to_key(weight.cmp_pairs)
+    pairs = list(zip(f2, f1))
+    groups = []
+    for _, tied in groupby(sorted(set(pairs), key=key, reverse=True), key=key):
+        tied = set(tied)
+        flags = "".join("1" if pair in tied else "0" for pair in reversed(pairs))
+        groups.append((min(tied), int(flags, 2)))
+    return groups
+
+
+def naive_greedy_seed(n: int, pattern, weight):
+    """The digraph on [n] whose (f2, f1) seeds the canonical bound.
+
+    Each level searches the parent's automorphisms, builds every extension
+    by an orbit-minimal free code and keeps the first heaviest; a level with
+    no free code gives the empty digraph on [n].
+    """
+    from digraphlab import Digraph
+    from digraphlab.digraphs import automorphisms
+    from digraphlab.extremal import _attachment_table, _children
+
+    weighted = cmp_to_key(weight.cmp_pairs)
+    g = Digraph(1, frozenset())
+    for k in range(1, n):
+        g = max(_children([(g, automorphisms(g))], _attachment_table(k, pattern)),
+                key=lambda ext: weighted((ext.f2, ext.f1)), default=None)
+        if g is None:
+            return Digraph(n, frozenset())
+    return g
 
 
 def naive_blocks(n: int, pattern, c_max: int) -> list[tuple[int, list[int]]]:

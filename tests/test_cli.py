@@ -429,6 +429,10 @@ _CONTAINERS = ["containers", "--pattern", "c3", "--N", "3"]
     (["codegree", "--pattern", "c3", "--N", "4", "--tau", "0.5"], "tau", 0.5),
     # density reports no float of a, so a weight past the float range is read
     (["density", "--pattern", "c3", "--a", "9" * 400], "a", "9" * 400),
+    # the pipeline writes its weighted sizes as exact strings only, so it takes
+    # a weight that puts them past the float range (ex and supersat refuse it)
+    (["pipeline", "--pattern", "c3", "--N", "4", "--eps", "1/10", "--a", "1" + "0" * 308],
+     "extremal", {"value": str(4 * 10 ** 308), "mode": "full"}),
 ])
 def test_number_flags_accept_p_fraction_and_decimal(capsys, argv, field, value):
     rc, doc, _ = run_doc(capsys, argv)
@@ -471,6 +475,11 @@ def test_malformed_number_flags_exit_1(capsys, argv, what, text):
     # 1e-160: tau^2 is a subnormal float, and delta_2 divides by it
     (["codegree", "--pattern", "t3", "--N", "4", "--tau", "0." + "0" * 159 + "1"],
      f"--tau 0.{'0' * 159}1: the co-degree function is past the float range"),
+    # 1e308 is a float, but the scan's best pair has f2 = 2, and 2e308 is not
+    (["ex", "--pattern", "c3", "--n", "3", "--a", "1" + "0" * 308],
+     f"--a 1{'0' * 308}: the weighted size is past the float range"),
+    (["supersat", "--pattern", "c3", "--n", "3", "--k-max", "1", "--a", "1" + "0" * 308],
+     f"--a 1{'0' * 308}: the weighted size is past the float range"),
 ])
 def test_numbers_past_the_float_range_refused(capsys, argv, why):
     rc, out, err = run(capsys, argv)

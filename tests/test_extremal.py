@@ -34,6 +34,9 @@ from digraphlab.extremal import (
     _extension,
     _extremal_canonical,
     _free_codes,
+    _greedy_seed,
+    _sizes,
+    _tie_groups,
     compile_copies,
     full_scan,
     iter_free_edge_masks,
@@ -47,7 +50,9 @@ from oracles import (
     naive_compiled_copies,
     naive_count_copies,
     naive_extremal,
+    naive_greedy_seed,
     naive_supersat,
+    naive_tie_groups,
 )
 
 # frozen by the naive all-digraphs oracle (n <= 4) and by dual full/canonical
@@ -97,7 +102,7 @@ def test_small_n_below_pattern(c3, a2):
 
 def test_modes_agree(patterns, a2):
     for name, pat in patterns.items():
-        for n in (3, 4, 5):
+        for n in (1, 2, 3, 4, 5):
             rf = extremal_number(n, pat, a2, mode="full")
             rc = extremal_number(n, pat, a2, mode="canonical")
             assert rf.value_str == rc.value_str
@@ -432,6 +437,36 @@ def test_modes_agree_isolated_vertices(name, a):
         rc = extremal_number(n, pat, weight, mode="canonical")
         assert rf.value_str == rc.value_str
         assert rf.witness_keys == rc.witness_keys
+
+
+@pytest.mark.parametrize("a", ["1", "2", "4", "7/2", "log2(3)", "log2(5)"])
+def test_tie_groups_match_the_flag_strings(a):
+    weight = WeightParam.parse(a)
+    for k in range(7):
+        sizes = _sizes(k)
+        groups = _tie_groups(weight, *sizes)
+        assert groups == naive_tie_groups(weight, *sizes), k
+        assert sum(bits for _, bits in groups) == (1 << 4 ** k) - 1
+    # at k = 6, a = 2 ties the pairs of equal 2*f2 + f1, and log2(3) ties
+    # none of the 28 pairs
+    if a in ("2", "log2(3)"):
+        assert len(groups) == (13 if a == "2" else 28)
+
+
+@pytest.mark.parametrize("a", ["2", "log2(3)", "7/2"])
+@pytest.mark.parametrize("name", BUILTIN_PATTERNS + tuple(ISOLATED))
+def test_greedy_seed_matches_the_heaviest_extension_walk(name, a):
+    # the seed reads the lowest free code of the heaviest tie group; the
+    # oracle builds every orbit-minimal extension and keeps the first heaviest
+    pat = any_pattern(name)
+    weight = WeightParam.parse(a)
+    tables = [_attachment_table(k, pat) for k in range(1, 7)]
+    groups = [_tie_groups(weight, *_sizes(k)) for k in range(1, 7)]
+    seeds = [_greedy_seed(tables[:n - 1], groups[:n - 1]) for n in range(1, 8)]
+    assert [(g.n, g.edges) for g in seeds] == \
+        [(g.n, g.edges) for g in (naive_greedy_seed(n, pat, weight) for n in range(1, 8))]
+    if name in ISOLATED:  # a core copy one vertex short of h forbids every code
+        assert [g.edges for g in seeds[pat.h - 1:]] == [frozenset()] * (8 - pat.h)
 
 
 @pytest.mark.parametrize("name", BUILTIN_PATTERNS)
