@@ -9,7 +9,11 @@ min(p, 5) slots form a block whose states are the bits of one Python
 integer.  Each copy's block bitset is added into bit-sliced counters at its
 high requirement, and a fast zeta (subset-sum) transform over the high bits
 gives every high state the copies it holds, so the 4^10 states of n=5 take a
-few milliseconds whatever the copy count.  The decoder
+few milliseconds whatever the copy count.  The full scan's reduce compares
+integer ranks, from one exact sort of the (f2, f1) pairs on [n], and walks
+each high state's low tie groups heaviest first only while a group can
+still change the best.  Full-mode extremal_number keys a witness only when no
+earlier witness's S_n orbit holds it, so it keys each class once.  The decoder
 (_free_masks) unpacks the free-state bitsets of a chunk of blocks with
 numpy.  It gives the container verifier its exhaustive sets and the window
 table of its sampled sieve, and count-free the labelled free digraphs on
@@ -229,6 +233,14 @@ def _tie_groups(weight: WeightParam, f2: list[int], f1: list[int]) -> list[tuple
     return groups
 
 
+def _ranks(weight: WeightParam, p: int) -> dict[tuple[int, int], int]:
+    """The rank of every pair (f2, f1) with f2 + f1 <= p, from one exact sort
+    by weighted size: a heavier pair ranks higher, and tied pairs share a rank."""
+    key = cmp_to_key(weight.cmp_pairs)
+    pairs = sorted(((f2, s - f2) for s in range(p + 1) for f2 in range(s + 1)), key=key)
+    return {pair: r for r, (_, tied) in enumerate(groupby(pairs, key=key)) for pair in tied}
+
+
 def _heaviest(groups, mask: int) -> int:
     """The states of mask in the heaviest tie group that meets it, or 0."""
     return next((x for x in (mask & codes for _, codes in groups) if x), 0)
@@ -255,6 +267,13 @@ def full_scan(
     best_pairs[c] is the pair of the first state in index order attaining
     the maximum among states with exactly c copies; witness_states are the
     free states attaining best_pairs[0], in index order, at most _RAW_WITNESSES.
+
+    The reduce compares int ranks (_ranks), from one exact sort by
+    cmp_pairs.  Each high state's mask for c walks the low tie groups
+    heaviest first, each ranked with the high state's pair added, and stops
+    at the first group the mask meets or the first that cannot change
+    best_pairs[c]: one ranked below it, or level with it, save at c = 0 with
+    witnesses collected, where a tie adds witnesses.
     """
     if n > FULL_MODE_MAX_N:
         raise BudgetError(
@@ -268,30 +287,42 @@ def full_scan(
     low = min(p, _LOW_SLOTS)
     (lo_f2, lo_f1), (hi_f2, hi_f1) = _sizes(low), _sizes(p - low)
     groups = _tie_groups(weight, lo_f2, lo_f1)
-    best: list[tuple[int, int] | None] = [None] * (k_max + 1)
+    rank = _ranks(weight, p)
+    # per high pair: (rank of group pair + high pair, group bitset), heaviest first
+    ladders = {pair: [(rank[pair[0] + g2, pair[1] + g1], codes) for (g2, g1), codes in groups]
+               for pair in set(zip(hi_f2, hi_f1))}
+    best = [-1] * (k_max + 1)  # the rank of best_pairs[c], -1 while it is None
+    best_pairs: list[tuple[int, int] | None] = [None] * (k_max + 1)
     wits: list[int] = []
     overflow = False
     for hi, exact in _blocks(n, pattern, k_max):
+        ladder = ladders[hi_f2[hi], hi_f1[hi]]
         for c, mask in enumerate(exact):
-            top = _heaviest(groups, mask)  # its lowest bit comes first in index order
-            if not top:
+            if not mask:
                 continue
-            lo = (top & -top).bit_length() - 1
-            pair = (lo_f2[lo] + hi_f2[hi], lo_f1[lo] + hi_f1[hi])
-            cmp = 1 if best[c] is None else weight.cmp_pairs(pair, best[c])
-            if cmp > 0:
-                best[c] = pair
-            if c == 0 and collect_witnesses and cmp >= 0:
-                # a strictly better pair replaces the witnesses, a tie appends
-                # them; past _RAW_WITNESSES they only set overflow
-                if cmp > 0:
-                    wits, overflow = [], False
-                for s in _bits(top):
-                    if len(wits) == _RAW_WITNESSES:
-                        overflow = True
-                        break
-                    wits.append((hi << 2 * low) | s)
-    return ScanResult(n, 4 ** p, best, wits, overflow)
+            ties = c == 0 and collect_witnesses
+            floor = best[c] if ties else best[c] + 1  # the least rank that changes anything
+            for r, codes in ladder:
+                if r < floor:
+                    break
+                top = mask & codes  # its lowest bit comes first in index order
+                if not top:
+                    continue
+                if r > best[c]:
+                    lo = (top & -top).bit_length() - 1
+                    best[c] = r
+                    best_pairs[c] = (lo_f2[lo] + hi_f2[hi], lo_f1[lo] + hi_f1[hi])
+                    if ties:
+                        wits, overflow = [], False  # a strictly better pair replaces them
+                if ties:
+                    # a tie appends the witnesses; past _RAW_WITNESSES they only set overflow
+                    for s in _bits(top):
+                        if len(wits) == _RAW_WITNESSES:
+                            overflow = True
+                            break
+                        wits.append((hi << 2 * low) | s)
+                break
+    return ScanResult(n, 4 ** p, best_pairs, wits, overflow)
 
 
 def _state_masks(n: int, edge_bit) -> tuple[list[int], list[int]]:
@@ -641,10 +672,17 @@ def extremal_number(
         scan = full_scan(n, pattern, weight, k_max=0, collect_witnesses=True)
         best_pair = scan.best_pairs[0]
         class_map: dict[bytes, Digraph] = {}
-        bits = _state_bits(n).items()
+        bit = _state_bits(n)
+        edges = sorted(bit, key=bit.get)  # edges[b] has state bit b
+        moves = [[bit[perm[u], perm[v]] for u, v in edges] for perm in permutations(range(n))]
+        seen = set()  # the S_n orbits of the states keyed so far
         for state in scan.witness_states:
-            g = Digraph(n, frozenset(e for e, b in bits if state >> b & 1))
-            class_map.setdefault(canonical_form(g), g)
+            if state in seen:
+                continue  # an earlier witness of its class came first in index order
+            on = list(_bits(state))
+            g = Digraph(n, frozenset(edges[b] for b in on))
+            class_map[canonical_form(g)] = g
+            seen.update(sum(1 << move[b] for b in on) for move in moves)
         return _assemble_result(
             n, pattern, weight, mode, best_pair, class_map, scan.witness_overflow,
             witness_cap, scan.states,

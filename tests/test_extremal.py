@@ -35,6 +35,7 @@ from digraphlab.extremal import (
     _extremal_canonical,
     _free_codes,
     _greedy_seed,
+    _ranks,
     _sizes,
     _tie_groups,
     compile_copies,
@@ -47,6 +48,7 @@ from oracles import (
     class_route_count,
     f_counts,
     naive_blocks,
+    naive_canonical_key,
     naive_compiled_copies,
     naive_count_copies,
     naive_extremal,
@@ -320,8 +322,10 @@ def oracle_states(name: str, n: int):
 
 
 # exact ordering keys of a*f2 + f1, independent of WeightParam: the rational
-# value itself, and 2^(a*f2 + f1) = 3^f2 * 2^f1 for a = log2(3)
+# value itself, and 2^(a*f2 + f1) = 3^f2 * 2^f1 for a = log2(3).  At a = 1
+# every pair of equal f2 + f1 ties, the most ties of any weight
 WEIGHT_KEYS = {
+    "1": lambda f2, f1: f2 + f1,
     "2": lambda f2, f1: 2 * f2 + f1,
     "7/2": lambda f2, f1: Fraction(7, 2) * f2 + f1,
     "log2(3)": lambda f2, f1: 3 ** f2 * 2 ** f1,
@@ -365,6 +369,50 @@ ISOLATED = {"c3iso": "n=4\n0 1\n1 2\n2 0\n", "p3iso": "n=5\n0 1\n1 2\n"}
 
 def any_pattern(name: str) -> PatternDigraph:
     return PatternDigraph.from_text(ISOLATED[name]) if name in ISOLATED else load_pattern(name)[0]
+
+
+@pytest.mark.parametrize("a", sorted(WEIGHT_KEYS))
+@pytest.mark.parametrize("name", BUILTIN_PATTERNS + tuple(ISOLATED))
+def test_full_mode_witnesses_against_oracles(name, a, monkeypatch):
+    # each class keeps its first attaining state in index order, whichever
+    # raw witnesses the scan keeps and however many classes the cap keeps
+    pat = any_pattern(name)
+    weight = WeightParam.parse(a)
+    key = WEIGHT_KEYS[a]
+    for n in (1, 2, 3, 4):
+        slots = list(combinations(range(n), 2))
+        free = [(digits, pair) for _, digits, c, pair in oracle_states(name, n) if c == 0]
+        top = max(key(*pair) for _, pair in free)
+        attaining = [
+            frozenset([(i, j) for (i, j), d in zip(slots, digits) if d & 1]
+                      + [(j, i) for (i, j), d in zip(slots, digits) if d & 2])
+            for digits, pair in free if key(*pair) == top
+        ]
+        for raw, cap in ((extremal._RAW_WITNESSES, 256), (1, 256), (7, 256), (7, 2)):
+            monkeypatch.setattr(extremal, "_RAW_WITNESSES", raw)
+            classes = {}
+            for edges in attaining[:raw]:
+                classes.setdefault(naive_canonical_key(n, edges), edges)
+            keys = sorted(classes)[:cap]
+            res = extremal_number(n, pat, weight, mode="full", witness_cap=cap)
+            assert res.witness_keys == tuple(keys), (n, raw, cap)
+            assert [w.edges for w in res.witnesses] == [classes[k] for k in keys], (n, raw, cap)
+            assert res.witness_overflow == (len(attaining) > raw or len(classes) > cap)
+
+
+@pytest.mark.parametrize("name", BUILTIN_PATTERNS)
+def test_full_mode_keys_each_witness_class_once(name, a2, monkeypatch):
+    # a witness in the orbit of an earlier one is never keyed; twocycle has
+    # 1,024 attaining states on [5] in 12 classes
+    pat = load_pattern(name)[0]
+    calls = Counter()
+    key = extremal.canonical_form
+    monkeypatch.setattr(extremal, "canonical_form", lambda g: calls.update([g.edges]) or key(g))
+    res = extremal_number(5, pat, a2, mode="full")
+    assert sum(calls.values()) == len(calls) == len(res.witness_keys)
+    if name == "twocycle":
+        assert len(res.witness_keys) == 12
+        assert len(full_scan(5, pat, a2, collect_witnesses=True).witness_states) == 1024
 
 
 @pytest.mark.parametrize("low", [1, 2, 3])
@@ -451,6 +499,20 @@ def test_tie_groups_match_the_flag_strings(a):
     # none of the 28 pairs
     if a in ("2", "log2(3)"):
         assert len(groups) == (13 if a == "2" else 28)
+
+
+@pytest.mark.parametrize("a", ["1", "2", "7/2", "log2(3)", "log2(5)"])
+def test_ranks_order_the_pairs_as_cmp_pairs(a):
+    # the full scan's int compares stand in for cmp_pairs: equal ranks are
+    # exact ties, and a heavier pair ranks higher
+    weight = WeightParam.parse(a)
+    for p in range(11):
+        rank = _ranks(weight, p)
+        pairs = [(f2, f1) for f2 in range(p + 1) for f1 in range(p + 1 - f2)]
+        assert sorted(rank) == pairs
+        for x in pairs:
+            for y in pairs:
+                assert (rank[x] > rank[y]) - (rank[x] < rank[y]) == weight.cmp_pairs(x, y), (p, x, y)
 
 
 @pytest.mark.parametrize("a", ["2", "log2(3)", "7/2"])
