@@ -42,12 +42,12 @@ of the window relabelled onto [4], and the table says whether that digraph
 is pattern-free.  Only the hyperedges that no window holds are then tested
 one by one.
 
-The export writer walks the tree depth first with an explicit stack that
-carries each pending path as text, and writes one line per container leaf.
-The reader scans the text a block at a time for words and commas, parses
-the tokens in bulk, checks that each path follows the one before it depth
-first, and numbers the nodes each path adds below the one it shares with
-that path.  The first line that does not follow is the one refused.
+The export writes the tree once, in preorder, one code per line: a node's
+pivot, then its excluded and its included subtree, or a leaf's code.  The
+writer walks the tree with an explicit stack.  The reader parses the codes
+in one pass, checks the shape with one running count of open child slots,
+and finds each node's included child as the next code with the same count
+before it.  A conflicting path cannot be written in this form.
 
 numpy loads on the first array pass of the builder, verifier, writer or
 reader (lazy.LazyNumpy), not with this module.
@@ -61,10 +61,16 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 
 from .digraphs import PatternDigraph, count_copies
-from .errors import ContainerBuildError, ParseError, PreconditionError, VerificationError
+from .errors import (
+    BudgetError,
+    ContainerBuildError,
+    ParseError,
+    PreconditionError,
+    VerificationError,
+)
 from .lazy import LazyNumpy
 from .extremal import (
     FULL_MODE_MAX_N,
@@ -94,6 +100,10 @@ _GATHER_CELLS = 1 << 18
 # many at a time
 _ROUTE_BATCH = 65_536
 _DRAW_BATCH = 65_536     # uniform draws the sampled verifier makes together
+# draws after which the sampled verifier gives up: p3 on [7] reaches them in
+# 14.5 s with 54 samples accepted (one Xeon vCPU).  The most any test or
+# bench run makes is 3,866,624 (t3 on [7], 1,000 samples)
+_DRAW_BUDGET = 1 << 30
 # vertices per window of the sampled verifier's table sieve: one table of
 # 2^(k(k-1)) = 4096 entries
 _WINDOW = 4
@@ -110,18 +120,13 @@ _SIEVE_ROWS = 16_384
 # best of 5, one Xeon vCPU): t3 N=7 (132 hyperedges) 0.61 -> 0.16 ms, c3
 # N=6 (20) 0.41 -> 0.14 ms, a 5-cycle on [7] (504) 22-27 -> 14-18 ms
 _REST_CELLS = 1 << 16
-# fingerprint lines the export writer joins into one string: joined only at
-# the end, the half-million line strings of the c3 N=7 eps=2/5 export raised
-# its peak RSS by 135 MiB, against 62 MiB this way
-_JOIN_LINES = 1 << 14
-# characters of text, and token comparisons, the export reader handles together
-_BLOCK_CHARS = 1 << 18
-_COMPARE_CELLS = 1 << 16
-_INT64_MAX = (1 << 63) - 1
-_SPACES = re.compile(r"\s+")
-_HEX_RUN = re.compile(rb"[0-9a-fA-F]+")
-# the marks of the export reader's scanner: spaces and breaks end a word
-_COMMA, _SPACE, _BREAK = 1, 2, 3
+_HEX = re.compile(r"[0-9a-fA-F]+")
+# a line and the break str.splitlines ends it at
+_LINE = re.compile(r"([^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)"
+                   r"(?:\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]|\Z)")
+# the routing tree's lines: codes, each an optional "-" and decimal digits
+_TREE_CHARS = re.compile(r"[0-9\n-]*")
+_TREE_TOKEN = re.compile(r"-?[0-9]+")
 # the header eps as the builder writes it; Fraction's exponent forms such as
 # 1e-9999999 would first build a ten-million-digit integer
 _FRACTION = re.compile(r"[0-9]+(/[0-9]+)?")
@@ -165,52 +170,43 @@ class ContainerFamily:
         return None if code == DEAD else _leaf_index(code)
 
     def export_text(self) -> str:
-        """Header, one hex container per line, then one fingerprint line per
-        container leaf, the leaves in depth-first order (excluded branch first).
-
-        Path tokens are ``<pair index><+|->`` for the included/excluded
-        branch (``.`` for the empty path); paths are prefix-free and
-        reconstruct the routing tree.
-        """
+        """Header, one hex container per line, then the routing tree in
+        preorder, one code per line: a node's pivot (excluded subtree first,
+        then included), ``-1`` for DEAD, ``-i-2`` for container i's leaf."""
         head = f"{self.N} {self.r} {self.eps} {self.tau!r} {len(self.containers)}\n"
         return "".join([head, _hex_lines(self.containers, self.universe.size),
-                        *_leaf_lines(self.root, self.pivots, self.out_child, self.in_child,
-                                     len(self.containers))])
+                        _tree_lines(self.root, self.pivots, self.out_child, self.in_child)])
 
     @classmethod
     def from_export_text(cls, text: str) -> "ContainerFamily":
-        """The family an export describes, its fingerprint lines in the order
-        the writer writes them: depth first, excluded branch first.
+        """The family an export describes.
 
         Refuses what the builder never writes, with the number of the first
         bad line among the non-blank ones.
         """
-        if not text.isascii():
-            # the scanner splits ASCII: make every other line break a newline
-            # and every other whitespace a space, as str.splitlines and
-            # str.split see them
-            text = "\n".join(_SPACES.sub(" ", ln) for ln in text.splitlines() if ln.strip())
-        cursor = _Cursor(text)
-        head = cursor.text()
+        # lazily: the tree section is then parsed whole, not split into line strings
+        lines = (m for m in _LINE.finditer(text) if m[1].strip())
+        head = next(lines, None)
         if head is None:
             raise ParseError("empty family export")
-        N, r, eps, tau, count = _parse_header(head)
-        containers, bad = cursor.containers(N * N - N, count)
-        if cursor.number < 2 + count:
+        N, r, eps, tau, count = _parse_header(head[1])
+        n_u = N * N - N
+        containers, end = [], head.end()    # and where the tree starts
+        for m in lines:
+            if len(containers) == count:
+                break
+            number, word = len(containers) + 2, m[1].strip()
+            if not _HEX.fullmatch(word):
+                raise ParseError("bad container bitset", number)
+            containers.append(int(word, 16))
+            if containers[-1] >> n_u:
+                raise ParseError(f"container bitset has a bit at or above N(N-1)={n_u}", number)
+            end = m.end()
+        if len(containers) < count:
             raise ParseError("family export truncated: missing containers")
-        if bad:
-            raise bad
-        first = cursor.number
-        *paths, bad = cursor.paths(N * N - N, count)
-        del cursor              # and the block of text it holds
-        # a conflict among the lines before a bad one is met first
-        root, tree = _read_tree(*paths, first)
-        if bad:
-            raise bad
-        return cls(
-            N=N, r=r, eps=eps, tau=tau, containers=containers, spans=[],
-            root=root, pivots=tree[0], out_child=tree[1], in_child=tree[2],
-        )
+        root, pivots, out_child, in_child = _read_tree(text[end:], 2 + count, n_u, count)
+        return cls(N=N, r=r, eps=eps, tau=tau, containers=containers, spans=[], root=root,
+                   pivots=pivots, out_child=out_child, in_child=in_child)
 
 
 # ---------------------------------------------------------------------------
@@ -232,46 +228,25 @@ def _hex_lines(masks: list[int], n_u: int) -> str:
     return text.tobytes().decode("ascii")
 
 
-def _leaf_lines(root: int, pivots, out_child, in_child, count: int):
-    """The fingerprint lines of a routing tree, depth first, joined in blocks.
+def _tree_lines(root: int, pivots, out_child, in_child) -> str:
+    """The routing tree in preorder, one code per line: a node's pivot, then
+    its excluded subtree, then its included subtree; a leaf's code, or DEAD.
 
-    The walk goes down each excluded branch in a loop and keeps every pending
-    included subtree on a stack with the text of its path.  A leaf's line is
-    finished when its parent is visited; an included leaf's line waits on the
-    stack, so that it comes out after its sibling's subtree.
+    The walk goes down each excluded branch in a loop and keeps every
+    pending included subtree on a stack, so it follows the tree's links and
+    not the numbering of its nodes.
     """
-    if root == DEAD:
-        return
-    if root < 0:
-        yield f". {_leaf_index(root)}\n"
-        return
-    values = set(pivots)        # token tables over the pivots in use, not up to the largest
-    out_token, in_token = ({v: f"{v}{sign}," for v in values} for sign in "-+")
-    out_last, in_last = ({v: f"{v}{sign} " for v in values} for sign in "-+")
-    index = [f"{i}\n" for i in range(count)]    # leaf code c ends its line with index[-2 - c]
+    name = {v: str(v) for v in set(pivots)}     # over the pivots in use, not up to the largest
     lines = []
-    stack = [(root, "")]        # a node and its path, or DEAD and a finished line
+    stack = [root]
     while stack:
-        if len(lines) >= _JOIN_LINES:
-            yield "".join(lines)
-            lines = []
-        node, path = stack.pop()
-        if node == DEAD:
-            lines.append(path)
-            continue
-        while True:
-            v, out, in_ = pivots[node], out_child[node], in_child[node]
-            if in_ >= 0:
-                stack.append((in_, path + in_token[v]))
-            elif in_ != DEAD:
-                stack.append((DEAD, path + in_last[v] + index[-2 - in_]))
-            if out < 0:
-                if out != DEAD:
-                    lines.append(path + out_last[v] + index[-2 - out])
-                break
-            path += out_token[v]
-            node = out
-    yield "".join(lines)
+        code = stack.pop()
+        while code >= 0:
+            lines.append(name[pivots[code]])
+            stack.append(in_child[code])
+            code = out_child[code]
+        lines.append("-1" if code == DEAD else str(code))    # one string for every DEAD
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -320,329 +295,92 @@ def _parse_header(line: str) -> tuple[int, int, Fraction, float, int]:
     return N, r, eps, tau, count
 
 
-def _marks() -> bytes:
-    """A ``bytes.translate`` table: 0 for a byte of a word, else the mark it is."""
-    table = bytearray(256)
-    for chars, mark in ((b",", _COMMA), (b"\t\x1f ", _SPACE), (b"\n\x0b\x0c\r\x1c\x1d\x1e", _BREAK)):
-        for ch in chars:
-            table[ch] = mark
-    return bytes(table)
+def _nonblank(text: str) -> list[str]:
+    return list(filter(str.strip, text.splitlines()))
 
 
-_MARKS = _marks()
+def _tree_codes(section: str):
+    """(codes, line count, text of line k) of the non-blank lines of the
+    tree section; the codes stop at the first line that is not an integer.
 
-
-@cache
-def _digit_values(digits: bytes) -> np.ndarray:
-    """A table from a byte to its value as a hex digit, 255 for a byte not in ``digits``."""
-    table = np.full(256, 255, dtype=np.uint8)
-    table[np.frombuffer(digits, dtype=np.uint8)] = [int(chr(d), 16) for d in digits]
-    return table
-
-
-def _decimals(data: np.ndarray, start: np.ndarray, end: np.ndarray):
-    """Values of the runs ``data[start:end]``, and whether each is all decimal digits.
-
-    Runs past 18 digits lose their leading zeros, and are then capped at
-    2^63 - 1 if still that long, else read by ``int``.
+    A run of digits loses its leading zeros; one still past 18 digits reads
+    as +-2^62, past every pivot and leaf code.  A section of codes of at
+    most 9 digits, on lines ended by "\n" alone, is parsed as one byte array
+    in int32; any other goes line by line.
     """
-    size = end - start
-    value = np.zeros(len(start), dtype=np.int64)
-    digits = np.ones(len(start), dtype=bool)
-    at = end - 1
-    digit_value = _digit_values(b"0123456789")
-    for k in range(min(int(size.max(initial=0)), 18)):
-        digit = digit_value[data[at]] * (size > k)     # a byte before the run reads as 0
-        digits &= digit < 10
-        value += np.multiply(digit, 10 ** k, dtype=np.int64)
-        at -= 1
-    for i in np.flatnonzero(size > 18):
-        run = data[start[i]:end[i]].tobytes()
-        digits[i] = run.isdigit()
-        run = run.lstrip(b"0")
-        value[i] = 0 if not digits[i] else _INT64_MAX if len(run) > 18 else int(run or b"0")
-    return value, digits
+    if len(section) < 1 << 31 and _TREE_CHARS.fullmatch(section):
+        data = np.frombuffer(section.encode("ascii"), dtype=np.uint8)
+        ends = np.flatnonzero(data == ord("\n")).astype(np.int32)
+        starts = np.append(np.int32(0), ends + 1)
+        ends = np.append(ends, np.int32(len(data)))
+        filled = ends > starts
+        starts, ends = starts[filled], ends[filled]
+        minus = data[starts] == ord("-")
+        digits = ends - starts - minus
+        del starts
+        if (section.count("-") == np.count_nonzero(minus)
+                and digits.min(initial=1) > 0 and digits.max(initial=0) <= 9):
+            codes = np.zeros(len(ends), dtype=np.int32)
+            at = ends
+            for k in range(int(digits.max(initial=0))):     # the k-th digit from the right
+                at -= 1
+                digit = np.where(digits > k, data[at], ord("0"))
+                codes += np.subtract(digit, ord("0"), dtype=np.int32) * 10 ** k
+            np.negative(codes, out=codes, where=minus)
+            # the text of a line is only needed for a refusal
+            return codes, len(codes), lambda k: _nonblank(section)[k]
+    lines = _nonblank(section)
+    codes = []
+    for line in lines:
+        if not _TREE_TOKEN.fullmatch(line):
+            break
+        digits = line.lstrip("-").lstrip("0")
+        value = int(digits or "0") if len(digits) <= 18 else 1 << 62
+        codes.append(-value if line[0] == "-" else value)
+    return np.array(codes, dtype=np.int64), len(lines), lines.__getitem__
 
 
-class _Lines:
-    """The non-blank lines of a block of text that ends at a line break.
+def _read_tree(section: str, first: int, n_u: int, count: int):
+    """(root, pivots, out_child, in_child) of a routing tree written in
+    preorder, one code per line from line ``first``; nodes numbered in preorder.
 
-    Lines end at the ASCII bytes ``str.splitlines`` ends them at, and words
-    are separated by the ASCII whitespace ``str.split`` skips.  Every other
-    byte is part of a word; the commas among them are kept with their word.
+    In a full binary tree written in preorder, each node opens two child
+    slots and fills one, and each leaf or DEAD fills one: the count of open
+    slots stays at 1 or more until the last code, and ends at 0.  A node's
+    excluded child is the next code, and its included child the next code
+    with the same count of open slots before it.  A ParseError names the
+    first line that is not a code, lies past the tree's end, or holds a
+    pivot or leaf code out of range; else, if the tree is unfinished, the last line.
     """
-
-    def __init__(self, data: bytes):
-        self.data = np.frombuffer(data, dtype=np.uint8)
-        marks = np.frombuffer(data.translate(_MARKS), dtype=np.uint8)
-        at = np.flatnonzero(marks)
-        kind = marks[at]
-        gap = kind >= _SPACE
-        bounds = np.concatenate([[-1], at[gap], [len(data)]])
-        word = np.diff(bounds) > 1
-        self.start, self.end = bounds[:-1][word] + 1, bounds[1:][word]
-        line = np.concatenate([[0], np.cumsum(kind[gap] == _BREAK)])[word]
-        self.first = np.flatnonzero(np.diff(line, prepend=-1))     # each line's first word
-        self.words = np.diff(self.first, append=len(line))
-        self.n = len(self.first)
-        # a comma lies in the gap-free stretch after the gaps before it
-        self.commas = at[~gap]
-        self.comma_word = (np.cumsum(word) - 1)[np.cumsum(gap)[~gap]]
-
-    def text(self, i: int) -> str:
-        first, last = self.first[i], self.first[i] + self.words[i] - 1
-        return self.data[self.start[first]:self.end[last]].tobytes().decode()
-
-    def containers(self, lo: int, hi: int, n_u: int):
-        """The bitmasks of lines lo..hi-1, and (line - lo, message) of the first bad one."""
-        w = self.first[lo:hi]
-        start, end = self.start[w], self.end[w]
-        size = end - start
-        words = -(-n_u // 64)
-        rows = np.zeros((len(w), words), dtype=np.uint64)
-        hexed = self.words[lo:hi] == 1
-        digit_value = _digit_values(b"0123456789abcdefABCDEF")
-        for k in range(min(int(size.max(initial=0)), 16 * words)):
-            inside = size > k
-            nibble = digit_value[self.data[end - 1 - k]]
-            hexed &= ~inside | (nibble < 16)
-            rows[:, k // 16] |= np.where(inside, nibble, 0).astype(np.uint64) << np.uint64(4 * (k % 16))
-        top = n_u - 64 * (words - 1)        # universe bits in the top word
-        big = (rows[:, -1] >> np.uint64(top)) != 0 if top < 64 else np.zeros(len(w), dtype=bool)
-        values = _ints(rows)
-        for i in np.flatnonzero(hexed & (size > 16 * words)):
-            run = self.data[start[i]:end[i]].tobytes()
-            hexed[i] = _HEX_RUN.fullmatch(run) is not None
-            values[i] = int(run, 16) if hexed[i] else 0
-            big[i] = values[i] >> n_u != 0
-        bad = np.flatnonzero(~hexed | big)
-        if not len(bad):
-            return values, None
-        i = int(bad[0])
-        return values, (i, "bad container bitset" if not hexed[i]
-                        else f"container bitset has a bit at or above N(N-1)={n_u}")
-
-    def pairs(self, lo: int, hi: int, n_u: int, count: int):
-        """Token codes, path lengths and container indices of lines lo..hi-1 up
-        to the first bad one, and (line - lo, message) of that line.
-
-        A token code is 2 * pivot + 1, plus 1 on the included branch: codes
-        compare as a depth-first walk (excluded branch first) orders them.
-        """
-        paired = np.flatnonzero(self.words[lo:hi] == 2)
-        path = self.first[lo:hi][paired]
-        index_word = path + 1
-        ps, pe = self.start[path], self.end[path]
-        tokened = (pe - ps != 1) | (self.data[ps] != ord("."))
-        # tokens: the comma-separated runs of each path word but "."
-        ordinal = np.full(len(self.start), -1, dtype=np.int64)
-        ordinal[path[tokened]] = np.arange(int(tokened.sum()))
-        of = ordinal[self.comma_word]
-        at, of = self.commas[of >= 0], of[of >= 0]
-        per_path = np.bincount(of, minlength=int(tokened.sum())) + 1
-        last = np.cumsum(per_path) - 1
-        starts = np.empty(int(per_path.sum()), dtype=np.int64)
-        ends = np.empty_like(starts)
-        ends[np.arange(len(at)) + of] = at
-        ends[last] = pe[tokened]
-        starts[np.arange(len(at)) + of + 1] = at + 1
-        starts[last - per_path + 1] = ps[tokened]
-        # a token is digits then a sign
-        sign = self.data[ends - 1]
-        plus = sign == ord("+")
-        pivot, digits = _decimals(self.data, starts, ends - 1)
-        formed = digits & (ends - 1 > starts) & (plus | (sign == ord("-")))
-        bad_token = np.flatnonzero(~formed | (pivot >= n_u))
-        token_line = np.repeat(paired[tokened], per_path)
-        index, digits = _decimals(self.data, self.start[index_word], self.end[index_word])
-        bad_index = ~digits | (index >= count)
-
-        firsts = [x[:1] for x in (np.flatnonzero(self.words[lo:hi] != 2),
-                                  token_line[bad_token], paired[bad_index])]
-        bad = int(np.concatenate(firsts).min()) if any(len(x) for x in firsts) else hi - lo
-        lengths = np.zeros(len(paired), dtype=np.int64)
-        lengths[tokened] = per_path
-        lengths = lengths[:bad]     # the lines before the bad one are all paired
-        # unsigned, so that big-endian bytes compare as the codes do
-        codes = (2 * pivot + plus + 1)[:int(lengths.sum())].astype(np.min_scalar_type(2 * n_u))
-        rows = codes, lengths, index[:bad]
-        if bad == hi - lo:
-            return *rows, None
-        if self.words[lo + bad] != 2:
-            why = "bad fingerprint pair"
-        elif len(bad_token) and token_line[bad_token[0]] == bad:
-            t = bad_token[0]
-            if formed[t]:
-                value = self.data[starts[t]:ends[t] - 1].tobytes().lstrip(b"0").decode()
-                why = f"fingerprint pivot {value} not in 0..{n_u - 1}"
-            else:
-                why = f"bad fingerprint token {self.data[starts[t]:ends[t]].tobytes().decode()!r}"
-        else:
-            w = index_word[bad]
-            why = (f"container index {self.data[self.start[w]:self.end[w]].tobytes().decode()!r}"
-                   f" not in 0..{count - 1}")
-        return *rows, (bad, why)
-
-
-class _Cursor:
-    """Walks the non-blank lines of a text a block at a time, counting them from 1."""
-
-    def __init__(self, text: str):
-        self.blocks = self._blocks(text)
-        self.lines = None
-        self.at = 0
-        self.number = 1          # the number of the next line
-
-    @staticmethod
-    def _blocks(text: str):
-        at = 0
-        while at < len(text):
-            end = text.find("\n", at + _BLOCK_CHARS) + 1 or len(text)
-            yield _Lines(text[at:end].encode())
-            at = end
-
-    def take(self, k):
-        """(lines, lo, hi, number of line lo) covering the next k lines, or fewer at the end."""
-        while k > 0:
-            if self.lines is None or self.at == self.lines.n:
-                self.lines, self.at = next(self.blocks, None), 0
-                if self.lines is None:
-                    return
-                continue
-            lo, number = self.at, self.number
-            hi = min(self.lines.n, lo + k)
-            self.at, self.number, k = hi, number + hi - lo, k - (hi - lo)
-            yield self.lines, lo, hi, number
-
-    def text(self) -> str | None:
-        """The next line's text, or None past the last line."""
-        for lines, lo, _, _ in self.take(1):
-            return lines.text(lo)
-        return None
-
-    def containers(self, n_u: int, count: int) -> tuple[list[int], ParseError | None]:
-        """The bitmasks of the next ``count`` lines, and the first bad one's error."""
-        containers: list[int] = []
-        bad = None
-        for lines, lo, hi, number in self.take(count):
-            if bad is None:         # past a bad line the lines are only counted
-                values, error = lines.containers(lo, hi, n_u)
-                containers += values
-                bad = error and ParseError(error[1], number + error[0])
-        return containers, bad
-
-    def paths(self, n_u: int, count: int):
-        """Token codes, path lengths and container indices of the remaining
-        lines up to the first bad one, and that line's error."""
-        blocks = [(np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))]
-        bad = None
-        for lines, lo, hi, number in self.take(math.inf):
-            *rows, error = lines.pairs(lo, hi, n_u, count)
-            blocks.append(rows)
-            if error:
-                bad = ParseError(error[1], number + error[0])
-                break
-        return (*(np.concatenate(x) for x in zip(*blocks)), bad)
-
-
-def _shared_prefix(codes: np.ndarray, offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The leading tokens each path shares with the path on the line before
-    it, a block of lines at a time."""
-    most = np.minimum(lengths[:-1], lengths[1:])
-    shared = most.copy()
-    ends = np.cumsum(most)
-    lo = 0
-    while lo < len(most):
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - most[lo] + _COMPARE_CELLS, "right")))
-        m = most[lo:hi]
-        total = int(m.sum())
-        if total:
-            pair = np.repeat(np.arange(hi - lo), m)
-            step = np.arange(total)
-            before = np.cumsum(m) - m
-            differ = np.flatnonzero(codes[(offsets[lo:hi] - before)[pair] + step]
-                                    != codes[(offsets[lo + 1:hi + 1] - before)[pair] + step])
-            p = pair[differ]
-            first = np.flatnonzero(np.diff(p, prepend=-1))     # each pair's first difference
-            shared[lo + p[first]] = differ[first] - before[p[first]]
-        lo = hi
-    return shared
-
-
-def _token_at(codes: np.ndarray, offsets: np.ndarray, lengths: np.ndarray,
-              depth: np.ndarray) -> np.ndarray:
-    """Each path's token code at a depth, 0 past its end."""
-    inside = depth < lengths
-    out = np.zeros(len(lengths), dtype=np.int64)
-    out[inside] = codes[offsets[inside] + depth[inside]]
-    return out
-
-
-_CONFLICTS = ("conflicting fingerprint paths", "fingerprint paths disagree on pivot",
-              "fingerprint paths out of depth-first order")
-
-
-def _conflicts(codes, offsets, lengths, shared) -> np.ndarray:
-    """Per line after the first, at the token where its path leaves the one
-    before it: 0 if it goes on depth first, or 1 if one path ends there, 2 if
-    the pivots differ, 3 if the earlier path took the included branch."""
-    ta = _token_at(codes, offsets[:-1], lengths[:-1], shared)
-    tb = _token_at(codes, offsets[1:], lengths[1:], shared)
-    return np.select([(ta == 0) | (tb == 0), (ta + 1) >> 1 != (tb + 1) >> 1, ta > tb], [1, 2, 3])
-
-
-def _read_tree(codes: np.ndarray, lengths: np.ndarray, index: np.ndarray, first_line: int):
-    """(root, (pivots, out_child, in_child)) of the tree the fingerprint paths
-    describe, nodes in preorder; a ParseError names the first line whose path
-    does not follow the one before it depth first.
-
-    Row i's path is ``codes[offsets[i]:offsets[i] + lengths[i]]``.  Each path
-    leaves the one before it at a node of depth ``shared``, and adds the
-    nodes below it, in preorder.  When every path follows the one before it,
-    no path conflicts with any earlier one.
-    """
-    rows = len(lengths)
-    empty = array("i"), array("i"), array("i")
-    if not rows:
-        return DEAD, empty
-    offsets = np.cumsum(lengths) - lengths
-    shared = _shared_prefix(codes, offsets, lengths)
-    why = _conflicts(codes, offsets, lengths, shared)
-    if why.any():
-        row = int(np.flatnonzero(why)[0])
-        raise ParseError(_CONFLICTS[why[row] - 1], first_line + row + 1)
-    leaf = _leaf_code(index)
-    if rows == 1 and lengths[0] == 0:
-        return int(leaf[0]), empty
-    parted = np.concatenate([[-1], shared]).astype(np.int32)   # the depth a path leaves the last one at
-    new = (lengths - 1 - parted).astype(np.int32)
-    base = np.cumsum(new, dtype=np.int32) - new    # the preorder number of each path's first new node
-    nodes = int(base[-1] + new[-1])
-    node = np.arange(nodes, dtype=np.int32)
-    row = np.repeat(np.arange(rows, dtype=np.int32), new)
-    token = (offsets + parted + 1 - base)[row] + node       # each node's pivot token
-    pivots = (codes[token] - 1) >> 1
-    plus = (codes[token - 1] - 1) & 1                       # the branch above each node but the root
-    del token
-    depth = (parted + 1 - base)[row] + node
-    del row
-    # the node a path leaves the last one at: the last node of that depth
-    # numbered before the path's first new node
-    key = np.sort(depth.astype(np.int64) << 32 | node)
-    del depth
-    branch = key[np.searchsorted(key, parted[1:].astype(np.int64) << 32 | base[1:]) - 1]
-    branch = np.r_[-1, branch & 0xFFFFFFFF].astype(np.int32)
-    del key
-    tree = np.full((2, nodes), DEAD, dtype=np.intc)
-    first = np.zeros(nodes, dtype=bool)
-    first[base[new > 0]] = True
-    inner = node[~first]                    # a path's nodes after its first hang on the one before
-    tree[plus[inner], inner - 1] = inner
-    opens = np.flatnonzero(new > 0)[1:]     # a path's first node hangs on its branch node
-    tree[plus[base[opens]], branch[opens]] = base[opens]
-    leaf_plus = (codes[offsets + lengths - 1] - 1) & 1
-    tree[leaf_plus, np.where(new > 0, base + new - 1, branch)] = leaf
-    return 0, (_int_array(pivots), _int_array(tree[0]), _int_array(tree[1]))
+    codes, lines, text = _tree_codes(section)
+    n = len(codes)
+    node = codes >= 0
+    # open child slots after each code
+    opened = np.cumsum(node.astype(np.int32) * 2 - 1, dtype=np.int32) + 1
+    closed = np.flatnonzero(opened[:-1] == 0)
+    past = int(closed[0]) + 1 if len(closed) else n     # the first code past the tree's end
+    wrong = np.flatnonzero((codes[:past] >= n_u) | (codes[:past] < -1 - count))
+    k = int(wrong[0]) if len(wrong) else past
+    if k < n:
+        why = ("code past the end of the routing tree" if k == past
+               else f"tree pivot {text(k)} not in 0..{n_u - 1}" if node[k]
+               else f"tree leaf {text(k)} not in -{count + 1}..-1")
+        raise ParseError(why, first + k)
+    if n < lines:
+        raise ParseError(f"bad tree code {text(n)!r}", first + n)
+    if not n or opened[-1]:
+        left = opened[-1] if n else 1
+        raise ParseError(f"routing tree ends with {left} branch(es) open", first + n - 1)
+    codes = codes.astype(np.int32, copy=False)
+    order = np.argsort(np.append(np.int32(1), opened[:-1]), kind="stable")
+    del opened
+    in_at = np.empty(n, dtype=np.int32)
+    in_at[order[:-1]] = order[1:]
+    del order
+    nodes = np.flatnonzero(node).astype(np.int32)
+    pivots = _int_array(codes[nodes])
+    codes[nodes] = np.arange(len(nodes), dtype=np.int32)
+    return int(codes[0]), pivots, _int_array(codes[nodes + 1]), _int_array(codes[in_at[nodes]])
 
 
 def _words(masks, words: int) -> np.ndarray:
@@ -1038,11 +776,16 @@ class _WindowSieve:
 
 def _sampled_masks(hg: PairHypergraph, pattern: PatternDigraph, seed: int, samples: int):
     """The accepted sets of each batch of uniform draws, in draw order, until
-    ``samples`` sets are accepted."""
+    ``samples`` sets are accepted; a BudgetError once _DRAW_BUDGET draws
+    were not enough."""
     sieve = _WindowSieve(hg, pattern)
     rng = np.random.RandomState(seed)
-    accepted = 0
+    accepted = made = 0
     while accepted < samples:
+        if made >= _DRAW_BUDGET:
+            raise BudgetError(f"sampled verification stopped after {made} draws, "
+                              f"{accepted} of {samples} samples accepted")
+        made += _DRAW_BATCH
         draws = rng.randint(0, 1 << hg.universe.size, size=_DRAW_BATCH, dtype=np.uint64)
         free = sieve(draws)[:samples - accepted]
         accepted += len(free)

@@ -394,18 +394,24 @@ def naive_build_containers(hg, eps: Fraction):
     return root, pivots, out_child, in_child, containers, spans
 
 
-def naive_export_text(fam) -> str:
-    """A family's export text, its leaf lines written by an explicit depth-first walk.
+def _naive_head(fam) -> list[str]:
+    """A family's header and hex container lines."""
+    n_u = fam.N * (fam.N - 1)
+    w = max(1, (n_u + 3) // 4)
+    return [f"{fam.N} {fam.r} {fam.eps} {fam.tau!r} {len(fam.containers)}",
+            *(f"{c:0{w}x}" for c in fam.containers)]
+
+
+def naive_export_paths(fam) -> str:
+    """A family's export in the fingerprint-path format the reader once took:
+    one line per container leaf, written by an explicit depth-first walk.
 
     ``fam`` needs ``N r eps tau containers root pivots out_child in_child``.
     The walk descends the excluded branch first; a path's tokens are
-    ``<pair index><+|->`` (``.`` for the empty path).
+    ``<pair index><+|->`` (``.`` for the empty path), then the leaf's index.
     """
     dead = -1
-    n_u = fam.N * (fam.N - 1)
-    w = max(1, (n_u + 3) // 4)
-    lines = [f"{fam.N} {fam.r} {fam.eps} {fam.tau!r} {len(fam.containers)}"]
-    lines += [f"{c:0{w}x}" for c in fam.containers]
+    lines = _naive_head(fam)
     stack = [(fam.root, [])]
     while stack:
         code, path = stack.pop()
@@ -420,20 +426,29 @@ def naive_export_text(fam) -> str:
     return "\n".join(lines) + "\n"
 
 
-def naive_read_family(text: str):
-    """A family export read line by line, its paths inserted one by one into a trie.
+def naive_export_preorder(fam) -> str:
+    """A family's export, its routing tree written by an explicit preorder walk:
+    one code per line, a node's pivot before its excluded, then its included subtree."""
+    lines = _naive_head(fam)
+    stack = [fam.root]
+    while stack:
+        code = stack.pop()
+        if code < 0:
+            lines.append(str(code))
+            continue
+        lines.append(str(fam.pivots[code]))
+        stack.append(fam.in_child[code])
+        stack.append(fam.out_child[code])
+    return "\n".join(lines) + "\n"
 
-    Returns a namespace with ``N r eps tau containers root pivots out_child
-    in_child`` (plain lists; nodes numbered as the lines create them), or
-    raises the package's ``ParseError`` with the reader's message.  Lines are
-    counted among the non-blank ones.
-    """
+
+def _naive_read_head(text: str):
+    """The non-blank lines of a family export, its header fields and its
+    containers, or the package's ``ParseError`` with the reader's message."""
     import re
-    from types import SimpleNamespace
 
     from digraphlab.errors import ParseError
 
-    dead = -1
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("empty family export")
@@ -459,18 +474,37 @@ def naive_read_family(text: str):
         raise ParseError(f"family header tau={head[3]} outside (0, 1]", 1)
     if count < 0:
         raise ParseError(f"family header count {count} is negative", 1)
-    if len(lines) < 1 + count:
-        raise ParseError("family export truncated: missing containers")
     n_u = N * N - N
     containers = []
-    for k in range(count):
+    for k in range(min(count, len(lines) - 1)):
         hex_s = lines[1 + k].strip()
         if not re.fullmatch(r"[0-9a-fA-F]+", hex_s):
             raise ParseError("bad container bitset", 2 + k)
         if int(hex_s, 16) >> n_u:
             raise ParseError(f"container bitset has a bit at or above N(N-1)={n_u}", 2 + k)
         containers.append(int(hex_s, 16))
+    if len(containers) < count:
+        raise ParseError("family export truncated: missing containers")
+    return lines, (N, r, eps, tau, count), containers
 
+
+def naive_read_paths(text: str):
+    """A fingerprint-path export (``naive_export_paths``) read line by line,
+    its paths inserted one by one into a trie.
+
+    Returns a namespace with ``N r eps tau containers root pivots out_child
+    in_child`` (plain lists; nodes numbered as the lines create them), or
+    raises the package's ``ParseError``.  Lines are counted among the
+    non-blank ones.
+    """
+    import re
+    from types import SimpleNamespace
+
+    from digraphlab.errors import ParseError
+
+    dead = -1
+    lines, (N, r, eps, tau, count), containers = _naive_read_head(text)
+    n_u = N * N - N
     pivots, out_child, in_child = [], [], []
     top = [dead]             # the slot holding the root
     last = None              # the path of the line before
@@ -516,5 +550,52 @@ def naive_read_family(text: str):
         if kids[at] != dead:
             raise ParseError("conflicting fingerprint paths", line)
         kids[at] = -int(idx_s) - 2
+    return SimpleNamespace(N=N, r=r, eps=eps, tau=tau, containers=containers, root=top[0],
+                           pivots=pivots, out_child=out_child, in_child=in_child)
+
+
+def naive_read_preorder(text: str):
+    """A family export read line by line, its routing tree built on a stack
+    of the child slots still open, the next to fill on top.
+
+    Returns the namespace ``naive_read_paths`` does (nodes numbered in
+    preorder), or raises the package's ``ParseError`` with the reader's
+    message and line.
+    """
+    import re
+    from types import SimpleNamespace
+
+    from digraphlab.errors import ParseError
+
+    dead = -1
+    lines, (N, r, eps, tau, count), containers = _naive_read_head(text)
+    n_u = N * N - N
+    pivots, out_child, in_child = [], [], []
+    top = [dead]
+    slots = [(top, 0)]       # (list, index) of each open child slot
+    for line, tok in enumerate(lines[1 + count:], start=2 + count):
+        if not re.fullmatch(r"-?[0-9]+", tok):
+            raise ParseError(f"bad tree code {tok!r}", line)
+        if not slots:
+            raise ParseError("code past the end of the routing tree", line)
+        digits = tok.lstrip("-").lstrip("0")
+        value = int(digits or "0") if len(digits) < 100 else 10 ** 100
+        value = -value if tok[0] == "-" else value
+        if value >= n_u:
+            raise ParseError(f"tree pivot {tok} not in 0..{n_u - 1}", line)
+        if value < -1 - count:
+            raise ParseError(f"tree leaf {tok} not in -{count + 1}..-1", line)
+        kids, at = slots.pop()
+        if value < 0:
+            kids[at] = value
+            continue
+        kids[at] = len(pivots)
+        pivots.append(value)
+        out_child.append(dead)
+        in_child.append(dead)
+        slots.append((in_child, kids[at]))
+        slots.append((out_child, kids[at]))
+    if slots:
+        raise ParseError(f"routing tree ends with {len(slots)} branch(es) open", len(lines))
     return SimpleNamespace(N=N, r=r, eps=eps, tau=tau, containers=containers, root=top[0],
                            pivots=pivots, out_child=out_child, in_child=in_child)

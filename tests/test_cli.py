@@ -5,15 +5,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import time
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import digraphlab
 from digraphlab.cli import main
+from oracles import naive_export_paths
 
 
 def run(capsys, argv):
@@ -223,12 +226,19 @@ def test_verify_family_eps_must_match_the_export(capsys, tmp_path, monkeypatch):
     assert rc == 0 and doc["results"]["sparsity_ok"] is True
 
 
-@pytest.mark.parametrize("path, index", [
-    (None, "999"), (None, "x"), (None, "-5"), ("x+", None),
+def _last_leaf_line(lines):
+    return max(k for k, line in enumerate(lines) if line.startswith("-") and line != "-1")
+
+
+@pytest.mark.parametrize("code, why", [
+    ("-1001", "tree leaf -1001 not in -100..-1"),
+    ("x", "bad tree code 'x'"),
+    ("-5+", "bad tree code '-5+'"),
+    ("5-", "bad tree code '5-'"),
 ])
-def test_verify_family_bad_fingerprint_line_exit_1(capsys, tmp_path, path, index):
-    # a leaf index must name one of the exported containers, and a
-    # fingerprint token must be a pair index followed by + or -
+def test_verify_family_bad_tree_line_exit_1(capsys, tmp_path, code, why):
+    # a leaf must name one of the exported containers (c3 on [4], eps=1/10:
+    # 99 containers, leaf codes -2..-100), and a code must be an integer
     fam_file = tmp_path / "fam.txt"
     rc, _, _ = run_doc(capsys, [
         "containers", "--pattern", "c3", "--N", "4", "--eps", "1/10",
@@ -236,23 +246,25 @@ def test_verify_family_bad_fingerprint_line_exit_1(capsys, tmp_path, path, index
     ])
     assert rc == 0
     lines = fam_file.read_text().splitlines()
-    old_path, old_index = lines[-1].split()
-    lines[-1] = f"{path or old_path} {index or old_index}"
+    k = _last_leaf_line(lines)
+    lines[k] = code
     fam_file.write_text("\n".join(lines) + "\n")
     rc, out, err = run(capsys, [
         "verify-family", "--pattern", "c3", "--N", "4", "--family", str(fam_file),
     ])
-    count = int(lines[0].split()[4])
-    why = (f"bad fingerprint token {path!r}" if path
-           else f"container index {index!r} not in 0..{count - 1}")
     assert rc == 1 and out == ""
-    assert err == f"digraphlab: parse error: line {len(lines)}: {why}\n"
+    assert err == f"digraphlab: parse error: line {k + 1}: {why}\n"
 
 
 def _bump_last_pivot(lines):
-    # the last fingerprint line with its first token's pair index set to N(N-1) = 12
-    path, index = lines[-1].split()
-    lines[-1] = f"12{path.split(',')[0][-1]} {index}"
+    # the last pivot of the tree set to N(N-1) = 12
+    k = max(k for k, line in enumerate(lines) if k > int(lines[0].split()[4]) and line[0] != "-")
+    lines[k] = "12"
+    return k + 1
+
+
+def _drop_last_line(lines):
+    lines.pop()
 
 
 def _set_header(field, value):
@@ -287,7 +299,8 @@ def _set_container(value):
     (_set_header(3, "-3"), 1, "family header tau=-3 outside (0, 1]"),
     (_set_header(3, "0"), 1, "family header tau=0 outside (0, 1]"),
     (_set_header(3, "1e400"), 1, "family header tau=1e400 outside (0, 1]"),
-    (_bump_last_pivot, None, "fingerprint pivot 12 not in 0..11"),
+    (_bump_last_pivot, None, "tree pivot 12 not in 0..11"),
+    (_drop_last_line, None, "routing tree ends with 1 branch(es) open"),
 ])
 def test_verify_family_malformed_export_exit_1(capsys, tmp_path, edit, line, why):
     # values the builder never writes are refused with their line number
@@ -298,7 +311,7 @@ def test_verify_family_malformed_export_exit_1(capsys, tmp_path, edit, line, why
     ])
     assert rc == 0
     lines = fam_file.read_text().splitlines()
-    edit(lines)
+    line = edit(lines) or line
     fam_file.write_text("\n".join(lines) + "\n")
     rc, out, err = run(capsys, [
         "verify-family", "--pattern", "c3", "--N", "4", "--eps", "1/10", "--family", str(fam_file),
@@ -307,14 +320,14 @@ def test_verify_family_malformed_export_exit_1(capsys, tmp_path, edit, line, why
     assert err == f"digraphlab: parse error: line {line or len(lines)}: {why}\n"
 
 
-@pytest.mark.parametrize("pair, why", [
-    ("9" * 5000 + "+ 0", f"fingerprint pivot {'9' * 5000} not in 0..5"),
-    ("0+ " + "9" * 5000, f"container index '{'9' * 5000}' not in 0..0"),
+@pytest.mark.parametrize("code, why", [
+    ("9" * 5000, f"tree pivot {'9' * 5000} not in 0..5"),
+    ("-" + "9" * 5000, f"tree leaf -{'9' * 5000} not in -2..-1"),
 ], ids=["pivot", "index"])
-def test_verify_family_long_decimal_runs_exit_1(capsys, tmp_path, pair, why):
+def test_verify_family_long_decimal_runs_exit_1(capsys, tmp_path, code, why):
     # past Python's 4300-digit limit on int(), a number is still refused in one line
     fam_file = tmp_path / "big.txt"
-    fam_file.write_text(f"3 3 1/10 0.5 1\n3f\n{pair}\n")
+    fam_file.write_text(f"3 3 1/10 0.5 1\n3f\n{code}\n")
     rc, out, err = run(capsys, [
         "verify-family", "--pattern", "c3", "--N", "3", "--family", str(fam_file),
     ])
@@ -331,12 +344,48 @@ def test_verify_family_long_header_field_exit_1(capsys, tmp_path, head, why):
     # a header field still past int()'s digit limit without its leading zeros
     # is refused by name (a zero-padded one is read: test_containers.py)
     fam_file = tmp_path / "big.txt"
-    fam_file.write_text(f"{head}\n3f\n0+ 0\n")
+    fam_file.write_text(f"{head}\n3f\n-2\n")
     rc, out, err = run(capsys, [
         "verify-family", "--pattern", "c3", "--N", "3", "--family", str(fam_file),
     ])
     assert rc == 1 and out == ""
     assert err == f"digraphlab: parse error: line 1: bad family header: {why}, too many to read\n"
+
+
+def test_verify_family_refuses_a_fingerprint_path_export(capsys, tmp_path):
+    # the format exports had before the routing tree was written in preorder:
+    # one line per container leaf, its fingerprint path and its index
+    fam_file = tmp_path / "paths.txt"
+    hg = digraphlab.build_hypergraph(4, digraphlab.cli.load_pattern("c3")[0])
+    fam = digraphlab.build_containers(hg, 0.5, Fraction(1, 10))
+    fam_file.write_text(naive_export_paths(fam))
+    # the bytes that writer wrote for `containers --pattern c3 --N 4 --eps 1/10`
+    assert hashlib.sha256(fam_file.read_bytes()).hexdigest() == (
+        "e9b85a202538a6437ded8e171a6de5984da4437050ecf35d342849b505b38a0d")
+    rc, out, err = run(capsys, [
+        "verify-family", "--pattern", "c3", "--N", "4", "--eps", "1/10", "--family", str(fam_file),
+    ])
+    first = fam_file.read_text().splitlines()[100]
+    assert rc == 1 and out == ""
+    assert err == f"digraphlab: parse error: line 101: bad tree code {first!r}\n"
+
+
+def test_sampled_verifier_draw_budget_exit_2(capsys, monkeypatch):
+    # c3-free digraphs on [6] are about 1 draw in 29: 3 batches of 65,536
+    # draws do not reach 10,000 samples
+    monkeypatch.setattr(digraphlab.containers, "_DRAW_BUDGET", 3 * 65_536)
+    rc, out, err = run(capsys, [
+        "verify-family", "--pattern", "c3", "--N", "6", "--eps", "1/10", "--mode", "sampled",
+    ])
+    assert rc == 2 and out == ""
+    assert re.fullmatch("digraphlab: refused: sampled verification stopped after 196608 draws, "
+                        "[0-9]+ of 10000 samples accepted\n", err)
+    # 2,000 samples are reached inside the budget
+    rc, _, _ = run(capsys, [
+        "verify-family", "--pattern", "c3", "--N", "6", "--eps", "1/10", "--mode", "sampled",
+        "--samples", "2000",
+    ])
+    assert rc == 0
 
 
 @pytest.mark.parametrize("argv, why", [
@@ -803,7 +852,7 @@ _PINNED = [
     (["verify-lemma", "--pattern", "c3", "--gamma", "1/2", "--N-range", "6..9"],
      0, "c0657fdc88639e5e94da69f02078c64fbffd41b673658cf83040f53cde012707", ""),
     (["containers", "--pattern", "c3", "--N", "4", "--eps", "1/10"],
-     0, "946083429eada6ca625606f3b99b9a9c3eaa13e4e5b6c411ffa44ac60591a62d", ""),
+     0, "2945523034e19638bd9802079b2bdb351d10821da4beba8b9d36b6030e58fc4f", ""),
     (["verify-family", "--pattern", "c3", "--N", "4", "--eps", "1/10", "--mode", "exhaustive"],
      0, "bbb8f7868ba807388db808a4a92783ccb9f871ef2f522d3592d216800ffbc0a1", ""),
     (["verify-family", "--pattern", "c3", "--N", "6", "--eps", "1/10",
@@ -846,7 +895,7 @@ _PINNED = [
      1, _EMPTY, "digraphlab: error: the following arguments are required: --n\n"),
 ]
 # every file the runs above leave behind, hashed as "path\0bytes\0" in path order
-_PINNED_FILES = "4c7a8dd73876bd7063493baf958749b3059fbb43f8bf8adfb8679133f7b8f7b2"
+_PINNED_FILES = "08a7c25fb32cace63663123a1aec65a1b0908f02a56fc005001b699fe49b63a5"
 
 
 def test_documents_are_pinned(capsys, tmp_path, monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -38,7 +39,13 @@ from digraphlab.errors import (
 )
 from digraphlab.extremal import _free_masks, iter_free_edge_masks
 from digraphlab.pairhypergraph import PairHypergraph, PairUniverse, tau_for
-from oracles import naive_build_containers, naive_export_text, naive_read_family
+from oracles import (
+    naive_build_containers,
+    naive_export_paths,
+    naive_export_preorder,
+    naive_read_paths,
+    naive_read_preorder,
+)
 
 
 def small_family(pat, N, eps=Fraction(1, 10), tau=None):
@@ -436,18 +443,24 @@ def test_pipeline_copy_counts_match_decode(c3, a2):
         assert count_copies(g, c3) == row.copies
 
 
-# (pattern, N, eps, tau or None for tau_for(N, m)) -> (containers, nodes, sha256 of export_text)
+# (pattern, N, eps, tau or None for tau_for(N, m)) -> (containers, nodes, sha256 of
+# export_text, sha256 of the fingerprint-path export the reader once took)
 PINNED = {
     ("c3", 4, Fraction(1, 10), None): (
-        99, 275, "e9b85a202538a6437ded8e171a6de5984da4437050ecf35d342849b505b38a0d"),
+        99, 275, "5807d4512a866741634bff966fb14b34e60a2cbd546fd07a2f8c5e4f16abd3de",
+        "e9b85a202538a6437ded8e171a6de5984da4437050ecf35d342849b505b38a0d"),
     ("c3", 5, Fraction(1, 10), None): (
-        1785, 5207, "76c26aa69697ab6e168822beb584afcac83b1afa2b917bd6897d40fd884a3255"),
+        1785, 5207, "d11c161c50a7d62b7f99d32a54bf815e7cd33a03e882148c5cbd5026990dc197",
+        "76c26aa69697ab6e168822beb584afcac83b1afa2b917bd6897d40fd884a3255"),
     ("c3", 6, Fraction(1, 5), None): (
-        42524, 118778, "3f3ca956b5e04642e7f6291c84f70bc49d8e12b925a0ff82717a66179ba5d8f0"),
+        42524, 118778, "2d43386b5320087deeb823fe0b41bf9b501fd9bacb370e24e8c7964b6883d8da",
+        "3f3ca956b5e04642e7f6291c84f70bc49d8e12b925a0ff82717a66179ba5d8f0"),
     ("t3", 6, Fraction(1, 3), None): (
-        1476, 3267, "5ad6a785c630ecf2d3776b71cc19ad2fe653c6fcd8ce3a66ec5ef7a6214d096c"),
+        1476, 3267, "594cf46c5c2707139370dd1f80b8173d815964d249cf2e08f99c5633a58afb2e",
+        "5ad6a785c630ecf2d3776b71cc19ad2fe653c6fcd8ce3a66ec5ef7a6214d096c"),
     ("dk3", 5, Fraction(1, 4), 0.5): (
-        405, 575, "d6aa5dd7c02ef805803db0dd8742ed7cb586bb6d1d873442819e63b37c3b9f69"),
+        405, 575, "58ddb3e3afbf5aca39c628860f585bc40427549d08c201981696edf9161bc2c3",
+        "d6aa5dd7c02ef805803db0dd8742ed7cb586bb6d1d873442819e63b37c3b9f69"),
 }
 
 
@@ -481,10 +494,11 @@ def assert_one_container_per_leaf(fam):
 @pytest.mark.parametrize("key", list(PINNED), ids=_pinned_id)
 def test_pinned_families(pinned_families, key):
     _, fam = pinned_families[key]
-    containers, nodes, digest = PINNED[key]
+    containers, nodes, digest, path_digest = PINNED[key]
     assert len(fam.containers) == containers
     assert len(fam.pivots) == nodes
     assert hashlib.sha256(fam.export_text().encode()).hexdigest() == digest
+    assert hashlib.sha256(naive_export_paths(fam).encode()).hexdigest() == path_digest
     assert_one_container_per_leaf(fam)
 
 
@@ -516,54 +530,78 @@ def test_sparsity_recount_empty_family(c3):
     assert _recount(hg, empty) == (True, 0)
 
 
+def _routing(fam):
+    return fam.root, list(fam.pivots), list(fam.out_child), list(fam.in_child)
+
+
+def assert_both_formats_carry_the_tree(fam):
+    """The reader gives back the builder's tree, and so does the fingerprint-path
+    oracle; the export re-exports byte for byte and equals the naive writer's."""
+    text = fam.export_text()
+    loaded = ContainerFamily.from_export_text(text)
+    assert _routing(loaded) == _routing(fam)
+    assert _routing(naive_read_paths(naive_export_paths(fam))) == _routing(fam)
+    assert loaded.containers == fam.containers
+    assert loaded.export_text() == text == naive_export_preorder(fam)
+
+
 @pytest.mark.parametrize("key", list(PINNED), ids=_pinned_id)
 def test_reader_rebuilds_the_tree(pinned_families, key):
     _, fam = pinned_families[key]
-    text = fam.export_text()
-    loaded = ContainerFamily.from_export_text(text)
-    assert (loaded.root, loaded.pivots, loaded.out_child, loaded.in_child) == (
-        fam.root, fam.pivots, fam.out_child, fam.in_child)
-    # only the writer's line order is read: shuffled lines are refused at the
-    # first line whose path does not follow the one before it
-    lines = text.splitlines()
-    head, pairs = lines[:1 + len(fam.containers)], lines[1 + len(fam.containers):]
-    random.Random(5).shuffle(pairs)
-    shuffled = "\n".join(head + pairs) + "\n"
+    assert_both_formats_carry_the_tree(fam)
+    # shuffled tree lines are refused at the first line the tree cannot take
+    lines = fam.export_text().splitlines()
+    head, tree = lines[:1 + len(fam.containers)], lines[1 + len(fam.containers):]
+    random.Random(5).shuffle(tree)
+    shuffled = "\n".join(head + tree) + "\n"
     with pytest.raises(ParseError) as want:
-        naive_read_family(shuffled)
+        naive_read_preorder(shuffled)
     with pytest.raises(ParseError) as got:
         ContainerFamily.from_export_text(shuffled)
     assert str(got.value) == str(want.value)
 
 
-@pytest.mark.parametrize("pairs, line, why", [
-    (["0- 0", "0+ 1", "0- 1"], 6, "fingerprint paths out of depth-first order"),
-    (["0-,1- 0", "0- 1"], 5, "conflicting fingerprint paths"),            # ends on a node
-    (["0-,1- 0", ". 1"], 5, "conflicting fingerprint paths"),             # ends on the root
-    (["0- 0", "0-,1+ 1"], 5, "conflicting fingerprint paths"),            # runs through a leaf
-    (["0-,1- 0", "0-,2+ 1"], 5, "fingerprint paths disagree on pivot"),
-    (["0-,1- 0", "0-,1+ 1", "0-,2- 0"], 6, "fingerprint paths disagree on pivot"),
-    (["0-,1+ 0", "0+ 1", "0-,1+,2- 1"], 6, "fingerprint paths out of depth-first order"),
-    (["0- 0", "0- 1"], 5, "conflicting fingerprint paths"),               # the same path twice
+# a header on [3] (pivots 0..5) with two containers: the tree starts at line 4
+@pytest.mark.parametrize("tree, line, why", [
+    (["0", "-2"], 5, "routing tree ends with 1 branch(es) open"),
+    (["0", "1", "-2"], 6, "routing tree ends with 2 branch(es) open"),
+    ([], 3, "routing tree ends with 1 branch(es) open"),
+    (["0", "-2", "-3", "-1"], 7, "code past the end of the routing tree"),
+    (["-1", "-1"], 5, "code past the end of the routing tree"),
+    (["0", "x", "-1"], 5, "bad tree code 'x'"),
+    (["0", "1+", "-1"], 5, "bad tree code '1+'"),
+    (["0", " -2", "-1"], 5, "bad tree code ' -2'"),
+    (["0", "\u0661", "-1"], 5, "bad tree code '\u0661'"),
+    (["0", "1-2", "-1"], 5, "bad tree code '1-2'"),
+    (["0", "--2", "-1"], 5, "bad tree code '--2'"),
+    (["0", "-", "-1"], 5, "bad tree code '-'"),
+    (["6", "-2", "-1"], 4, "tree pivot 6 not in 0..5"),
+    (["0", "-4", "-1"], 5, "tree leaf -4 not in -3..-1"),
+    # the first bad line is named, whatever is wrong after it
+    (["0", "7", "x"], 5, "tree pivot 7 not in 0..5"),
+    (["-2", "-9", "x"], 5, "code past the end of the routing tree"),
 ])
-def test_reader_refuses_conflicting_paths(pairs, line, why):
-    text = "\n".join(["3 3 1/10 0.5 2", "3f", "1f", *pairs]) + "\n"
-    with pytest.raises(ParseError, match=f"^line {line}: {why}$"):
+def test_reader_refuses_malformed_trees(tree, line, why):
+    text = "\n".join(["3 3 1/10 0.5 2", "3f", "1f", *tree]) + "\n"
+    with pytest.raises(ParseError) as want:
+        naive_read_preorder(text)
+    assert str(want.value) == f"line {line}: {why}"
+    with pytest.raises(ParseError, match=f"^line {line}: {re.escape(why)}$"):
         ContainerFamily.from_export_text(text)
 
 
 def test_reader_reads_long_zero_padded_numbers():
     # leading zeros past Python's 4300-digit limit on int() are read as zeros
-    text = f"3 3 1/10 0.5 1\n3f\n{'0' * 5000}1+ {'0' * 5000}\n"
+    text = f"3 3 1/10 0.5 1\n3f\n{'0' * 5000}1\n-1\n-{'0' * 5000}2\n"
     fam = ContainerFamily.from_export_text(text)
-    assert (fam.root, list(fam.pivots), list(fam.out_child), list(fam.in_child)) == (0, [1], [DEAD], [-2])
-    assert fam.export_text() == "3 3 1/10 0.5 1\n3f\n1+ 0\n"
+    assert _routing(fam) == (0, [1], [DEAD], [-2])
+    assert fam.export_text() == "3 3 1/10 0.5 1\n3f\n1\n-1\n-2\n"
     # and so are the header's integers, eps's two parts included
     zeros = "0" * 5000
     head = f"{zeros}3 {zeros}3 {zeros}1/{zeros}10 0.5 {zeros}1"
-    fam = ContainerFamily.from_export_text(f"{head}\n3f\n1+ 0\n")
+    fam = ContainerFamily.from_export_text(f"{head}\n3f\n-2\n")
     assert (fam.N, fam.r, fam.eps, fam.containers) == (3, 3, Fraction(1, 10), [0x3F])
-    assert fam.export_text() == "3 3 1/10 0.5 1\n3f\n1+ 0\n"
+    assert fam.export_text() == "3 3 1/10 0.5 1\n3f\n-2\n"
 
 
 def _tree(fam):
@@ -714,7 +752,7 @@ def test_verify_refuses_before_sparsity(c3, monkeypatch):
 _C3_N4 = build_containers(build_hypergraph(4, PatternDigraph.from_text("n=3; 0 1; 1 2; 2 0")),
                           0.5, Fraction(1, 10)).export_text()
 _NOISE = "0123456789abcdefABx+-,./_ \n\u00a0\u2028\u0661"
-_PAIRS_FROM = 1 + int(_C3_N4.split(maxsplit=5)[4])     # the first fingerprint line
+_TREE_FROM = 1 + int(_C3_N4.split(maxsplit=5)[4])      # the first tree line
 
 
 def _big_number(draw):
@@ -729,19 +767,20 @@ def mutated_exports(draw):
     for _ in range(draw(st.integers(1, 4))):
         k = draw(st.integers(0, len(lines) - 1))
         op = draw(st.sampled_from(["char", "drop", "dup", "swap", "header", "shuffle", "big",
-                                   "upper"]))
+                                   "upper", "code"]))
         if op == "upper":
             lines[k] = lines[k].upper()
             continue
         if op == "shuffle":
-            lines[_PAIRS_FROM:] = draw(st.permutations(lines[_PAIRS_FROM:]))
+            lines[_TREE_FROM:] = draw(st.permutations(lines[_TREE_FROM:]))
             continue
         if op == "big":
-            parts = lines[k].split()
-            if len(parts) == 2 and draw(st.booleans()):
-                lines[k] = f"{parts[0]} {_big_number(draw)}"
-            elif len(parts) == 2 and parts[0][:1].isdigit():
-                lines[k] = f"{_big_number(draw)}{parts[0].lstrip('0123456789')} {parts[1]}"
+            if re.fullmatch("-?[0-9]+", lines[k]):
+                lines[k] = lines[k][:lines[k].startswith("-")] + _big_number(draw)
+            continue
+        if op == "code":
+            # a pivot or leaf code near the ends of their ranges
+            lines[k] = str(draw(st.integers(-102, 13)))
             continue
         if op == "char":
             ln = lines[k]
@@ -787,46 +826,18 @@ def test_reader_fuzz_fails_only_with_package_errors(c3, text):
 @settings(max_examples=300, deadline=None, database=None)
 @given(mutated_exports())
 def test_reader_matches_the_line_walk_oracle(text):
-    # the same tree, or the same refusal at the same line, as inserting the
-    # paths into a trie one line at a time
+    # the same tree, or the same refusal at the same line, as filling the
+    # open child slots one line at a time
     try:
-        want = naive_export_text(naive_read_family(text))
+        want = naive_read_preorder(text)
     except ParseError as exc:
         with pytest.raises(ParseError) as got:
             ContainerFamily.from_export_text(text)
         assert str(got.value) == str(exc)
         return
-    assert ContainerFamily.from_export_text(text).export_text() == want
-
-
-@pytest.mark.parametrize("key", list(PINNED)[:2], ids=_pinned_id)
-def test_reader_names_the_first_conflict_in_any_line_order(pinned_families, key):
-    # a repeated path, and a pivot changed on one line, among shuffled lines
-    _, fam = pinned_families[key]
-    lines = fam.export_text().splitlines()
-    head, pairs = lines[:1 + len(fam.containers)], lines[1 + len(fam.containers):]
-    rng = random.Random(7)
-    for _ in range(20):
-        bad = list(pairs)
-        k = rng.randrange(len(bad))
-        if rng.random() < 0.5:
-            bad.insert(rng.randrange(len(bad)), bad[k])
-        else:
-            path, idx = bad[k].split()
-            tokens = path.split(",")
-            d = rng.randrange(len(tokens))
-            tokens[d] = f"{(int(tokens[d][:-1]) + 1) % fam.universe.size}{tokens[d][-1]}"
-            bad[k] = f"{','.join(tokens)} {idx}"
-        rng.shuffle(bad)
-        text = "\n".join(head + bad) + "\n"
-        try:
-            want = naive_export_text(naive_read_family(text))
-        except ParseError as exc:
-            with pytest.raises(ParseError) as got:
-                ContainerFamily.from_export_text(text)
-            assert str(got.value) == str(exc)
-        else:
-            assert ContainerFamily.from_export_text(text).export_text() == want
+    got = ContainerFamily.from_export_text(text)
+    assert (_routing(got), got.containers) == (_routing(want), want.containers)
+    assert got.export_text() == naive_export_preorder(want)
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -834,10 +845,9 @@ def test_reader_names_the_first_conflict_in_any_line_order(pinned_families, key)
 def test_writer_matches_the_depth_first_oracle(hg, den, num, rng):
     eps = Fraction(min(num, den // 6), den)
     fam = build_containers(hg, 1.0, eps)
+    assert_both_formats_carry_the_tree(fam)
     text = fam.export_text()
-    assert text == naive_export_text(fam)
-    assert ContainerFamily.from_export_text(text).export_text() == text
-    # the leaf lines follow the tree, not the numbering of its nodes
+    # the tree lines follow the tree, not the numbering of its nodes
     nodes = len(fam.pivots)
     new = list(range(nodes))
     rng.shuffle(new)
@@ -855,22 +865,32 @@ def test_writer_matches_the_depth_first_oracle(hg, den, num, rng):
     assert shuffled.export_text() == text
 
 
-@pytest.mark.parametrize("N, paths", [
-    (3, ["0-,1+ 0", "0+ 1"]),
-    (3, ["0+ 0"]),
-    (3, ["0- 0"]),
-    (3, [". 0"]),
-    (3, []),
-    (56, [",".join(f"{v}{'-+'[v % 2]}" for v in range(3000)) + " 0"]),
-    (400, ["159599+ 0"]),
+def _deep_path(depth: int) -> list[str]:
+    """A path of ``depth`` nodes, node v taking its excluded branch on to node
+    v+1 when v is even and its included branch when v is odd, ending in leaf 0."""
+    tree, dead_after = [], 0
+    for v in range(depth):
+        tree += [str(v)] if v % 2 == 0 else [str(v), "-1"]
+        dead_after += v % 2 == 0
+    return tree + ["-2"] + ["-1"] * dead_after
+
+
+@pytest.mark.parametrize("N, tree", [
+    (3, ["0", "1", "-1", "-2", "-3"]),
+    (3, ["0", "-1", "-2"]),
+    (3, ["0", "-2", "-1"]),
+    (3, ["-2"]),
+    (3, ["-1"]),
+    (56, _deep_path(3000)),
+    (400, ["159599", "-1", "-2"]),
 ], ids=["in-leaf-under-a-node", "dead-out-child", "dead-in-child", "root-leaf", "empty-tree",
         "3000-tokens-deep", "one-pivot-of-159600"])
-def test_writer_writes_back_trees_the_builder_never_makes(N, paths):
+def test_writer_writes_back_trees_the_builder_never_makes(N, tree):
     # builder trees have no included leaves; a file may also hold a path
     # deeper than Python's recursion limit, or a pivot far past its node count
     width = (N * N - N + 3) // 4
     text = "".join([f"{N} 3 1/10 0.5 2\n", f"{1:0{width}x}\n", f"{2:0{width}x}\n",
-                    *(f"{p}\n" for p in paths)])
+                    *(f"{code}\n" for code in tree)])
     fam = ContainerFamily.from_export_text(text)
     tracemalloc.start()
     try:
@@ -879,4 +899,5 @@ def test_writer_writes_back_trees_the_builder_never_makes(N, paths):
         assert tracemalloc.get_traced_memory()[1] < 2 << 20
     finally:
         tracemalloc.stop()
-    assert naive_export_text(fam) == text
+    assert naive_export_preorder(fam) == text
+    assert _routing(naive_read_preorder(text)) == _routing(fam)
