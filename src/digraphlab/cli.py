@@ -26,7 +26,7 @@ from .containers import (
     require_verifiable,
     verify_family,
 )
-from .density import density_report, require_usable_m
+from .density import condition_a, density_report, require_usable_m
 from .digraphs import PatternDigraph, falling
 from .errors import (
     BudgetError,
@@ -222,7 +222,7 @@ def cmd_density(args, pattern):
 
 def cmd_condition_a(args, pattern):
     weight = WeightParam.parse(args.a)
-    return _condition_a_doc(weight, density_report(pattern, weight).condition), [], None
+    return _condition_a_doc(weight, condition_a(pattern, weight)), [], None
 
 
 def cmd_ex(args, pattern):

@@ -3,7 +3,10 @@
 Two quantities drive everything downstream: the sparsity verdict (every edge
 subset with more than one edge must have density e/v at most a/2) and the
 shifted-ratio maximum m = max (e-1)/(v-2) used as the container exponent.
-Both are computed by exhaustive subgraph scans with exact rationals.
+Both are read off one walk over the pattern's edge subsets
+(``PatternDigraph.subset_maxima``), which compares the ratios exactly by
+integer cross-multiplication and keeps the first subset attaining each
+maximum as its witness.  A pattern is walked once, whichever of these asks.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digraphs import PatternDigraph, iter_subpatterns
+from .digraphs import PatternDigraph
 from .errors import PreconditionError
 from .weights import WeightParam
 
@@ -62,33 +65,26 @@ class ConditionResult:
         return f"{e}/{v} {rel} {self.weight.exact_str}/2"
 
 
+def _witness(pattern: PatternDigraph, mask: int) -> tuple[Edge, ...]:
+    """The edges a subset mask picks from the sorted edge list."""
+    return tuple(edge for i, edge in enumerate(pattern.graph.edge_list) if mask >> i & 1)
+
+
 def m_density(pattern: PatternDigraph) -> MDensityResult:
-    """Exhaustive exact scan for the container exponent m."""
-    best: Fraction | None = None
-    witness = None
-    two_cycle = False
-    for subset, span in iter_subpatterns(pattern):
-        if span == 2:
-            two_cycle = True
-            continue
-        cand = Fraction(len(subset) - 1, span - 2)
-        if best is None or cand > best:
-            best = cand
-            witness = subset
-    return MDensityResult(best, witness, two_cycle)
+    """The container exponent m; a subset spanning two vertices with two
+    edges is exactly a 2-cycle, so the flag is f2 > 0."""
+    two_cycle = pattern.graph.f2 > 0
+    if pattern.subset_maxima[1] is None:
+        return MDensityResult(None, None, two_cycle)
+    e, v, mask = pattern.subset_maxima[1]
+    return MDensityResult(Fraction(e - 1, v - 2), _witness(pattern, mask), two_cycle)
 
 
 def condition_a(pattern: PatternDigraph, weight: WeightParam) -> ConditionResult:
     """True iff every edge subset with e > 1 has e/v <= a/2, decided exactly."""
-    worst: Fraction | None = None
-    witness = None
-    for subset, span in iter_subpatterns(pattern):
-        cand = Fraction(len(subset), span)
-        if worst is None or cand > worst:
-            worst = cand
-            witness = subset
-    ok = weight.cmp_to_fraction(2 * worst) >= 0
-    return ConditionResult(ok, worst, witness, weight)
+    e, v, mask = pattern.subset_maxima[0]
+    worst = Fraction(e, v)
+    return ConditionResult(weight.cmp_to_fraction(2 * worst) >= 0, worst, _witness(pattern, mask), weight)
 
 
 def degree_lemma_constant(pattern: PatternDigraph) -> int:
@@ -113,9 +109,7 @@ def require_usable_m(pattern: PatternDigraph) -> Fraction:
     res = m_density(pattern)
     if not res.usable:
         if res.has_two_cycle_subgraph:
-            raise PreconditionError(
-                "container exponent is flagged infinite: the pattern contains a "
-                "2-cycle subgraph (v=2, e=2), so the shifted ratio diverges"
-            )
+            raise PreconditionError("container exponent is flagged infinite: the pattern contains "
+                                    "a 2-cycle subgraph (v=2, e=2), so the shifted ratio diverges")
         raise PreconditionError("container exponent undefined: no subgraph with e>1 and v>=3")
     return res.value

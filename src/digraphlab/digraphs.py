@@ -9,6 +9,7 @@ all operations are safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -24,10 +25,7 @@ _HEADER_RE = re.compile(r"^n\s*=\s*(\d{1,18})$")
 
 def falling(n: int, k: int) -> int:
     """Falling factorial n*(n-1)*...*(n-k+1)."""
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
+    return math.perm(n, k)
 
 
 @dataclass(frozen=True)
@@ -137,28 +135,14 @@ def _embedding_plan(core: Digraph) -> list[tuple[list[int], list[int]]]:
     """
     n = core.n
     out_m, in_m = core.out_mask, core.in_mask
-    deg = [bin(out_m[v]).count("1") + bin(in_m[v]).count("1") for v in range(n)]
     order: list[int] = []
-    placed: set[int] = set()
     while len(order) < n:
-        best = None
-        best_key = None
-        for v in range(n):
-            if v in placed:
-                continue
-            links = sum(1 for u in placed if (out_m[u] | in_m[u]) >> v & 1)
-            key = (links, deg[v], -v)
-            if best_key is None or key > best_key:
-                best, best_key = v, key
-        order.append(best)
-        placed.add(best)
-    slot_of = {v: i for i, v in enumerate(order)}
-    plan = []
-    for i, v in enumerate(order):
-        need_out = [slot_of[u] for u in order[:i] if out_m[u] >> v & 1]
-        need_in = [slot_of[u] for u in order[:i] if in_m[u] >> v & 1]
-        plan.append((need_out, need_in))
-    return plan
+        # most links to the placed vertices, then the highest degree, then the least index
+        order.append(max((v for v in range(n) if v not in order), key=lambda v: (
+            sum((out_m[u] | in_m[u]) >> v & 1 for u in order),
+            out_m[v].bit_count() + in_m[v].bit_count(), -v)))
+    return [([i for i, u in enumerate(order[:k]) if out_m[u] >> v & 1],
+             [i for i, u in enumerate(order[:k]) if in_m[u] >> v & 1]) for k, v in enumerate(order)]
 
 
 def _embed_search(g: Digraph, core: Digraph, plan) -> int:
@@ -217,6 +201,11 @@ class PatternDigraph:
         return automorphism_count(self.graph)
 
     @cached_property
+    def subset_maxima(self) -> tuple[tuple[int, int, int], tuple[int, int, int] | None]:
+        """subset_maxima over the sorted edge list, walked once per pattern."""
+        return subset_maxima(self.graph.edge_list)
+
+    @cached_property
     def core_digraph(self) -> Digraph:
         """The pattern restricted to its non-isolated vertices, reindexed."""
         return self.graph.spanned_subgraph(self.graph.edges)
@@ -249,32 +238,47 @@ def is_pattern_free(g: Digraph, pattern: PatternDigraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Subpattern enumeration
+# Densest edge subsets
 # ---------------------------------------------------------------------------
 
-def iter_subpatterns(pattern: PatternDigraph):
-    """Yield (edge_subset, span) over all edge subsets with >= 2 edges.
+def _spans(edges) -> list[int]:
+    """The endpoint set of every subset of edges, by mask: those of the mask
+    without its highest bit, and that edge's."""
+    span = [0]
+    for u, v in edges:
+        span += [s | 1 << u | 1 << v for s in span]
+    return span
 
-    span counts only the vertices covered by the chosen edges.  Subset order
-    follows the bitmask counter over the sorted edge list, so it is
-    deterministic.
+
+def subset_maxima(edges) -> tuple[tuple[int, int, int], tuple[int, int, int] | None]:
+    """(e, v, mask) of the first edge subset of largest e/v, and of the first
+    of largest (e-1)/(v-2) with v >= 3 (None if no subset spans 3 vertices),
+    over subsets of e >= 2 edges with v endpoints; bit i of a mask picks
+    edges[i], and "first" means the least mask.
+
+    One walk in ascending mask order keeps the least mask of each (e, v),
+    from endpoint tables of 2^(r/2) entries for the low and the high half
+    of a mask; those few candidates are compared by cross-multiplication.
     """
-    edges = pattern.graph.edge_list
     r = len(edges)
     if r > 20:
         raise BudgetError(f"subpattern scan over 2^{r} subsets refused")
-    endpoint_mask = [(1 << u) | (1 << v) for u, v in edges]
-    for mask in range(1, 1 << r):
-        if mask.bit_count() < 2:
-            continue
-        vm = 0
-        m = mask
-        while m:
-            b = m & -m
-            m ^= b
-            vm |= endpoint_mask[b.bit_length() - 1]
-        subset = tuple(edges[i] for i in range(r) if mask >> i & 1)
-        yield subset, vm.bit_count()
+    k = r // 2
+    lo_span = _spans(edges[:k])
+    lo_size = [lo.bit_count() for lo in range(1 << k)]
+    first: dict[int, int] = {}  # v << 5 | e -> the least mask of e edges on v vertices
+    for hi, hi_span in enumerate(_spans(edges[k:])):
+        e = hi.bit_count()
+        keys = [(hi_span | s).bit_count() << 5 | e + c for s, c in zip(lo_span, lo_size)]
+        for key in set(keys).difference(first):
+            first[key] = hi << k | keys.index(key)
+    dense = shifted = None
+    for mask, v, e in sorted((mask, key >> 5, key & 31) for key, mask in first.items()):
+        if e > 1 and (dense is None or e * dense[1] > dense[0] * v):
+            dense = (e, v, mask)
+        if v > 2 and (shifted is None or (e - 1) * (shifted[1] - 2) > (shifted[0] - 1) * (v - 2)):
+            shifted = (e, v, mask)
+    return dense, shifted
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +337,11 @@ def _colour_cells(g: Digraph) -> list[list[int]]:
     return cells
 
 
-def _canonical_search(g: Digraph, orders: list | None) -> bytes:
-    """The canonical key of g; when orders is a list, every colour-respecting
-    vertex order attaining the least word sequence is appended to it.  A
-    discrete colouring admits one such order, read off without a search."""
+def _canonical_search(g: Digraph, orders: list | _OrderCount | None) -> bytes:
+    """The canonical key of g; when orders is a list (or an _OrderCount),
+    every colour-respecting vertex order attaining the least word sequence
+    is appended to it.  A discrete colouring admits one such order, read off
+    without a search."""
     n = g.n
     if n > _CANONICAL_MAX:
         raise BudgetError(f"canonical form over {n}! permutations refused")
@@ -391,10 +396,11 @@ def canonical_form_and_group(g: Digraph) -> tuple[bytes, list[tuple[int, ...]]]:
     return key, sorted(tuple(v for _, v in sorted(zip(orders[0], order))) for order in orders)
 
 
-def _minimal_words(out_m: tuple[int, ...], cells: list[list[int]], orders: list | None) -> list[int]:
+def _minimal_words(out_m: tuple[int, ...], cells: list[list[int]],
+                   orders: list | _OrderCount | None) -> list[int]:
     """The lexicographically least word sequence over the vertex orders that
     place the cells one after another; word k is the 2k bits of vertex k.
-    When orders is a list, the vertex orders attaining it are appended."""
+    When orders is given, the vertex orders attaining it are appended."""
     n = len(out_m)
     # pair[u][v]: the 2 bits (u->v, v->u) that u, placed before v, adds to v's word
     pair = [[(out_m[u] >> v & 1) << 1 | (out_m[v] >> u & 1) for v in range(n)] for u in range(n)]
@@ -425,7 +431,7 @@ def _minimal_words(out_m: tuple[int, ...], cells: list[list[int]], orders: list 
                 best[k] = w
                 for i in range(k + 1, n):
                     best[i] = inf
-                if orders:
+                if orders is not None:
                     orders.clear()
             used[v] = True
             path[k] = v
@@ -445,6 +451,23 @@ def automorphisms(g: Digraph) -> list[tuple[int, ...]]:
     return canonical_form_and_group(g)[1]
 
 
+class _OrderCount:
+    """An order sink for _canonical_search that keeps only how many it got."""
+
+    count = 0
+
+    def append(self, order):
+        self.count += 1
+
+    def clear(self):
+        self.count = 0
+
+
 def automorphism_count(g: Digraph) -> int:
-    """|Aut(G)|, the number of orders attaining the least word sequence (n <= 10)."""
-    return len(automorphisms(g))
+    """|Aut(G)|, the number of orders attaining the least word sequence
+    (n <= 10), counted in the search: no order is kept."""
+    if g.n > _CANONICAL_MAX:
+        raise BudgetError(f"automorphism search over {g.n}! permutations refused")
+    orders = _OrderCount()
+    _canonical_search(g, orders)
+    return orders.count

@@ -12,6 +12,7 @@ gate the container construction.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -20,7 +21,7 @@ from itertools import combinations
 from .density import degree_lemma_constant, require_usable_m
 from .digraphs import Digraph, PatternDigraph, count_copies, falling
 from .errors import BudgetError, PreconditionError, VerificationError
-from .extremal import compile_copies
+from .extremal import _bits, compile_copies
 
 BUILD_INJECTION_BUDGET = 5_000_000
 
@@ -48,13 +49,7 @@ class PairUniverse:
         return i, (t if t < i else t + 1)
 
     def digraph_from_mask(self, mask: int) -> Digraph:
-        edges = []
-        m = mask
-        while m:
-            b = m & -m
-            m ^= b
-            edges.append(self.index_pair(b.bit_length() - 1))
-        return Digraph(self.N, frozenset(edges))
+        return Digraph(self.N, frozenset(map(self.index_pair, _bits(mask))))
 
 
 @dataclass(frozen=True)
@@ -68,13 +63,7 @@ class PairHypergraph:
 
     @cached_property
     def edge_masks(self) -> tuple[int, ...]:
-        out = []
-        for e in self.edges:
-            m = 0
-            for idx in e:
-                m |= 1 << idx
-            out.append(m)
-        return tuple(out)
+        return tuple(sum(1 << idx for idx in e) for e in self.edges)
 
     @cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
@@ -171,17 +160,10 @@ def _codegree_sums(hg: PairHypergraph) -> dict[int, int]:
         eids = hg.incidence[v]
         if not eids:
             continue
+        others = [tuple(x for x in hg.edges[eid] if x != v) for eid in eids]
         for j in range(2, r + 1):
-            counter: dict[tuple[int, ...], int] = {}
-            best = 0
-            for eid in eids:
-                others = tuple(x for x in hg.edges[eid] if x != v)
-                for combo in combinations(others, j - 1):
-                    c = counter.get(combo, 0) + 1
-                    counter[combo] = c
-                    if c > best:
-                        best = c
-            sums[j] += best
+            counter = Counter(combo for rest in others for combo in combinations(rest, j - 1))
+            sums[j] += max(counter.values())
     return sums
 
 
@@ -196,7 +178,7 @@ def codegree_profile(hg: PairHypergraph, tau: float) -> CodegreeProfile:
         raise PreconditionError(f"tau={tau} outside (0, 1]")
     if hg.edge_count == 0:
         raise PreconditionError("co-degree profile undefined on an empty hypergraph")
-    if hg.r > 20:   # the sums walk 2^(r-1) subsets per incidence: iter_subpatterns' bound
+    if hg.r > 20:   # the sums walk 2^(r-1) subsets per incidence: subset_maxima's bound
         raise BudgetError(f"co-degree sums over 2^{hg.r - 1} subsets per incidence refused")
     sums = _codegree_sums(hg)
     r = hg.r

@@ -62,6 +62,24 @@ def naive_m(h_edges) -> tuple[Fraction | None, bool]:
     return best, flag
 
 
+def naive_witnesses(h_edges) -> tuple[tuple, tuple | None]:
+    """(subset, e, v) of largest e/v, and of largest (e-1)/(v-2) over v >= 3
+    (None if no subset spans three vertices); ties go to the subset of
+    least mask, bit i standing for the i-th edge in sorted order."""
+    edges = sorted(h_edges)
+
+    def first_max(ratio, rows):
+        rows = list(rows)
+        if not rows:
+            return None
+        return max(rows, key=lambda row: (ratio(row[1], row[2]),
+                                          -sum(1 << edges.index(x) for x in row[0])))
+
+    subsets = naive_subsets(h_edges)
+    return (first_max(Fraction, subsets),
+            first_max(lambda e, v: Fraction(e - 1, v - 2), (s for s in subsets if s[2] >= 3)))
+
+
 def naive_max_density(h_edges) -> Fraction:
     return max(Fraction(e, v) for _, e, v in naive_subsets(h_edges))
 

@@ -1002,3 +1002,65 @@ def test_verify_lemma_refuses_an_n_range_it_cannot_build(capsys, monkeypatch, n_
     assert time.monotonic() - t0 < 1.0  # the range is never materialised
     assert rc == 2 and out == ""
     assert err == f"digraphlab: refused: {why}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--pattern", "c3"],
+    ["condition-a", "--pattern", "dk3"],
+    ["containers", "--pattern", "c3", "--N", "4", "--eps", "1/10"],
+    ["verify-lemma", "--pattern", "t3", "--N-range", "4..5"],
+    ["pipeline", "--pattern", "c3", "--a", "2", "--N", "4", "--eps", "1/10"],
+])
+def test_one_subset_walk_per_run(capsys, monkeypatch, argv):
+    # m, the sparsity verdict and --tau auto all read the pattern's one walk
+    walk = digraphlab.digraphs.subset_maxima
+    walks = []
+    monkeypatch.setattr(digraphlab.digraphs, "subset_maxima",
+                        lambda edges: walks.append(edges) or walk(edges))
+    rc, _, _ = run(capsys, argv)
+    assert rc == 0 and len(walks) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["density"],
+    ["condition-a", "--a", "8"],
+    ["containers", "--N", "6", "--eps", "1/10", "--tau", "auto"],
+    ["pipeline", "--N", "6", "--eps", "1/10", "--a", "16"],
+])
+def test_more_than_twenty_pattern_edges_refused(capsys, monkeypatch, tmp_path, argv):
+    # the complete digraph on [6] has 30 edges: the subset walk refuses it
+    # before any other work of the handler
+    path = tmp_path / "k6.dg"
+    path.write_text("n=6\n" + "".join(f"{u} {v}\n" for u in range(6) for v in range(6) if u != v))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+    for module in (digraphlab.cli, digraphlab.containers):
+        monkeypatch.setattr(module, "build_hypergraph", no_work)
+    rc, out, err = run(capsys, [argv[0], "--pattern", str(path), *argv[1:]])
+    assert rc == 2 and out == ""
+    assert err == "digraphlab: refused: subpattern scan over 2^30 subsets refused\n"
+
+
+@pytest.mark.parametrize("argv, why", [
+    ([], "missing subcommand"),
+    (["verify-lemma", "--pattern", "c3", "--N-range", "5..x"], "malformed N range '5..x'"),
+    (["verify-lemma", "--pattern", "c3", "--N-range", "3,x"], "malformed N list '3,x'"),
+])
+def test_usage_errors_exit_1(capsys, argv, why):
+    rc, out, err = run(capsys, argv)
+    assert rc == 1 and out == ""
+    assert err == f"digraphlab: error: {why}\n"
+
+
+def test_pipeline_past_the_full_scan_takes_the_canonical_extremal(capsys):
+    # N=6 is past the full scan's n <= 5 and inside canonical growth's n <= 7
+    argv = ["pipeline", "--pattern", "t3", "--N", "6", "--eps", "2/5", "--samples", "200"]
+    rc, out, err = run(capsys, argv)
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "ae938c7da5f8e720e4768ff9e0a1226ce495e9c0cbf0c84b6ac2e14d33e1f72f"
+    res = json.loads(out)["results"]
+    assert res["extremal"] == {"value": "18", "mode": "canonical"}
+    assert res["extremal_note"] == "exact (canonical search)"
+    assert res["coverage"] == {"mode": "sampled", "checked": "200", "ok": True}

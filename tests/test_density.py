@@ -16,9 +16,17 @@ from digraphlab import (
     m_density,
 )
 from digraphlab.density import require_usable_m
-from digraphlab.errors import PreconditionError
+from digraphlab.digraphs import subset_maxima
+from digraphlab.errors import BudgetError, PreconditionError
 
-from oracles import naive_condition, naive_m, naive_max_density, relabel
+from oracles import (
+    naive_condition,
+    naive_m,
+    naive_max_density,
+    naive_subsets,
+    naive_witnesses,
+    relabel,
+)
 
 
 def test_m_examples(c3, t3):
@@ -70,10 +78,8 @@ def test_condition_a_monotone_in_a(c3, t3, dk3, p3):
 
 def test_condition_a_oriented_equivalence(c3, t3, p3, a2):
     # for 2-cycle-free patterns, the verdict at a=2 is just e(H') <= v(H')
-    from digraphlab.digraphs import iter_subpatterns
-
     for pat in (c3, t3, p3):
-        expect = all(len(subset) <= v for subset, v in iter_subpatterns(pat))
+        expect = all(e <= v for _, e, v in naive_subsets(pat.graph.edges))
         assert condition_a(pat, a2).ok == expect
 
 
@@ -97,6 +103,81 @@ def test_density_against_naive_oracle_random():
         assert condition_a(pat, WeightParam.from_rational(2)).max_density == naive_max_density(pat.graph.edges)
         for a in (Fraction(2), Fraction(3), Fraction(4)):
             assert condition_a(pat, WeightParam.from_rational(a)).ok == naive_condition(pat.graph.edges, a)
+
+
+def _witness_cases():
+    """Random patterns on up to 7 vertices (isolated ones included) with up
+    to 10 edges, and patterns made of ties: 2-cycles only, equal cycles,
+    paths, disjoint edges."""
+    rng = random.Random(53)
+    cases = [
+        Digraph(2, frozenset({(0, 1), (1, 0)})),
+        Digraph(5, frozenset({(0, 1), (1, 0), (2, 3), (3, 2)})),
+        Digraph(4, frozenset({(0, 1), (1, 0), (2, 3)})),
+        Digraph(7, frozenset({(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)})),
+        Digraph(6, frozenset({(0, 1), (2, 3), (4, 5)})),
+        Digraph(6, frozenset((i, i + 1) for i in range(5))),
+        Digraph(4, frozenset((u, v) for u in range(4) for v in range(4) if u != v)),
+    ]
+    while len(cases) < 300:
+        n = rng.randint(2, 7)
+        p = rng.choice([0.15, 0.3, 0.5])
+        edges = frozenset((u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p)
+        if 2 <= len(edges) <= 10:
+            cases.append(Digraph(n, edges))
+    return cases
+
+
+def test_walk_gives_the_first_maximisers():
+    # the walk's (e, v, mask) and every result read off it, against the
+    # least-mask maximisers of the naive subset list
+    for g in _witness_cases():
+        pat = PatternDigraph(g)
+        edges = pat.graph.edge_list
+        dense, shifted = naive_witnesses(g.edges)
+
+        def mask(subset):
+            return sum(1 << edges.index(x) for x in subset)
+        assert subset_maxima(edges) == pat.subset_maxima
+        assert pat.subset_maxima[0] == (dense[1], dense[2], mask(dense[0]))
+        cond = condition_a(pat, WeightParam.from_rational(2))
+        assert (cond.max_density, cond.witness) == (Fraction(dense[1], dense[2]), dense[0])
+        res = m_density(pat)
+        assert res.has_two_cycle_subgraph == naive_m(g.edges)[1]
+        if shifted is None:
+            assert pat.subset_maxima[1] is None
+            assert res.value is None and res.witness is None
+        else:
+            assert pat.subset_maxima[1] == (shifted[1], shifted[2], mask(shifted[0]))
+            assert (res.value, res.witness) == (Fraction(shifted[1] - 1, shifted[2] - 2), shifted[0])
+
+
+def test_walk_of_twenty_edges_keeps_no_subset(monkeypatch):
+    # the complete digraph on [5]: the full edge set is the first maximiser
+    # of both ratios, found without a tuple or a Fraction per subset
+    import tracemalloc
+
+    k5 = PatternDigraph(Digraph(5, frozenset((u, v) for u in range(5) for v in range(5) if u != v)))
+    made = []
+    monkeypatch.setattr("digraphlab.density.Fraction", lambda *a: made.append(a) or Fraction(*a))
+    tracemalloc.start()
+    try:
+        assert k5.subset_maxima == ((20, 5, (1 << 20) - 1), (20, 5, (1 << 20) - 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    res = m_density(k5)
+    assert (res.value, res.has_two_cycle_subgraph, len(res.witness)) == (Fraction(19, 3), True, 20)
+    assert condition_a(k5, WeightParam.from_rational(8)).witness_text == "20/5 <= 8/2"
+    assert made == [(19, 3), (20, 5)]
+
+
+def test_walk_refuses_more_than_twenty_edges_first():
+    k6 = PatternDigraph(Digraph(6, frozenset((u, v) for u in range(6) for v in range(6) if u != v)))
+    for read in (m_density, require_usable_m, lambda p: condition_a(p, WeightParam.from_rational(2))):
+        with pytest.raises(BudgetError, match=r"^subpattern scan over 2\^30 subsets refused$"):
+            read(k6)
 
 
 def test_m_monotone_under_subpattern(dk3):
