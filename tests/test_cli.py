@@ -1047,7 +1047,7 @@ def test_more_than_twenty_pattern_edges_refused(capsys, monkeypatch, tmp_path, a
     (["verify-lemma", "--pattern", "c3", "--N-range", "5..x"], "malformed N range '5..x'"),
     (["verify-lemma", "--pattern", "c3", "--N-range", "3,x"], "malformed N list '3,x'"),
 ])
-def test_usage_errors_exit_1(capsys, argv, why):
+def test_usage_errors_are_one_line_exit_1(capsys, argv, why):
     rc, out, err = run(capsys, argv)
     assert rc == 1 and out == ""
     assert err == f"digraphlab: error: {why}\n"
