@@ -27,7 +27,7 @@ from .containers import (
     verify_family,
 )
 from .density import condition_a, density_report, require_usable_m
-from .digraphs import PatternDigraph, falling
+from .digraphs import PatternDigraph, falling, require_automorphism_budget
 from .errors import (
     BudgetError,
     DigraphLabError,
@@ -123,8 +123,11 @@ def _run(args) -> int:
     --witness-dir, which say where output goes.
     """
     pattern, source = load_pattern(args.pattern)
-    # before the handler: the automorphism count refuses a pattern on more
-    # than 10 vertices, and that refusal must come before any work
+    # the automorphism count refuses a pattern on more than 10 vertices before
+    # any work; the count itself waits for the handler, so that the handler's
+    # own refusals (more than 20 edges, say) do not wait for a 10! search
+    require_automorphism_budget(pattern.graph)
+    results, checks, failure = args.func(args, pattern)
     inputs = {"pattern": {
         "source": source,
         "n": int_str(pattern.h),
@@ -132,7 +135,6 @@ def _run(args) -> int:
         "aut": int_str(pattern.aut),
         "edge_list": pattern.graph.to_edge_text(),
     }}
-    results, checks, failure = args.func(args, pattern)
     params = {k: "" if v is None else str(v)
               for k, v in vars(args).items() if k not in _UNRECORDED}
     doc = {

@@ -44,10 +44,16 @@ one by one.
 
 The export writes the tree once, in preorder, one code per line: a node's
 pivot, then its excluded and its included subtree, or a leaf's code.  The
-writer walks the tree with an explicit stack.  The reader parses the codes
-in one pass, checks the shape with one running count of open child slots,
-and finds each node's included child as the next code with the same count
-before it.  A conflicting path cannot be written in this form.
+writer walks the tree with an explicit stack.  The reader takes a container
+block in the writer's form (each line the universe's width in hex digits,
+either case, ended by "\n") as one byte matrix: a 256-entry table maps each
+byte to its nibble, and the nibbles are packed into uint64 words.  Any other
+block (CRLF, a blank or a wider line, a bad digit or bit, a short file) is
+read line by line, which names the first bad line.  The reader parses the
+codes in one pass, checks the shape with one running count of open child
+slots, and finds each node's included child as the next code with the same
+count before it, by one stable sort (a radix sort on 16-bit counts).  A
+conflicting path cannot be written in this form.
 
 numpy loads on the first array pass of the builder, verifier, writer or
 reader (lazy.LazyNumpy), not with this module.
@@ -61,7 +67,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .digraphs import PatternDigraph, count_copies
 from .errors import (
@@ -181,8 +187,10 @@ class ContainerFamily:
     def from_export_text(cls, text: str) -> "ContainerFamily":
         """The family an export describes.
 
-        Refuses what the builder never writes, with the number of the first
-        bad line among the non-blank ones.
+        A container block as the writer writes it is read in one array pass
+        (_hex_block), any other line by line.  Refuses what the builder
+        never writes, with the number of the first bad line among the
+        non-blank ones.
         """
         # lazily: the tree section is then parsed whole, not split into line strings
         lines = (m for m in _LINE.finditer(text) if m[1].strip())
@@ -191,19 +199,24 @@ class ContainerFamily:
             raise ParseError("empty family export")
         N, r, eps, tau, count = _parse_header(head[1])
         n_u = N * N - N
-        containers, end = [], head.end()    # and where the tree starts
-        for m in lines:
-            if len(containers) == count:
-                break
-            number, word = len(containers) + 2, m[1].strip()
-            if not _HEX.fullmatch(word):
-                raise ParseError("bad container bitset", number)
-            containers.append(int(word, 16))
-            if containers[-1] >> n_u:
-                raise ParseError(f"container bitset has a bit at or above N(N-1)={n_u}", number)
-            end = m.end()
-        if len(containers) < count:
-            raise ParseError("family export truncated: missing containers")
+        block = _hex_block(text, head.end(), count, n_u)
+        if block is not None:
+            containers, end = block     # and where the tree starts
+        else:
+            containers, end = [], head.end()
+            for m in lines:
+                if len(containers) == count:
+                    break
+                number, word = len(containers) + 2, m[1].strip()
+                if not _HEX.fullmatch(word):
+                    raise ParseError("bad container bitset", number)
+                containers.append(int(word, 16))
+                if containers[-1] >> n_u:
+                    raise ParseError(f"container bitset has a bit at or above N(N-1)={n_u}",
+                                     number)
+                end = m.end()
+            if len(containers) < count:
+                raise ParseError("family export truncated: missing containers")
         root, pivots, out_child, in_child = _read_tree(text[end:], 2 + count, n_u, count)
         return cls(N=N, r=r, eps=eps, tau=tau, containers=containers, spans=[], root=root,
                    pivots=pivots, out_child=out_child, in_child=in_child)
@@ -295,6 +308,38 @@ def _parse_header(line: str) -> tuple[int, int, Fraction, float, int]:
     return N, r, eps, tau, count
 
 
+@cache
+def _nibbles():
+    """Each byte's value as a hex digit of either case, 16 for any other byte."""
+    table = np.full(256, 16, dtype=np.uint8)
+    for digits in (b"0123456789abcdef", b"0123456789ABCDEF"):
+        table[np.frombuffer(digits, dtype=np.uint8)] = np.arange(16)
+    return table
+
+
+def _hex_block(text: str, start: int, count: int, n_u: int) -> tuple[list[int], int] | None:
+    """(masks, end) of the ``count`` container lines from ``text[start]`` on,
+    read as one byte matrix when each is as the writer writes it: the
+    universe's width in hex digits (either case), ended by "\n".  None for
+    any other block, and for one with a bit at or above ``n_u``."""
+    width = max(1, (n_u + 3) // 4)
+    end = start + count * (width + 1)
+    block = text[start:end]
+    if len(block) != end - start or not block.isascii():
+        return None
+    rows = np.frombuffer(block.encode("ascii"), dtype=np.uint8).reshape(count, width + 1)
+    nibbles = _nibbles()[rows[:, :width]]
+    # the leading digit holds the universe's top n_u - 4(width-1) bits, and
+    # is the only digit that can hold a bit past them
+    if ((rows[:, width] != ord("\n")).any() or nibbles[:, 1:].max(initial=0) > 15
+            or int(nibbles[:, 0].max(initial=0)) >> n_u - 4 * (width - 1)):
+        return None
+    words = np.zeros((count, -(-width // 16)), dtype=np.uint64)
+    for k in range(width):      # the k-th digit from the right, as _hex_lines writes it
+        words[:, k // 16] |= nibbles[:, width - 1 - k].astype(np.uint64) << np.uint64(4 * (k % 16))
+    return _ints(words), end
+
+
 def _nonblank(text: str) -> list[str]:
     return list(filter(str.strip, text.splitlines()))
 
@@ -372,8 +417,14 @@ def _read_tree(section: str, first: int, n_u: int, count: int):
         left = opened[-1] if n else 1
         raise ParseError(f"routing tree ends with {left} branch(es) open", first + n - 1)
     codes = codes.astype(np.int32, copy=False)
-    order = np.argsort(np.append(np.int32(1), opened[:-1]), kind="stable")
+    before = np.append(np.int32(1), opened[:-1])    # open slots before each code
     del opened
+    if before.max() < 1 << 15:
+        # numpy's stable sort of 16-bit ints is a radix sort, and a stable
+        # sort's permutation is unique
+        before = before.astype(np.int16)
+    order = np.argsort(before, kind="stable")
+    del before
     in_at = np.empty(n, dtype=np.int32)
     in_at[order[:-1]] = order[1:]
     del order

@@ -442,12 +442,17 @@ def _minimal_words(out_m: tuple[int, ...], cells: list[list[int]],
     return best
 
 
+def require_automorphism_budget(g: Digraph) -> None:
+    """Refuse an automorphism search over more than 10 vertices."""
+    if g.n > _CANONICAL_MAX:
+        raise BudgetError(f"automorphism search over {g.n}! permutations refused")
+
+
 def automorphisms(g: Digraph) -> list[tuple[int, ...]]:
     """Every automorphism of g, as perm[old] = new, in lexicographic order,
     read off the search that gives the canonical key
     (canonical_form_and_group).  A discrete colouring gives the identity."""
-    if g.n > _CANONICAL_MAX:
-        raise BudgetError(f"automorphism search over {g.n}! permutations refused")
+    require_automorphism_budget(g)
     return canonical_form_and_group(g)[1]
 
 
@@ -466,8 +471,7 @@ class _OrderCount:
 def automorphism_count(g: Digraph) -> int:
     """|Aut(G)|, the number of orders attaining the least word sequence
     (n <= 10), counted in the search: no order is kept."""
-    if g.n > _CANONICAL_MAX:
-        raise BudgetError(f"automorphism search over {g.n}! permutations refused")
+    require_automorphism_budget(g)
     orders = _OrderCount()
     _canonical_search(g, orders)
     return orders.count

@@ -1028,18 +1028,21 @@ def test_one_subset_walk_per_run(capsys, monkeypatch, argv):
     ["pipeline", "--N", "6", "--eps", "1/10", "--a", "16"],
 ])
 def test_more_than_twenty_pattern_edges_refused(capsys, monkeypatch, tmp_path, argv):
-    # the complete digraph on [6] has 30 edges: the subset walk refuses it
-    # before any other work of the handler
-    path = tmp_path / "k6.dg"
-    path.write_text("n=6\n" + "".join(f"{u} {v}\n" for u in range(6) for v in range(6) if u != v))
-
+    # the complete digraphs on [6] and [10] have 30 and 90 edges: the subset
+    # walk refuses them before any other work of the handler, and before the
+    # inputs block counts the automorphisms (10! optimal orders on [10])
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the refusal")
     for module in (digraphlab.cli, digraphlab.containers):
         monkeypatch.setattr(module, "build_hypergraph", no_work)
-    rc, out, err = run(capsys, [argv[0], "--pattern", str(path), *argv[1:]])
-    assert rc == 2 and out == ""
-    assert err == "digraphlab: refused: subpattern scan over 2^30 subsets refused\n"
+    monkeypatch.setattr(digraphlab.digraphs, "automorphism_count", no_work)
+    for n in (6, 10):
+        path = tmp_path / f"k{n}.dg"
+        edges = "".join(f"{u} {v}\n" for u in range(n) for v in range(n) if u != v)
+        path.write_text(f"n={n}\n{edges}")
+        rc, out, err = run(capsys, [argv[0], "--pattern", str(path), *argv[1:]])
+        assert rc == 2 and out == ""
+        assert err == f"digraphlab: refused: subpattern scan over 2^{n * n - n} subsets refused\n"
 
 
 @pytest.mark.parametrize("argv, why", [

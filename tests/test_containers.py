@@ -840,6 +840,95 @@ def test_reader_matches_the_line_walk_oracle(text):
     assert got.export_text() == naive_export_preorder(want)
 
 
+class _HexSpy:
+    """Stands in for the reader's _HEX and counts the container lines the
+    line loop checks."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def fullmatch(self, word):
+        self.calls += 1
+        return re.fullmatch("[0-9a-fA-F]+", word)
+
+
+class _NoHex:
+    """Stands in for the reader's _HEX where no line may reach the line loop."""
+
+    def fullmatch(self, word):
+        raise AssertionError(f"container line {word!r} went through the line loop")
+
+
+def _joined(*lines):
+    return "".join(f"{line}\n" for line in lines)
+
+
+_C3_N4_LINES = _C3_N4.splitlines()
+_C3_N4_HEAD = _C3_N4_LINES[0]
+_C3_N4_BLOCK = _C3_N4_LINES[1:_TREE_FROM]
+_C3_N4_TREE = _C3_N4_LINES[_TREE_FROM:]
+# on [10] the universe takes two uint64 words; the leading of 23 hex digits
+# holds bits 88..91, of which 90 and 91 lie outside it
+_TWO_WORD_EXPORT = _joined("10 3 1/10 0.5 3",
+                           *(f"{c:023x}" for c in ((1 << 89) | 1, (1 << 64) | (1 << 63), 0x3F)),
+                           "89", "-2", "64", "-3", "-4")
+
+
+# (text, the path its container block takes, the writer's text of the family
+# read, or the refusal)
+_READER_PATHS = {
+    "writer-form": (_C3_N4, "array", _C3_N4),
+    "upper-case": (_joined(_C3_N4_HEAD, *map(str.upper, _C3_N4_BLOCK), *_C3_N4_TREE), "array",
+                   _C3_N4),
+    "no-containers": (_joined("3 3 1/10 0.5 0", "-1"), "array", _joined("3 3 1/10 0.5 0", "-1")),
+    "two-words": (_TWO_WORD_EXPORT.upper(), "array", _TWO_WORD_EXPORT),
+    "crlf": (_C3_N4.replace("\n", "\r\n"), "lines", _C3_N4),
+    "zero-padded": (_joined(_C3_N4_HEAD, "0" + _C3_N4_BLOCK[0], *_C3_N4_BLOCK[1:],
+                            *_C3_N4_TREE), "lines", _C3_N4),
+    "blank-line": (_joined(_C3_N4_HEAD, _C3_N4_BLOCK[0], "", *_C3_N4_BLOCK[1:], *_C3_N4_TREE),
+                   "lines", _C3_N4),
+    "non-ascii-digit": (_joined(_C3_N4_HEAD, _C3_N4_BLOCK[0], "\u0661" + _C3_N4_BLOCK[1][1:],
+                                *_C3_N4_BLOCK[2:], *_C3_N4_TREE), "lines",
+                        "line 3: bad container bitset"),
+    # of the writer's length, but not ended by a line break
+    "no-break": (_joined("3 3 1/10 0.5 1", "3f -2"), "lines", "line 2: bad container bitset"),
+    "count-past-the-lines": (_joined("3 3 1/10 0.5 3", "3f", "1f"), "lines",
+                             "family export truncated: missing containers"),
+    "bit-at-N(N-1)": (_joined("3 3 1/10 0.5 3", "3f", "7f", "1f", "0", "-2", "-3"), "lines",
+                      "line 3: container bitset has a bit at or above N(N-1)=6"),
+    "two-words-bit-at-N(N-1)": (_TWO_WORD_EXPORT.replace(f"{0x3F:023x}", f"{1 << 90 | 1:023x}"),
+                                "lines", "line 4: container bitset has a bit at or above N(N-1)=90"),
+}
+
+
+@pytest.mark.parametrize("name", list(_READER_PATHS))
+def test_reader_paths_match_the_line_walk_oracle(name, monkeypatch):
+    # a block in the writer's form (either case) is read as one byte matrix,
+    # any other by the line loop: the same family, or the same refusal
+    text, path, want = _READER_PATHS[name]
+    spy = _HexSpy()
+    monkeypatch.setattr(digraphlab.containers, "_HEX", spy)
+    try:
+        oracle = naive_read_preorder(text)
+    except ParseError as exc:
+        assert str(exc) == want
+        with pytest.raises(ParseError, match=f"^{re.escape(want)}$"):
+            ContainerFamily.from_export_text(text)
+    else:
+        got = ContainerFamily.from_export_text(text)
+        assert (_routing(got), got.containers) == (_routing(oracle), oracle.containers)
+        assert got.export_text() == want
+    assert (spy.calls == 0) == (path == "array")
+
+
+@pytest.mark.parametrize("key", list(PINNED), ids=_pinned_id)
+def test_writer_exports_never_reach_the_line_loop(pinned_families, key, monkeypatch):
+    _, fam = pinned_families[key]
+    monkeypatch.setattr(digraphlab.containers, "_HEX", _NoHex())
+    loaded = ContainerFamily.from_export_text(fam.export_text())
+    assert (_routing(loaded), loaded.containers) == (_routing(fam), fam.containers)
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(small_hypergraphs(), st.integers(7, 60), st.integers(1, 10), st.randoms(use_true_random=False))
 def test_writer_matches_the_depth_first_oracle(hg, den, num, rng):
@@ -901,3 +990,18 @@ def test_writer_writes_back_trees_the_builder_never_makes(N, tree):
         tracemalloc.stop()
     assert naive_export_preorder(fam) == text
     assert _routing(naive_read_preorder(text)) == _routing(fam)
+
+
+def test_reader_orders_more_open_slots_than_int16_holds():
+    # the path leaves one included subtree open per even node: 2^16 + 2 open
+    # child slots at its deepest code, so the counts 1 and 2^16 + 1 would be
+    # one 16-bit value.  The root's included child, its last line, is leaf 1
+    N = 363     # N(N-1) > 2^17 + 1, the path's last pivot
+    width = (N * N - N + 3) // 4
+    tree = _deep_path((1 << 17) + 2)[:-1] + ["-3"]
+    text = "".join([f"{N} 3 1/10 0.5 2\n", f"{1:0{width}x}\n", f"{2:0{width}x}\n",
+                    *(f"{code}\n" for code in tree)])
+    fam = ContainerFamily.from_export_text(text)
+    assert _routing(fam) == _routing(naive_read_preorder(text))
+    assert fam.in_child[0] == -3
+    assert fam.export_text() == text
