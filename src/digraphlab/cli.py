@@ -596,10 +596,7 @@ def main(argv=None) -> int:
         print(f"digraphlab: refused: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:
-        msg = f"digraphlab: verification failed: {exc}"
-        if exc.witness:
-            msg += f"\nwitness:\n{exc.witness}"
-        print(msg, file=sys.stderr)
+        print(f"digraphlab: verification failed: {exc}", file=sys.stderr)
         return 3
 
 

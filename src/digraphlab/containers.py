@@ -44,16 +44,13 @@ one by one.
 
 The export writes the tree once, in preorder, one code per line: a node's
 pivot, then its excluded and its included subtree, or a leaf's code.  The
-writer walks the tree with an explicit stack.  The reader takes a container
-block in the writer's form (each line the universe's width in hex digits,
-either case, ended by "\n") as one byte matrix: a 256-entry table maps each
-byte to its nibble, and the nibbles are packed into uint64 words.  Any other
-block (CRLF, a blank or a wider line, a bad digit or bit, a short file) is
-read line by line, which names the first bad line.  The reader parses the
-codes in one pass, checks the shape with one running count of open child
-slots, and finds each node's included child as the next code with the same
-count before it, by one stable sort (a radix sort on 16-bit counts).  A
-conflicting path cannot be written in this form.
+writer walks the tree with an explicit stack.  The reader brings an export
+to the plain layout (ASCII lines, each ended by one "\n"), then reads each
+section's lines as numbers in one array pass, a digit column at a time: the
+containers in hex, the tree's codes in decimal.  It checks the shape with
+one running count of open child slots, and finds each node's included child
+as the next code with the same count before it, by one stable sort (a radix
+sort on 16-bit counts).  A conflicting path cannot be written in this form.
 
 numpy loads on the first array pass of the builder, verifier, writer or
 reader (lazy.LazyNumpy), not with this module.
@@ -67,7 +64,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 
 from .digraphs import PatternDigraph, count_copies
 from .errors import (
@@ -126,13 +123,6 @@ _SIEVE_ROWS = 16_384
 # best of 5, one Xeon vCPU): t3 N=7 (132 hyperedges) 0.61 -> 0.16 ms, c3
 # N=6 (20) 0.41 -> 0.14 ms, a 5-cycle on [7] (504) 22-27 -> 14-18 ms
 _REST_CELLS = 1 << 16
-_HEX = re.compile(r"[0-9a-fA-F]+")
-# a line and the break str.splitlines ends it at
-_LINE = re.compile(r"([^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)"
-                   r"(?:\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]|\Z)")
-# the routing tree's lines: codes, each an optional "-" and decimal digits
-_TREE_CHARS = re.compile(r"[0-9\n-]*")
-_TREE_TOKEN = re.compile(r"-?[0-9]+")
 # the header eps as the builder writes it; Fraction's exponent forms such as
 # 1e-9999999 would first build a ten-million-digit integer
 _FRACTION = re.compile(r"[0-9]+(/[0-9]+)?")
@@ -185,39 +175,34 @@ class ContainerFamily:
 
     @classmethod
     def from_export_text(cls, text: str) -> "ContainerFamily":
-        """The family an export describes.
-
-        A container block as the writer writes it is read in one array pass
-        (_hex_block), any other line by line.  Refuses what the builder
-        never writes, with the number of the first bad line among the
-        non-blank ones.
-        """
-        # lazily: the tree section is then parsed whole, not split into line strings
-        lines = (m for m in _LINE.finditer(text) if m[1].strip())
-        head = next(lines, None)
-        if head is None:
-            raise ParseError("empty family export")
-        N, r, eps, tau, count = _parse_header(head[1])
+        """The family an export describes, read in the plain layout
+        (_plain_export) in one array pass over each section's lines
+        (_read_numbers).  Refuses what the builder never writes, with the
+        number of the first bad line among the non-blank ones."""
+        (N, r, eps, tau, count), text, data, ends = _plain_export(text)
         n_u = N * N - N
-        block = _hex_block(text, head.end(), count, n_u)
-        if block is not None:
-            containers, end = block     # and where the tree starts
-        else:
-            containers, end = [], head.end()
-            for m in lines:
-                if len(containers) == count:
-                    break
-                number, word = len(containers) + 2, m[1].strip()
-                if not _HEX.fullmatch(word):
-                    raise ParseError("bad container bitset", number)
-                containers.append(int(word, 16))
-                if containers[-1] >> n_u:
-                    raise ParseError(f"container bitset has a bit at or above N(N-1)={n_u}",
-                                     number)
-                end = m.end()
-            if len(containers) < count:
-                raise ParseError("family export truncated: missing containers")
-        root, pivots, out_child, in_child = _read_tree(text[end:], 2 + count, n_u, count)
+        width = max(1, (n_u + 3) // 4)
+        # the leading digit holds the universe's top n_u - 4(width-1) bits
+        bad, over, _, (low, line, w, high) = _read_numbers(
+            data, ends[:1 + count], 16, width, 1 << n_u - 4 * (width - 1))
+        k = int(np.append(over[:bad], True).argmax())     # the first line over, else bad
+        if k < len(over):
+            raise ParseError("bad container bitset" if k == bad else
+                             f"container bitset has a bit at or above N(N-1)={n_u}", 2 + k)
+        if len(over) < count:
+            raise ParseError("family export truncated: missing containers")
+        containers = low.tolist()
+        for i, shift, value in zip(line.tolist(), (64 * w).tolist(), high.tolist()):
+            containers[i] |= value << shift
+        del low, high
+        bad, over, minus, (codes, *_) = _read_numbers(data, ends[count:], 10, 18, 10)
+        if over.any():      # past 18 digits (so in int64): out of every range
+            codes[over] = 1 << 62
+        np.negative(codes, out=codes, where=minus)
+        del data, ends, over, minus     # none is needed for the tree's shape
+        root, pivots, out_child, in_child = _read_tree(
+            codes[:bad], len(codes), lambda k: text.split("\n", 2 + count + k)[1 + count + k],
+            2 + count, n_u, count)
         return cls(N=N, r=r, eps=eps, tau=tau, containers=containers, spans=[], root=root,
                    pivots=pivots, out_child=out_child, in_child=in_child)
 
@@ -308,86 +293,101 @@ def _parse_header(line: str) -> tuple[int, int, Fraction, float, int]:
     return N, r, eps, tau, count
 
 
-@cache
-def _nibbles():
-    """Each byte's value as a hex digit of either case, 16 for any other byte."""
-    table = np.full(256, 16, dtype=np.uint8)
-    for digits in (b"0123456789abcdef", b"0123456789ABCDEF"):
-        table[np.frombuffer(digits, dtype=np.uint8)] = np.arange(16)
-    return table
+def _plain_export(text: str):
+    """(header fields, text, its bytes, its "\\n"s' positions) of an export
+    in the plain layout: a non-blank, printable header line, then an ASCII
+    body whose only whitespace is one "\\n" ending each non-empty line.  An
+    export in any other is rewritten as its lines are defined: the non-blank
+    lines str.splitlines finds, the ``count`` container lines stripped."""
+    head = text[:text.find("\n")]
+    if text.endswith("\n") and text.isascii() and head.isprintable() and head.strip():
+        data, ends = _lines(text)
+        if (np.count_nonzero(data[len(head):] <= ord(" ")) == len(ends)
+                and np.diff(ends).min(initial=2) > 1):
+            return _parse_header(head), text, data, ends
+    lines = list(filter(str.strip, text.splitlines()))
+    if not lines:
+        raise ParseError("empty family export")
+    fields = _parse_header(lines[0])
+    lines[1:1 + fields[-1]] = [line.strip() for line in lines[1:1 + fields[-1]]]
+    text = "\n".join(lines) + "\n"
+    del lines
+    return fields, text, *_lines(text)
 
 
-def _hex_block(text: str, start: int, count: int, n_u: int) -> tuple[list[int], int] | None:
-    """(masks, end) of the ``count`` container lines from ``text[start]`` on,
-    read as one byte matrix when each is as the writer writes it: the
-    universe's width in hex digits (either case), ended by "\n".  None for
-    any other block, and for one with a bit at or above ``n_u``."""
-    width = max(1, (n_u + 3) // 4)
-    end = start + count * (width + 1)
-    block = text[start:end]
-    if len(block) != end - start or not block.isascii():
-        return None
-    rows = np.frombuffer(block.encode("ascii"), dtype=np.uint8).reshape(count, width + 1)
-    nibbles = _nibbles()[rows[:, :width]]
-    # the leading digit holds the universe's top n_u - 4(width-1) bits, and
-    # is the only digit that can hold a bit past them
-    if ((rows[:, width] != ord("\n")).any() or nibbles[:, 1:].max(initial=0) > 15
-            or int(nibbles[:, 0].max(initial=0)) >> n_u - 4 * (width - 1)):
-        return None
-    words = np.zeros((count, -(-width // 16)), dtype=np.uint64)
-    for k in range(width):      # the k-th digit from the right, as _hex_lines writes it
-        words[:, k // 16] |= nibbles[:, width - 1 - k].astype(np.uint64) << np.uint64(4 * (k % 16))
-    return _ints(words), end
+def _lines(text: str):
+    """The bytes of ``text``, "?" for a character past ASCII, and its "\\n"s' positions."""
+    data = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+    return data, np.flatnonzero(data == ord("\n"))
 
 
-def _nonblank(text: str) -> list[str]:
-    return list(filter(str.strip, text.splitlines()))
+def _read_numbers(data, ends, base: int, keep: int, lead: int):
+    """(bad, over, minus, words) of the lines ``data[ends[i] + 1:ends[i + 1]]``
+    as numbers: in hex of either case (``base`` 16), or in decimal after an
+    optional "-" (10).
 
-
-def _tree_codes(section: str):
-    """(codes, line count, text of line k) of the non-blank lines of the
-    tree section; the codes stop at the first line that is not an integer.
-
-    A run of digits loses its leading zeros; one still past 18 digits reads
-    as +-2^62, past every pivot and leaf code.  A section of codes of at
-    most 9 digits, on lines ended by "\n" alone, is parsed as one byte array
-    in int32; any other goes line by line.
+    ``bad`` is the first line with a byte that is not a digit or a leading
+    sign, or with no digit, else the line count.  ``over`` marks the lines
+    whose value reaches ``lead * base**(keep - 1)``, ``minus`` those with a
+    sign.  ``words`` is (last, line, w, rest): each line's last word, of 16
+    hex digits in a uint64 or of at most 18 decimal digits (int32 while no
+    line has more than 9), and word w of ``line[j]`` in ``rest[j]``.
     """
-    if len(section) < 1 << 31 and _TREE_CHARS.fullmatch(section):
-        data = np.frombuffer(section.encode("ascii"), dtype=np.uint8)
-        ends = np.flatnonzero(data == ord("\n")).astype(np.int32)
-        starts = np.append(np.int32(0), ends + 1)
-        ends = np.append(ends, np.int32(len(data)))
-        filled = ends > starts
-        starts, ends = starts[filled], ends[filled]
-        minus = data[starts] == ord("-")
-        digits = ends - starts - minus
-        del starts
-        if (section.count("-") == np.count_nonzero(minus)
-                and digits.min(initial=1) > 0 and digits.max(initial=0) <= 9):
-            codes = np.zeros(len(ends), dtype=np.int32)
-            at = ends
-            for k in range(int(digits.max(initial=0))):     # the k-th digit from the right
-                at -= 1
-                digit = np.where(digits > k, data[at], ord("0"))
-                codes += np.subtract(digit, ord("0"), dtype=np.int32) * 10 ** k
-            np.negative(codes, out=codes, where=minus)
-            # the text of a line is only needed for a refusal
-            return codes, len(codes), lambda k: _nonblank(section)[k]
-    lines = _nonblank(section)
-    codes = []
-    for line in lines:
-        if not _TREE_TOKEN.fullmatch(line):
-            break
-        digits = line.lstrip("-").lstrip("0")
-        value = int(digits or "0") if len(digits) <= 18 else 1 << 62
-        codes.append(-value if line[0] == "-" else value)
-    return np.array(codes, dtype=np.int64), len(lines), lines.__getitem__
+    # a sign needs a digit after it: "-" alone is a bad line
+    minus = (data[ends[:-1] + 1] == ord("-")) & (np.diff(ends) > 2) & (base == 10)
+    lens = np.diff(ends) - 1
+    lens -= minus
+    columns = min(keep, int(lens.max(initial=0)))
+    wide = np.flatnonzero(lens > keep)
+    # digit k from the right is read where k < lens, for k < columns
+    lens = np.minimum(lens, columns, out=lens).astype(np.min_scalar_type(columns))
+    # the bytes from the "\\n" before the first line to the one after the last
+    block = data[ends[0]:ends[-1] + 1]
+    bad = block - ord("0") > 9
+    if base == 16:
+        bad &= (block | 32) - ord("a") > 5      # nor a letter of either case
+    bad &= block != ord("\n")
+    bad[ends[:-1][minus] + 1 - ends[0]] = False
+    bad = int(np.searchsorted(ends, ends[0] + bad.argmax())) - 1 if bad.any() else len(lens)
+    # '0' is the least digit: a wide line is over iff a byte before its last keep is more
+    over = np.zeros(len(lens), dtype=bool)
+    over[wide] = np.maximum.reduceat(data, np.stack(
+        [ends[wide] + 1 + minus[wide], ends[wide + 1] - keep], axis=1).ravel())[::2] > ord("0")
+    per = 16 if base == 16 else 18      # digits per word
+    dtype = np.uint64 if base == 16 else np.int32 if columns <= 9 else np.int64
+    # digit keep - 1 from the right must be below lead
+    tops = np.flatnonzero(lens >= keep)
+    byte = data[ends[tops + 1] - keep]
+    over[tops] |= (byte & 15) + 9 * (byte >> 6) >= lead
+    # Each word is read a column at a time from its leftmost: first every line's
+    # last word, then all other words together, so the passes cost as much as the
+    # digits.  The line ends step back and are restored; an index below 0 is past a line.
+    deep = np.flatnonzero(lens > per)
+    more = (lens[deep].astype(np.intp) - 1) // per      # each line's words before its last
+    line = np.repeat(deep, more)
+    w = np.arange(1, len(line) + 1) - np.repeat(np.cumsum(more) - more, more)
+    words = []
+    for at, reach in ((ends[1:], lens), (ends[line + 1] - per * w, lens[line] - per * w)):
+        word = np.zeros(len(reach), dtype=dtype)
+        top = min(per, int(reach.max(initial=0)))
+        at -= top
+        for k in range(top - 1, -1, -1):
+            byte = data[at]
+            digit = byte & 15
+            if base == 16:      # a letter of either case: its low 4 bits are its value - 9
+                digit += 9 * (byte >> 6)
+            digit *= reach > k
+            word *= base
+            word += digit
+            at += 1
+        words.append(word)
+    return bad, over, minus, (words[0], line, w, words[1])
 
 
-def _read_tree(section: str, first: int, n_u: int, count: int):
+def _read_tree(codes, lines: int, text, first: int, n_u: int, count: int):
     """(root, pivots, out_child, in_child) of a routing tree written in
     preorder, one code per line from line ``first``; nodes numbered in preorder.
+    ``codes`` are those of the ``lines`` lines before the first bad one.
 
     In a full binary tree written in preorder, each node opens two child
     slots and fills one, and each leaf or DEAD fills one: the count of open
@@ -397,7 +397,6 @@ def _read_tree(section: str, first: int, n_u: int, count: int):
     first line that is not a code, lies past the tree's end, or holds a
     pivot or leaf code out of range; else, if the tree is unfinished, the last line.
     """
-    codes, lines, text = _tree_codes(section)
     n = len(codes)
     node = codes >= 0
     # open child slots after each code

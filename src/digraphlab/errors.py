@@ -31,8 +31,4 @@ class ContainerBuildError(BudgetError):
 
 
 class VerificationError(DigraphLabError):
-    """An exact check failed; carries a printable witness."""
-
-    def __init__(self, message: str, witness: str | None = None):
-        self.witness = witness
-        super().__init__(message)
+    """An exact check failed."""

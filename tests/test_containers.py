@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -840,25 +841,6 @@ def test_reader_matches_the_line_walk_oracle(text):
     assert got.export_text() == naive_export_preorder(want)
 
 
-class _HexSpy:
-    """Stands in for the reader's _HEX and counts the container lines the
-    line loop checks."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def fullmatch(self, word):
-        self.calls += 1
-        return re.fullmatch("[0-9a-fA-F]+", word)
-
-
-class _NoHex:
-    """Stands in for the reader's _HEX where no line may reach the line loop."""
-
-    def fullmatch(self, word):
-        raise AssertionError(f"container line {word!r} went through the line loop")
-
-
 def _joined(*lines):
     return "".join(f"{line}\n" for line in lines)
 
@@ -874,40 +856,57 @@ _TWO_WORD_EXPORT = _joined("10 3 1/10 0.5 3",
                            "89", "-2", "64", "-3", "-4")
 
 
-# (text, the path its container block takes, the writer's text of the family
-# read, or the refusal)
+def _c3_n4_with(k, line):
+    """The c3 export on [4] with its k-th line after the header replaced."""
+    lines = _C3_N4_LINES[:]
+    lines[1 + k] = line
+    return _joined(*lines)
+
+
+# (text, the writer's text of the family read, or the refusal), against the
+# line walk: layouts the writer never writes go through the layout step
 _READER_PATHS = {
-    "writer-form": (_C3_N4, "array", _C3_N4),
-    "upper-case": (_joined(_C3_N4_HEAD, *map(str.upper, _C3_N4_BLOCK), *_C3_N4_TREE), "array",
-                   _C3_N4),
-    "no-containers": (_joined("3 3 1/10 0.5 0", "-1"), "array", _joined("3 3 1/10 0.5 0", "-1")),
-    "two-words": (_TWO_WORD_EXPORT.upper(), "array", _TWO_WORD_EXPORT),
-    "crlf": (_C3_N4.replace("\n", "\r\n"), "lines", _C3_N4),
-    "zero-padded": (_joined(_C3_N4_HEAD, "0" + _C3_N4_BLOCK[0], *_C3_N4_BLOCK[1:],
-                            *_C3_N4_TREE), "lines", _C3_N4),
+    "writer-form": (_C3_N4, _C3_N4),
+    "upper-case": (_joined(_C3_N4_HEAD, *map(str.upper, _C3_N4_BLOCK), *_C3_N4_TREE), _C3_N4),
+    "no-containers": (_joined("3 3 1/10 0.5 0", "-1"), _joined("3 3 1/10 0.5 0", "-1")),
+    "two-words": (_TWO_WORD_EXPORT.upper(), _TWO_WORD_EXPORT),
+    "crlf": (_C3_N4.replace("\n", "\r\n"), _C3_N4),
+    "zero-padded": (_c3_n4_with(0, "0" + _C3_N4_BLOCK[0]), _C3_N4),
     "blank-line": (_joined(_C3_N4_HEAD, _C3_N4_BLOCK[0], "", *_C3_N4_BLOCK[1:], *_C3_N4_TREE),
-                   "lines", _C3_N4),
-    "non-ascii-digit": (_joined(_C3_N4_HEAD, _C3_N4_BLOCK[0], "\u0661" + _C3_N4_BLOCK[1][1:],
-                                *_C3_N4_BLOCK[2:], *_C3_N4_TREE), "lines",
+                   _C3_N4),
+    "non-ascii-digit": (_c3_n4_with(1, "\u0661" + _C3_N4_BLOCK[1][1:]),
                         "line 3: bad container bitset"),
     # of the writer's length, but not ended by a line break
-    "no-break": (_joined("3 3 1/10 0.5 1", "3f -2"), "lines", "line 2: bad container bitset"),
-    "count-past-the-lines": (_joined("3 3 1/10 0.5 3", "3f", "1f"), "lines",
+    "no-break": (_joined("3 3 1/10 0.5 1", "3f -2"), "line 2: bad container bitset"),
+    "count-past-the-lines": (_joined("3 3 1/10 0.5 3", "3f", "1f"),
                              "family export truncated: missing containers"),
-    "bit-at-N(N-1)": (_joined("3 3 1/10 0.5 3", "3f", "7f", "1f", "0", "-2", "-3"), "lines",
+    "bit-at-N(N-1)": (_joined("3 3 1/10 0.5 3", "3f", "7f", "1f", "0", "-2", "-3"),
                       "line 3: container bitset has a bit at or above N(N-1)=6"),
     "two-words-bit-at-N(N-1)": (_TWO_WORD_EXPORT.replace(f"{0x3F:023x}", f"{1 << 90 | 1:023x}"),
-                                "lines", "line 4: container bitset has a bit at or above N(N-1)=90"),
+                                "line 4: container bitset has a bit at or above N(N-1)=90"),
+    "header-only": ("3 3 1/10 0.5 0\n", "line 1: routing tree ends with 1 branch(es) open"),
+    "ten-digit-pivot": (_joined("40000 3 1/10 0.5 0", "1234567890", "-1", "-1"),
+                        _joined("40000 3 1/10 0.5 0", "1234567890", "-1", "-1")),
+    "ten-digit-pivot-past-N(N-1)": (_joined("40000 3 1/10 0.5 0", "1599960000", "-1", "-1"),
+                                    "line 2: tree pivot 1599960000 not in 0..1599959999"),
+    # tree line 5 is the leaf "-2"
+    "25-leading-zeros": (_c3_n4_with(_TREE_FROM + 4, "-" + "0" * 25 + "2"), _C3_N4),
+    "30-digit-leaf": (_c3_n4_with(_TREE_FROM + 4, "-1" + "0" * 29),
+                      f"line {_TREE_FROM + 6}: tree leaf -1{'0' * 29} not in -100..-1"),
+    "x1c-breaks": (_C3_N4.replace("\n", "\x1c"), _C3_N4),
+    "u2028-breaks": (_C3_N4.replace("\n", "\u2028"), _C3_N4),
+    "x85-breaks": (_C3_N4.replace("\n", "\x85"), _C3_N4),
+    "padded-container": (_c3_n4_with(0, "\x1f" + _C3_N4_BLOCK[0] + "\xa0"), _C3_N4),
+    "40-zeros-container": (_c3_n4_with(0, "0" * 40 + _C3_N4_BLOCK[0]), _C3_N4),
+    "tab-after-code": (_c3_n4_with(_TREE_FROM + 4, "-2\t"),
+                       f"line {_TREE_FROM + 6}: bad tree code '-2\\t'"),
 }
 
 
 @pytest.mark.parametrize("name", list(_READER_PATHS))
-def test_reader_paths_match_the_line_walk_oracle(name, monkeypatch):
-    # a block in the writer's form (either case) is read as one byte matrix,
-    # any other by the line loop: the same family, or the same refusal
-    text, path, want = _READER_PATHS[name]
-    spy = _HexSpy()
-    monkeypatch.setattr(digraphlab.containers, "_HEX", spy)
+def test_reader_paths_match_the_line_walk_oracle(name):
+    # the same family, or the same refusal, as the line walk
+    text, want = _READER_PATHS[name]
     try:
         oracle = naive_read_preorder(text)
     except ParseError as exc:
@@ -918,15 +917,6 @@ def test_reader_paths_match_the_line_walk_oracle(name, monkeypatch):
         got = ContainerFamily.from_export_text(text)
         assert (_routing(got), got.containers) == (_routing(oracle), oracle.containers)
         assert got.export_text() == want
-    assert (spy.calls == 0) == (path == "array")
-
-
-@pytest.mark.parametrize("key", list(PINNED), ids=_pinned_id)
-def test_writer_exports_never_reach_the_line_loop(pinned_families, key, monkeypatch):
-    _, fam = pinned_families[key]
-    monkeypatch.setattr(digraphlab.containers, "_HEX", _NoHex())
-    loaded = ContainerFamily.from_export_text(fam.export_text())
-    assert (_routing(loaded), loaded.containers) == (_routing(fam), fam.containers)
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -990,6 +980,51 @@ def test_writer_writes_back_trees_the_builder_never_makes(N, tree):
         tracemalloc.stop()
     assert naive_export_preorder(fam) == text
     assert _routing(naive_read_preorder(text)) == _routing(fam)
+
+
+@pytest.mark.parametrize("N", [4000, 46_340])
+def test_reader_takes_no_time_over_an_empty_block(N):
+    # no containers, and one node with both children DEAD: the digit passes
+    # follow the lines there are, not the universe's hex width
+    text = f"{N} 3 1/10 0.5 0\n5\n-1\n-1\n"
+    start = time.monotonic()
+    fam = ContainerFamily.from_export_text(text)
+    assert time.monotonic() - start < 2
+    assert (fam.containers, _routing(fam)) == ([], (0, [5], [DEAD], [DEAD]))
+    assert fam.export_text() == text
+
+
+def test_reader_reads_ragged_lines_past_one_word():
+    # containers of up to 1,056 bits on [33], with as many digits as they
+    # need, in upper case, or zero-padded past the universe's 264 digits:
+    # each word past the first is read over the lines that reach it
+    rng = random.Random(7)
+    values = [rng.getrandbits(rng.randint(1, 33 * 32)) for _ in range(200)]
+    lines = [rng.choice([f"{v:x}", f"{v:X}", f"{v:0300x}"]) for v in values]
+    text = _joined(f"33 3 1/10 0.5 {len(values)}", *lines, "0", "-2", "-1")
+    assert ContainerFamily.from_export_text(text).containers == values
+    assert naive_read_preorder(text).containers == values
+
+
+def test_reader_reads_one_long_line_among_short_ones():
+    # 100,000 one-digit containers and one of 400,000 digits on [46,340]: the
+    # words before each line's last are read together, not in a pass of their own
+    text = "".join(["46340 3 1/10 0.5 100001\n", "1\n" * 100_000, "f" * 400_000, "\n-2\n"])
+    start = time.monotonic()
+    fam = ContainerFamily.from_export_text(text)
+    assert time.monotonic() - start < 2
+    assert fam.containers[0] == 1 and fam.containers[-1] == (1 << 1_600_000) - 1
+
+
+def test_reader_memory_on_the_bench_export(pinned_families):
+    # the c3 export on [6] that the benchmark reads: one read peaks near 7.2 MiB
+    text = pinned_families[("c3", 6, Fraction(1, 5), None)][1].export_text()
+    tracemalloc.start()
+    try:
+        ContainerFamily.from_export_text(text)
+        assert tracemalloc.get_traced_memory()[1] < 10 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_reader_orders_more_open_slots_than_int16_holds():
