@@ -25,14 +25,16 @@ Both the count and canonical mode see a digraph on [k+1] as one on [k] plus
 an attachment code of vertex k, and both read which codes make a copy off
 one split of the copies on [k+1] (_split_copies).  One level loop (_grown)
 grows graphs a vertex at a time with isomorph rejection (_classes), for the
-class list and the extremal search alike.  The codes that keep a new vertex
-free are one bitset over the 4^k codes, a lookup in the attachment table.
-Each level's codes are split once into tie groups of equal weight: the
-greedy seed takes the lowest free code of the heaviest group, and the bound
-keeps a prefix of the groups before any digraph is built.  Of each orbit of
-codes under the parent's automorphisms, read off the search that keyed the
+class list and the extremal search alike.  It carries each digraph as its
+masks and sizes (_Grown) and builds a Digraph only for a returned class or
+witness.  The codes that keep a new vertex free are one bitset over the 4^k
+codes, a lookup in the attachment table by the adjacency word.  Each
+level's codes are split once into tie groups of equal weight: the greedy
+seed takes the lowest free code of the heaviest group, and the bound keeps
+a prefix of the groups before any digraph is built.  Of each orbit of codes
+under the parent's automorphisms, read off the search that keyed the
 parent, only the smallest is extended.  It reaches its cap n=7: c3 at a=2
-takes 4.4-6.2 s per CLI process on one Xeon vCPU.
+takes 3.4-3.8 s per CLI process on one Xeon vCPU.
 """
 
 from __future__ import annotations
@@ -451,31 +453,64 @@ def _count_one_vertex_more(k: int, pattern: PatternDigraph) -> int:
 # One-vertex growth: canonical-key dedup and Aut-orbit pruning
 # ---------------------------------------------------------------------------
 
-def _attachment_table(k: int, pattern: PatternDigraph) -> list[tuple[frozenset, int]]:
+class _Grown:
+    """A digraph in one-vertex growth, held as the fields its readers use:
+    n, out_mask, in_mask, f2 and f1, each as in Digraph."""
+
+    __slots__ = ("n", "out_mask", "in_mask", "f2", "f1")
+
+    def __init__(self, n: int, out_mask: tuple[int, ...], in_mask: tuple[int, ...], f2: int, f1: int):
+        self.n, self.out_mask, self.in_mask, self.f2, self.f1 = n, out_mask, in_mask, f2, f1
+
+    @classmethod
+    def empty(cls, n: int) -> "_Grown":
+        return cls(n, (0,) * n, (0,) * n, 0, 0)
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset((u, v) for u, row in enumerate(self.out_mask) for v in _bits(row))
+
+
+def _attachment_table(k: int, pattern: PatternDigraph) -> list[tuple[int, int]]:
     """One entry (base, forbidden) per copy of _split_copies(k, pattern):
-    base holds the copy's edges among the old vertices, and forbidden is the
-    bitset of the 4^k attachment codes that hold its requirement.  A copy
-    with requirement 0 (see _split_copies) forbids every code."""
-    return [(frozenset(base), _holding(2 * k, req)) for base, req in _split_copies(k, pattern)]
+    base has bit u*k + v for each of the copy's edges u->v among the old
+    vertices, and forbidden is the bitset of the 4^k attachment codes that
+    hold its requirement.  A copy with requirement 0 (see _split_copies)
+    forbids every code."""
+    return [(sum(1 << u * k + v for u, v in base), _holding(2 * k, req))
+            for base, req in _split_copies(k, pattern)]
 
 
-def _free_codes(g: Digraph, table) -> int:
-    """Bitset of the attachment codes that keep the pattern-free g free:
-    table is _attachment_table(g.n, pattern), and a copy on [g.n + 1]
-    appears iff its base lies inside g and the code holds its requirement."""
+def _free_codes(g, table) -> int:
+    """Bitset of the attachment codes that keep the pattern-free g (a
+    Digraph or a _Grown) free: table is _attachment_table(g.n, pattern), and
+    a copy on [g.n + 1] appears iff its base lies inside g and the code
+    holds its requirement."""
+    k = g.n
+    adj = sum(row << u * k for u, row in enumerate(g.out_mask))  # bit u*k + v is the edge u->v
     forbidden = 0
     for base, codes in table:
-        if base <= g.edges:
+        if base & adj == base:
             forbidden |= codes
-    return ((1 << 4 ** g.n) - 1) & ~forbidden
+    return ((1 << 4 ** k) - 1) & ~forbidden
 
 
-def _extension(g: Digraph, code: int) -> Digraph:
-    """g with a new vertex g.n attached by the attachment code."""
+def _extension(g, code: int) -> _Grown:
+    """g with a new vertex k = g.n attached by the attachment code, from g's
+    masks: digit u of the code (bits 2u, 2u+1) adds u->k, k->u or both."""
     k = g.n
-    edges = set(g.edges)
-    edges.update((b // 2, k) if b % 2 == 0 else (k, b // 2) for b in _bits(code))
-    return Digraph(k + 1, frozenset(edges))  # sized to fit; frozenset.union over-allocates
+    out, inn = list(g.out_mask), list(g.in_mask)
+    k_out = k_in = f2 = 0
+    for u in range(k):
+        d = code >> 2 * u & 3
+        if d & 1:
+            out[u] |= 1 << k
+            k_in |= 1 << u
+        if d & 2:
+            inn[u] |= 1 << k
+            k_out |= 1 << u
+        f2 += d == 3
+    return _Grown(k + 1, (*out, k_out), (*inn, k_in), g.f2 + f2, g.f1 + code.bit_count() - 2 * f2)
 
 
 def _orbit_minimal(auts: list[tuple[int, ...]], codes: int) -> int:
@@ -517,7 +552,7 @@ def _children(reps, table, reach=None):
             yield _extension(g, code)
 
 
-def _classes(exts) -> dict[bytes, tuple[Digraph, list[tuple[int, ...]]]]:
+def _classes(exts) -> dict[bytes, tuple[_Grown, list[tuple[int, ...]]]]:
     """The first extension of each canonical key, in the order met, with its
     automorphisms, read off the search that keyed it."""
     new = {}
@@ -531,7 +566,7 @@ def _grown(tables, reach=None):
     """The last level's extensions of one-vertex growth from the digraph on
     [1], unkeyed; each earlier level's are keyed (_classes) and extended by
     _children with reach.  tables[k - 1] is _attachment_table(k, pattern)."""
-    exts = [Digraph(1, frozenset())]
+    exts = [_Grown.empty(1)]
     for table in tables:
         exts = _children(_classes(exts).values(), table, reach)
     return exts
@@ -549,21 +584,21 @@ def free_classes(n: int, pattern: PatternDigraph) -> dict[bytes, Digraph]:
     if n > COUNT_CLASSES_MAX_N:
         raise BudgetError(f"class generation capped at n={COUNT_CLASSES_MAX_N}")
     reps = _classes(_grown([_attachment_table(k, pattern) for k in range(1, n)]))
-    return {key: g for key, (g, _) in reps.items()}
+    return {key: Digraph(g.n, g.edges) for key, (g, _) in reps.items()}
 
 
-def _greedy_seed(tables, groups) -> Digraph:
+def _greedy_seed(tables, groups) -> _Grown:
     """The end of a greedy path from the digraph on [1]: each level adds the
     lowest free code of the heaviest tie group (groups[k - 1] for level k)
     that has one.  Free codes and tie groups are closed under Aut(parent),
     so that code is orbit-minimal and gives the first heaviest extension
     _children would yield.  A dead end, where a core copy on h - 1 vertices
     forbids every code, gives the empty digraph, free as a pattern has edges."""
-    g = Digraph(1, frozenset())
+    g = _Grown.empty(1)
     for table, level in zip(tables, groups):
         top = _heaviest(level, _free_codes(g, table))
         if not top:
-            return Digraph(len(tables) + 1, frozenset())
+            return _Grown.empty(len(tables) + 1)
         g = _extension(g, (top & -top).bit_length() - 1)
     return g
 
@@ -586,7 +621,7 @@ def _extremal_canonical(n: int, pattern: PatternDigraph, weight: WeightParam):
     seed = _greedy_seed(tables, groups)
     best_pair, winners = (seed.f2, seed.f1), {}
 
-    def reach(g: Digraph) -> int:
+    def reach(g: _Grown) -> int:
         """The codes whose extension of g can still reach best_pair (always
         attained; a later, higher one prunes more): the groups are heaviest
         first, so they form a prefix."""
@@ -609,7 +644,7 @@ def _extremal_canonical(n: int, pattern: PatternDigraph, weight: WeightParam):
             winners = {key: ext}
         else:
             winners.setdefault(key, ext)
-    return best_pair, winners
+    return best_pair, {key: Digraph(g.n, g.edges) for key, g in winners.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -206,17 +206,28 @@ def class_route_count(k: int, pattern) -> int:
     """The number of labelled pattern-free digraphs on [k+1], by classes.
 
     Each free class g on [k] has k!/|Aut g| labellings, and each of them is
-    extended by every attachment code that keeps it free.  It goes through
-    canonical growth and automorphism counts, which ``count_free`` does not
-    touch, so it is a second route for f*(6).
+    extended by every attachment code that keeps it free.  A code makes a
+    copy iff it holds the edges at k of a copy in the complete digraph on
+    [k+1] whose other edges lie in g; those copies are found once by brute
+    force.  It goes through canonical growth and automorphism counts, which
+    ``count_free`` does not touch, so it is a second route for f*(6).
     """
     from digraphlab import automorphism_count, free_classes
-    from digraphlab.extremal import _attachment_table, _free_codes
 
+    attach = [(u, k) for u in range(k)] + [(k, u) for u in range(k)]  # bit i of a code: attach[i]
+    arcs = frozenset((u, v) for u in range(k + 1) for v in range(k + 1) if u != v)
+    copies = [(img - frozenset(attach), sum(1 << i for i, e in enumerate(attach) if e in img))
+              for img in naive_copy_images(arcs, k + 1, pattern.graph.edges, pattern.h)]
+    holding = {req: sum(1 << x for x in range(4 ** k) if x & req == req) for _, req in copies}
     fact = math.factorial(k)
-    table = _attachment_table(k, pattern)
-    return sum(fact // automorphism_count(g) * _free_codes(g, table).bit_count()
-               for g in free_classes(k, pattern).values())
+    total = 0
+    for g in free_classes(k, pattern).values():
+        forbidden = 0
+        for base, req in copies:
+            if base <= g.edges:
+                forbidden |= holding[req]
+        total += fact // automorphism_count(g) * (4 ** k - forbidden.bit_count())
+    return total
 
 
 def naive_tie_groups(weight, f2: list[int], f1: list[int]) -> list[tuple[tuple[int, int], int]]:
@@ -235,19 +246,30 @@ def naive_tie_groups(weight, f2: list[int], f1: list[int]) -> list[tuple[tuple[i
 def naive_greedy_seed(n: int, pattern, weight):
     """The digraph on [n] whose (f2, f1) seeds the canonical bound.
 
-    Each level searches the parent's automorphisms, builds every extension
-    by an orbit-minimal free code and keeps the first heaviest; a level with
-    no free code gives the empty digraph on [n].
+    Each level builds the extension by every attachment code that no
+    automorphism of the parent maps to a smaller one, keeps the
+    pattern-free ones and takes the first heaviest; a level with none gives
+    the empty digraph on [n].  Digit u of a code (bits 2u, 2u+1) adds the
+    edges u->k, k->u, and an automorphism moves it to digit perm[u].
     """
-    from digraphlab import Digraph
+    from digraphlab import Digraph, is_pattern_free
     from digraphlab.digraphs import automorphisms
-    from digraphlab.extremal import _attachment_table, _children
 
     weighted = cmp_to_key(weight.cmp_pairs)
     g = Digraph(1, frozenset())
     for k in range(1, n):
-        g = max(_children([(g, automorphisms(g))], _attachment_table(k, pattern)),
-                key=lambda ext: weighted((ext.f2, ext.f1)), default=None)
+        auts = automorphisms(g)
+        exts = []
+        for code in range(4 ** k):
+            digits = [code >> 2 * u & 3 for u in range(k)]
+            if any(sum(d << 2 * perm[u] for u, d in enumerate(digits)) < code for perm in auts):
+                continue
+            edges = g.edges | {(u, k) for u, d in enumerate(digits) if d & 1} \
+                | {(k, u) for u, d in enumerate(digits) if d & 2}
+            ext = Digraph(k + 1, edges)
+            if is_pattern_free(ext, pattern):
+                exts.append(ext)
+        g = max(exts, key=lambda ext: weighted((ext.f2, ext.f1)), default=None)
         if g is None:
             return Digraph(n, frozenset())
     return g

@@ -25,16 +25,18 @@ from digraphlab import (
 )
 from digraphlab import digraphs, extremal
 from digraphlab.cli import BUILTIN_PATTERNS, load_pattern
-from digraphlab.digraphs import automorphisms
+from digraphlab.digraphs import automorphisms, canonical_form_and_group
 from digraphlab.errors import BudgetError, PreconditionError
 from digraphlab.extremal import (
     _attachment_table,
+    _bits,
     _blocks,
     _count_one_vertex_more,
     _extension,
     _extremal_canonical,
     _free_codes,
     _greedy_seed,
+    _Grown,
     _ranks,
     _sizes,
     _tie_groups,
@@ -472,6 +474,49 @@ def test_free_extensions_against_brute_force(name):
             got = [_extension(g, code).edges for code in range(4 ** k) if codes >> code & 1]
             assert len(got) == len(set(got)) and set(got) == expect
             assert codes.bit_count() == len(expect)
+
+
+@pytest.mark.parametrize("name", BUILTIN_PATTERNS + tuple(ISOLATED))
+def test_mask_child_matches_a_digraph_child(name):
+    # growth builds a child from its parent's masks and the attachment code;
+    # it must carry the fields, key and group of the Digraph with the same
+    # edges, for every free code of every class
+    pat = any_pattern(name)
+    for k in (1, 2, 3, 4):
+        table = _attachment_table(k, pat)
+        for g in free_classes(k, pat).values():
+            parent = _Grown(g.n, g.out_mask, g.in_mask, g.f2, g.f1)
+            assert parent.edges == g.edges
+            codes = _free_codes(parent, table)
+            assert codes == _free_codes(g, table)
+            for code in _bits(codes):
+                child = _extension(parent, code)
+                edges = g.edges | {(u, k) for u in range(k) if code >> 2 * u & 1} \
+                    | {(k, u) for u in range(k) if code >> 2 * u + 1 & 1}
+                ref = Digraph(k + 1, edges)
+                assert (child.n, child.out_mask, child.in_mask, child.f2, child.f1) == \
+                    (ref.n, ref.out_mask, ref.in_mask, ref.f2, ref.f1), (g.edge_list, code)
+                assert canonical_form_and_group(child) == canonical_form_and_group(ref)
+
+
+@pytest.mark.parametrize("run, name, searches", [
+    ("ex", "t3", 680), ("ex", "c3", 3824), ("free_classes", "t3", 50_487)])
+def test_canonical_growth_work_counters(run, name, searches, monkeypatch):
+    # at n=6, the canonical searches are pinned, and growth builds a Digraph
+    # only for each class or witness it returns and once for the pattern's
+    # core: its children carry masks
+    pat = load_pattern(name)[0]
+    calls = Counter()
+    search, post_init = digraphs._canonical_search, Digraph.__post_init__
+    monkeypatch.setattr(digraphs, "_canonical_search",
+                        lambda g, orders: calls.update(["search"]) or search(g, orders))
+    monkeypatch.setattr(Digraph, "__post_init__", lambda g: calls.update(["build"]) or post_init(g))
+    if run == "ex":
+        returned = len(extremal_number(6, pat, WeightParam.from_rational(2), mode="canonical").witnesses)
+    else:
+        returned = len(free_classes(6, pat))
+    assert calls["search"] == searches
+    assert calls["build"] <= returned + 1
 
 
 @pytest.mark.parametrize("a", sorted(WEIGHT_KEYS))
