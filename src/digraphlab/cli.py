@@ -168,7 +168,10 @@ def _edges_json(edges) -> list[list[int]]:
 def _parse_tau(args, pattern: PatternDigraph) -> float:
     """--tau: "auto" for N^(-1/m), or a number in (0, 1]."""
     if args.tau == "auto":
-        return tau_for(args.N, require_usable_m(pattern))
+        m = require_usable_m(pattern)
+        if args.N < pattern.h:  # at N=0, N^(-1/m) divides by zero
+            raise PreconditionError(f"N={args.N} below pattern vertex count h={pattern.h}")
+        return tau_for(args.N, m)
     tau = parse_fraction(args.tau, "tau")
     if not 0 < tau <= 1:  # decided exactly: float() of a large value overflows
         raise PreconditionError(f"tau={args.tau} outside (0, 1]")

@@ -381,19 +381,32 @@ def canonical_form(g: Digraph) -> bytes:
     return _canonical_search(g, None)
 
 
-def canonical_form_and_group(g: Digraph) -> tuple[bytes, list[tuple[int, ...]]]:
-    """canonical_form(g) and automorphisms(g), from one search.
+def canonical_form_and_orders(g: Digraph) -> tuple[bytes, list[tuple[int, ...]]]:
+    """canonical_form(g) and every colour-respecting vertex order attaining
+    it (order[i] is the vertex placed i-th), from one search.
 
-    The orders attaining the least word sequence give one adjacency matrix,
-    so the map from the first of them to each one is an automorphism
-    (perm[old] = new).  An automorphism keeps the refined colours, so it maps
-    the first order to an optimal one: each automorphism arises exactly once.
+    The optimal orders give one adjacency matrix, so the map from the first
+    of them to each one is an automorphism.  An automorphism keeps the
+    refined colours, so it maps the first order to an optimal one: the
+    orders are the first one under Aut(g), each automorphism once, and
+    their last vertices are the Aut(g)-orbit of the vertex placed last.
     """
     orders: list[tuple[int, ...]] = []
-    key = _canonical_search(g, orders)
+    return _canonical_search(g, orders), orders
+
+
+def orders_group(orders: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The automorphisms that map the first optimal order to each one, as
+    perm[old] = new, in lexicographic order (canonical_form_and_orders)."""
     if len(orders) == 1:
-        return key, [tuple(range(g.n))]
-    return key, sorted(tuple(v for _, v in sorted(zip(orders[0], order))) for order in orders)
+        return [tuple(range(len(orders[0])))]
+    return sorted(tuple(v for _, v in sorted(zip(orders[0], order))) for order in orders)
+
+
+def canonical_form_and_group(g: Digraph) -> tuple[bytes, list[tuple[int, ...]]]:
+    """canonical_form(g) and automorphisms(g), from one search."""
+    key, orders = canonical_form_and_orders(g)
+    return key, orders_group(orders)
 
 
 def _minimal_words(out_m: tuple[int, ...], cells: list[list[int]],

@@ -24,17 +24,20 @@ masks one at a time and is kept as the decoder's reference.
 Both the count and canonical mode see a digraph on [k+1] as one on [k] plus
 an attachment code of vertex k, and both read which codes make a copy off
 one split of the copies on [k+1] (_split_copies).  One level loop (_grown)
-grows graphs a vertex at a time with isomorph rejection (_classes), for the
-class list and the extremal search alike.  It carries each digraph as its
-masks and sizes (_Grown) and builds a Digraph only for a returned class or
-witness.  The codes that keep a new vertex free are one bitset over the 4^k
-codes, a lookup in the attachment table by the adjacency word.  Each
-level's codes are split once into tie groups of equal weight: the greedy
-seed takes the lowest free code of the heaviest group, and the bound keeps
-a prefix of the groups before any digraph is built.  Of each orbit of codes
-under the parent's automorphisms, read off the search that keyed the
-parent, only the smallest is extended.  It reaches its cap n=7: c3 at a=2
-takes 3.4-3.8 s per CLI process on one Xeon vCPU.
+grows graphs a vertex at a time by canonical augmentation (_augmented), for
+the class list and the extremal search alike: a child is kept only if its
+new vertex is canonically last, so no class is kept twice, and a child
+whose new vertex lacks the largest degree triple is dropped with no search
+(_top_last).  It carries each digraph as its masks and sizes (_Grown) and
+builds a Digraph only for a returned class or witness.  The codes that keep
+a new vertex free are one bitset over the 4^k codes, a lookup in the
+attachment table by the adjacency word.  Each level's codes are split once
+into tie groups of equal weight: the greedy seed takes the lowest free code
+of the heaviest group, and the bound keeps a prefix of the groups before
+any digraph is built.  Of each orbit of codes under the parent's
+automorphisms, read off the search that kept the parent, only the smallest
+is extended.  It reaches its cap n=7: c3 at a=2 takes 1.7-2.5 s per CLI
+process on one Xeon vCPU.
 """
 
 from __future__ import annotations
@@ -50,8 +53,9 @@ from .digraphs import (
     Digraph,
     PatternDigraph,
     canonical_form,
-    canonical_form_and_group,
+    canonical_form_and_orders,
     count_copies,
+    orders_group,
 )
 from .errors import BudgetError, PreconditionError, VerificationError
 from .lazy import LazyNumpy
@@ -450,7 +454,7 @@ def _count_one_vertex_more(k: int, pattern: PatternDigraph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# One-vertex growth: canonical-key dedup and Aut-orbit pruning
+# One-vertex growth: canonical augmentation and Aut-orbit pruning
 # ---------------------------------------------------------------------------
 
 class _Grown:
@@ -517,7 +521,7 @@ def _orbit_minimal(auts: list[tuple[int, ...]], codes: int) -> int:
     """The codes of the bitset that no automorphism of the parent g maps to a
     smaller one.
 
-    auts is Aut(g), read off the search that keyed g (_classes).  An
+    auts is Aut(g), read off the search that kept g (_augmented).  An
     automorphism pi moves a code's bits 2u, 2u+1 to 2pi(u), 2pi(u)+1, and g
     extended by pi(code) is isomorphic to g extended by code.  The bitset
     must be closed under Aut(g), as the free codes and each tie group are;
@@ -552,39 +556,80 @@ def _children(reps, table, reach=None):
             yield _extension(g, code)
 
 
-def _classes(exts) -> dict[bytes, tuple[_Grown, list[tuple[int, ...]]]]:
-    """The first extension of each canonical key, in the order met, with its
-    automorphisms, read off the search that keyed it."""
-    new = {}
+def _top_last(g) -> bool:
+    """Whether no vertex of g has a larger (out-degree, in-degree, 2-cycle
+    count) than its last vertex.
+
+    That triple is colour refinement's starting colour.  Refinement keeps
+    the cell order and the canonical order places the cells in colour
+    order, so the vertex placed last has the largest triple: a child whose
+    new vertex fails this is never canonically last, and needs no search."""
+    out, inn = g.out_mask[-1], g.in_mask[-1]
+    top = (out.bit_count(), inn.bit_count(), (out & inn).bit_count())
+    return all((o.bit_count(), i.bit_count(), (o & i).bit_count()) <= top
+               for o, i in zip(g.out_mask, g.in_mask))
+
+
+def _augmented(exts):
+    """(key, ext, orders) for each extension that canonical augmentation
+    keeps, in the order met: those whose new vertex k = ext.n - 1 the
+    canonical order can place last, i.e. k is in the Aut(ext)-orbit
+    {order[-1]} of the key's optimal orders.  One search per extension that
+    passes _top_last gives the verdict, the key and the orders, and so the
+    group the next level needs (orders_group)."""
     for ext in exts:
-        key, auts = canonical_form_and_group(ext)
-        new.setdefault(key, (ext, auts))
-    return new
+        if not _top_last(ext):
+            continue
+        key, orders = canonical_form_and_orders(ext)
+        k = ext.n - 1
+        if any(order[-1] == k for order in orders):
+            yield key, ext, orders
 
 
 def _grown(tables, reach=None):
     """The last level's extensions of one-vertex growth from the digraph on
-    [1], unkeyed; each earlier level's are keyed (_classes) and extended by
-    _children with reach.  tables[k - 1] is _attachment_table(k, pattern)."""
+    [1], untested; each earlier level's are cut to one per class by
+    canonical augmentation (_augmented) and extended by _children with
+    reach.  tables[k - 1] is _attachment_table(k, pattern).
+
+    Each free class on [k+1] that reach keeps is kept exactly once (McKay,
+    Isomorph-free exhaustive generation, J. Algorithms 1998):
+    - Its canonical parent X - l, l the vertex placed last, is free, as
+      freeness is hereditary; by induction its class was kept once, as g.
+      An isomorphism g -> X - l carries l's edges to a free code of g, and
+      the orbit-minimal code of its Aut(g)-orbit gives a child isomorphic
+      to X by a map taking k to l, which _augmented keeps.
+    - reach(g) reads only g's size and (f2, f1), so it is closed under
+      Aut(g), and it is hereditary for a >= 1: with d2, d1 and d0 the
+      double, single and empty pairs at l, the bound of X - l's extension
+      exceeds X's by a(d1 + d0) - d1 >= 0, so every canonical ancestor of
+      a class that reaches the best pair passes it too.
+    - Two kept children that are isomorphic map k to k, after an
+      automorphism of one of them, so they come from the same g by codes
+      that an automorphism of g exchanges: the same orbit, whose
+      orbit-minimal code is extended once.
+    """
     exts = [_Grown.empty(1)]
     for table in tables:
-        exts = _children(_classes(exts).values(), table, reach)
+        exts = _children(((g, orders_group(orders)) for _, g, orders in _augmented(exts)),
+                         table, reach)
     return exts
 
 
 def free_classes(n: int, pattern: PatternDigraph) -> dict[bytes, Digraph]:
-    """All pattern-free isomorphism classes on [n], via one-vertex growth.
+    """All pattern-free isomorphism classes on [n], via one-vertex growth,
+    keyed by canonical form, in the order growth meets them.
 
-    Every pattern-free class on k+1 vertices restricts to a pattern-free
-    class on k vertices, so extending every representative in all 4^k ways
-    and deduplicating by canonical key is complete.  Of each Aut-orbit of
-    codes only the smallest is extended: it is met first and gives the same
-    class, so each class keeps the representative the full walk keeps.
+    Every pattern-free class on k+1 vertices is a free class on k vertices
+    plus a vertex, so extending every class by the orbit-minimal free
+    codes of its automorphisms and keeping the children whose new vertex
+    is canonically last gives each class once (_grown); each key comes from
+    the search that kept its class.
     """
     if n > COUNT_CLASSES_MAX_N:
         raise BudgetError(f"class generation capped at n={COUNT_CLASSES_MAX_N}")
-    reps = _classes(_grown([_attachment_table(k, pattern) for k in range(1, n)]))
-    return {key: Digraph(g.n, g.edges) for key, (g, _) in reps.items()}
+    reps = _augmented(_grown([_attachment_table(k, pattern) for k in range(1, n)]))
+    return {key: Digraph(g.n, g.edges) for key, g, _ in reps}
 
 
 def _greedy_seed(tables, groups) -> _Grown:
@@ -608,11 +653,12 @@ def _extremal_canonical(n: int, pattern: PatternDigraph, weight: WeightParam):
 
     The bound starts at _greedy_seed's (f2, f1), heaviest free code first.
     Pruning discards a code only when even turning every remaining pair into
-    a double edge cannot reach the bound, so every class attaining the
-    maximum survives to level n.  A code that an automorphism of its parent
-    maps to a smaller code is skipped: the smaller one came first with the
-    same class and (f2, f1), so the winners and their representatives are
-    those of the full walk.
+    a double edge cannot reach the bound.  Below level n growth keeps each
+    class once, by canonical augmentation, and the bound is hereditary
+    (_grown), so every class attaining the maximum survives to level n.
+    There each extension that ties or beats the bound is keyed, and a
+    winner keeps the first representative met: a labelling of its class
+    that a canonical parent and an orbit-minimal code give.
     """
     if n > CANONICAL_MODE_MAX_N:
         raise BudgetError(f"canonical search capped at n={CANONICAL_MODE_MAX_N}")

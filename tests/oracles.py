@@ -275,6 +275,39 @@ def naive_greedy_seed(n: int, pattern, weight):
     return g
 
 
+def keyed_classes(exts) -> dict:
+    """key -> (ext, Aut(ext)) for the first extension of each canonical key,
+    in the order met: one-vertex growth's isomorph rejection by keying every
+    child, which canonical augmentation replaced."""
+    from digraphlab.digraphs import canonical_form_and_group
+
+    new = {}
+    for ext in exts:
+        key, auts = canonical_form_and_group(ext)
+        new.setdefault(key, (ext, auts))
+    return new
+
+
+def keyed_grown(tables, reach=None):
+    """``extremal._grown`` with every level keyed (keyed_classes) instead of
+    cut by canonical augmentation: the last level's extensions, unkeyed."""
+    from digraphlab.extremal import _children, _Grown
+
+    exts = [_Grown.empty(1)]
+    for table in tables:
+        exts = _children(keyed_classes(exts).values(), table, reach)
+    return exts
+
+
+def keyed_free_classes(n: int, pattern) -> dict:
+    """key -> representative of every pattern-free class on [n], by keyed
+    one-vertex growth: each class keeps the first extension met."""
+    from digraphlab.extremal import _attachment_table
+
+    reps = keyed_classes(keyed_grown([_attachment_table(k, pattern) for k in range(1, n)]))
+    return {key: g for key, (g, _) in reps.items()}
+
+
 def naive_blocks(n: int, pattern, c_max: int) -> list[tuple[int, list[int]]]:
     """The (hi, exact) rows of ``extremal._blocks``, one high state at a time.
 

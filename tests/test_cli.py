@@ -838,7 +838,7 @@ _PINNED = [
     (["ex", "--pattern", "t3", "--n", "4", "--a", "2", "--mode", "full"],
      0, "85eb352fd197912dd43ea0d3a8bbd18f5d2c66137bcdcebd27aa2e81203bda53", ""),
     (["ex", "--pattern", "c3", "--n", "4", "--a", "2", "--mode", "canonical"],
-     0, "333d8885aa755a9fc9447a968618fc1dd12b19b4275969c355599c9fe9efae52", ""),
+     0, "47d9d45815e09f5234e88ed63688ca502e28b3db0b5282f728cdc1a554987891", ""),
     (["count-free", "--pattern", "dk3", "--n", "4"],
      0, "a0d2431465eaaa320cb3d24422bcaf20286417c9bd48ad81294102e15e970131", ""),
     (["ratio", "--pattern", "c3", "--n", "4"],
@@ -1002,6 +1002,18 @@ def test_verify_lemma_refuses_an_n_range_it_cannot_build(capsys, monkeypatch, n_
     assert time.monotonic() - t0 < 1.0  # the range is never materialised
     assert rc == 2 and out == ""
     assert err == f"digraphlab: refused: {why}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["codegree", "--pattern", "c3", "--N", "0"],
+    ["containers", "--pattern", "c3", "--N", "0", "--eps", "1/10"],
+    ["verify-family", "--pattern", "c3", "--N", "0", "--eps", "1/10"],
+])
+def test_auto_tau_refuses_n_below_h(capsys, argv):
+    # --tau auto is N^(-1/m); at N=0 it used to end in a ZeroDivisionError
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert err == "digraphlab: refused: N=0 below pattern vertex count h=3\n"
 
 
 @pytest.mark.parametrize("argv", [

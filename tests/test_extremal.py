@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -25,7 +25,13 @@ from digraphlab import (
 )
 from digraphlab import digraphs, extremal
 from digraphlab.cli import BUILTIN_PATTERNS, load_pattern
-from digraphlab.digraphs import automorphisms, canonical_form_and_group
+from digraphlab.digraphs import (
+    automorphisms,
+    canonical_form,
+    canonical_form_and_group,
+    canonical_form_and_orders,
+    orders_group,
+)
 from digraphlab.errors import BudgetError, PreconditionError
 from digraphlab.extremal import (
     _attachment_table,
@@ -40,6 +46,7 @@ from digraphlab.extremal import (
     _ranks,
     _sizes,
     _tie_groups,
+    _top_last,
     compile_copies,
     full_scan,
     iter_free_edge_masks,
@@ -49,6 +56,8 @@ from oracles import (
     all_digraph_edge_sets,
     class_route_count,
     f_counts,
+    keyed_free_classes,
+    keyed_grown,
     naive_blocks,
     naive_canonical_key,
     naive_compiled_copies,
@@ -500,9 +509,10 @@ def test_mask_child_matches_a_digraph_child(name):
 
 
 @pytest.mark.parametrize("run, name, searches", [
-    ("ex", "t3", 680), ("ex", "c3", 3824), ("free_classes", "t3", 50_487)])
+    ("ex", "t3", 198), ("ex", "c3", 932), ("free_classes", "t3", 10_340)])
 def test_canonical_growth_work_counters(run, name, searches, monkeypatch):
-    # at n=6, the canonical searches are pinned, and growth builds a Digraph
+    # at n=6, the canonical searches are pinned (the digraph on [1], keyed
+    # with no refinement, is one of them), and growth builds a Digraph
     # only for each class or witness it returns and once for the pattern's
     # core: its children carry masks
     pat = load_pattern(name)[0]
@@ -576,32 +586,58 @@ def test_greedy_seed_matches_the_heaviest_extension_walk(name, a):
         assert [g.edges for g in seeds[pat.h - 1:]] == [frozenset()] * (8 - pat.h)
 
 
-@pytest.mark.parametrize("name", BUILTIN_PATTERNS)
+def _kept(monkeypatch, run):
+    """run() and, by vertex count, the (key, ext, orders) that canonical
+    augmentation kept, in the order kept."""
+    levels = defaultdict(list)
+    augmented = extremal._augmented
+
+    def record(exts):
+        for kept in augmented(exts):
+            levels[kept[1].n].append(kept)
+            yield kept
+    with monkeypatch.context() as m:
+        m.setattr(extremal, "_augmented", record)
+        return run(), levels
+
+
+@pytest.mark.parametrize("name", BUILTIN_PATTERNS + tuple(ISOLATED))
 def test_growth_carries_each_class_group(name, monkeypatch):
-    # the group each class carries into the next level is the one the
-    # search that keyed it found, and it is the whole of Aut
-    levels = []
-    classes = extremal._classes
-    monkeypatch.setattr(extremal, "_classes", lambda exts: levels.append(classes(exts)) or levels[-1])
-    reps = free_classes(5, load_pattern(name)[0])
-    assert len(levels) == 5
-    assert [(key, g.edges) for key, (g, _) in levels[-1].items()] == \
-        [(key, g.edges) for key, g in reps.items()]
-    for level in levels:
-        for g, auts in level.values():
-            assert auts == automorphisms(g), g.edge_list
+    # the group each kept class carries into the next level is read off the
+    # search that kept it, and it is the whole of Aut; no level keeps a key
+    # twice, and each keeps the classes that keying every child keeps
+    pat = any_pattern(name)
+    reps, levels = _kept(monkeypatch, lambda: free_classes(5, pat))
+    assert sorted(levels) == [1, 2, 3, 4, 5]
+    assert [(key, g.edges) for key, g, _ in levels[5]] == [(key, g.edges) for key, g in reps.items()]
+    for k, level in levels.items():
+        keys = [key for key, _, _ in level]
+        assert len(keys) == len(set(keys)), k
+        assert set(keys) == set(keyed_free_classes(k, pat)), k
+        for key, g, orders in level:
+            assert key == canonical_form(g)
+            assert orders_group(orders) == automorphisms(g), g.edge_list
 
 
 def test_growth_refines_each_extension_once(c3, monkeypatch):
-    # keying an extension gives its group too: no kept representative is
-    # refined a second time for its automorphisms
+    # one search, so one refinement, gives a child's key, group and verdict
+    # at once, and a child the triple filter drops is never refined; the
+    # digraph on [1] is keyed with no refinement
     calls = Counter()
-    refine, extension = digraphs._colour_refine, extremal._extension
+    refine, top_last, extension = digraphs._colour_refine, extremal._top_last, extremal._extension
+
+    def counted_top_last(g):
+        passed = top_last(g)
+        calls.update(["passed" if passed else "dropped"])
+        return passed
     monkeypatch.setattr(digraphs, "_colour_refine", lambda g: calls.update(["refine"]) or refine(g))
+    monkeypatch.setattr(extremal, "_top_last", counted_top_last)
     monkeypatch.setattr(extremal, "_extension",
                         lambda g, code: calls.update(["extension"]) or extension(g, code))
     free_classes(5, c3)
-    assert calls["refine"] == calls["extension"] > 0
+    assert calls["refine"] == calls["passed"] - 1 > 0
+    assert calls["passed"] + calls["dropped"] == calls["extension"] + 1
+    assert calls["dropped"] > 0
 
 
 def _unpruned(monkeypatch, run):
@@ -613,12 +649,78 @@ def _unpruned(monkeypatch, run):
 
 @pytest.mark.parametrize("name", ["c3", "t3", "dk3", "p4", "c3iso"])
 def test_orbit_pruning_keeps_every_class_and_representative(name, monkeypatch):
+    # with every free code extended, a class is kept once per code of its
+    # orbit, but first at the same place with the same representative
     pat = any_pattern(name)
     for n in range(1, 6):
         got = free_classes(n, pat)
-        expect = _unpruned(monkeypatch, lambda: free_classes(n, pat))
-        assert list(got) == list(expect)  # the same keys in the same order
-        assert [g.edges for g in got.values()] == [g.edges for g in expect.values()]
+        _, levels = _unpruned(monkeypatch, lambda: _kept(monkeypatch, lambda: free_classes(n, pat)))
+        first = {}
+        for key, g, _ in levels[n]:
+            first.setdefault(key, g.edges)
+        assert list(first) == list(got)  # the same keys in the same order
+        assert list(first.values()) == [g.edges for g in got.values()]
+
+
+@pytest.mark.parametrize("name", ["t3", "p3", "p4", "twocycle"])
+def test_augmentation_keeps_the_keyed_classes_on_6(name):
+    # test_growth_carries_each_class_group compares every level up to 5;
+    # twocycle keeps 21,480 classes on [6]
+    pat = load_pattern(name)[0]
+    got = free_classes(6, pat)
+    assert sorted(got) == sorted(keyed_free_classes(6, pat))
+    if name == "twocycle":
+        assert len(got) == 21_480
+
+
+@pytest.mark.parametrize("name", BUILTIN_PATTERNS)
+def test_triple_filter_keeps_every_canonically_last_child(name):
+    # the filter drops a child before any search; it never drops one whose
+    # new vertex the canonical order can place last.  Every free code of
+    # every class on k <= 4, not only the orbit-minimal ones
+    pat = load_pattern(name)[0]
+    seen = Counter()
+    for k in range(1, 5):
+        table = _attachment_table(k, pat)
+        for g in free_classes(k, pat).values():
+            for code in _bits(_free_codes(g, table)):
+                child = _extension(g, code)
+                _, orders = canonical_form_and_orders(child)
+                last = any(order[-1] == k for order in orders)
+                seen[last, _top_last(child)] += 1
+    assert seen[True, False] == 0
+    assert seen[False, False] > 0 and seen[True, True] > 0
+
+
+@pytest.mark.parametrize("a", ["2", "log2(3)", "3"])
+@pytest.mark.parametrize("name", BUILTIN_PATTERNS)
+def test_canonical_extremal_matches_keyed_growth(name, a, monkeypatch):
+    # growth by canonical augmentation finds the value and the winning
+    # classes that keying every child finds; the representatives may differ
+    pat = load_pattern(name)[0]
+    weight = WeightParam.parse(a)
+    for n in range(1, 7):
+        got = extremal_number(n, pat, weight, mode="canonical")
+        with monkeypatch.context() as m:
+            m.setattr(extremal, "_grown", keyed_grown)
+            expect = extremal_number(n, pat, weight, mode="canonical")
+        assert (got.value_str, got.best_pair, got.witness_keys) == \
+            (expect.value_str, expect.best_pair, expect.witness_keys), n
+
+
+@pytest.mark.parametrize("name", BUILTIN_PATTERNS)
+def test_classes_count_the_labelled_free_digraphs(name):
+    # each class on [n] has n!/|Aut| labellings
+    pat = load_pattern(name)[0]
+    for n in range(1, 6):
+        total = sum(math.factorial(n) // automorphism_count(g) for g in free_classes(n, pat).values())
+        assert total == count_free(n, pat), n
+
+
+def test_t3_classes_on_6_count_the_labelled_free_digraphs(t3):
+    reps = free_classes(6, t3)
+    assert len(reps) == 8_604
+    assert sum(720 // automorphism_count(g) for g in reps.values()) == count_free(6, t3) == 5_205_915
 
 
 @pytest.mark.parametrize("a", ["2", "log2(3)", "7/2"])
